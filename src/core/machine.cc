@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "check/phase_check.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "obs/event_trace.h"
@@ -120,13 +119,6 @@ Machine::registerMachineStats()
     registry_.addScalar("pe.idle_cycles",
                         peTotal(&pe::PeStats::idleCycles),
                         "per-context cycles waiting on memory");
-    registry_.addScalar("check.violations",
-                        [] {
-                            return static_cast<double>(
-                                check::PhaseChecker::instance()
-                                    .violationCount());
-                        },
-                        "phase-contract violations recorded");
 }
 
 void
@@ -173,57 +165,6 @@ Machine::launchAll(std::uint32_t count, const ProgramFn &program)
 }
 
 void
-Machine::prepareShards()
-{
-    // Shard the *launched* PE list, not PE-id space: programs often
-    // engage a handful of PEs on a large machine, and raw-id sharding
-    // would park every busy PE in shard 0.
-    shardPes_ = launched_;
-    std::sort(shardPes_.begin(), shardPes_.end());
-
-    // The engine serves the PE compute phase; it is not clamped to the
-    // launched-PE count (excess PE shards are just empty ranges).
-    unsigned threads = par::TickEngine::resolveThreads(cfg_.threads);
-    // A request probe observes every request() in call order, which is
-    // not deterministic under parallel stepping; keep such runs serial.
-    if (pni_.hasRequestProbe())
-        threads = 1;
-    if (threads == 0)
-        threads = 1;
-
-    if (engineThreads_ != threads) {
-        engine_ = std::make_unique<par::TickEngine>(threads);
-        engineThreads_ = threads;
-    }
-    if (prof_) {
-        engine_->setProfiler(prof_.get());
-        network_.setProfiler(prof_.get());
-    }
-    shardPlan_ = par::ShardPlan::contiguous(shardPes_.size(), threads);
-    shardDone_.assign(threads, 0);
-
-    std::vector<unsigned> shard_of(numPes(), 0);
-    for (std::size_t i = 0; i < shardPes_.size(); ++i)
-        shard_of[shardPes_[i]] = shardPlan_.shardOf(i);
-    ULTRA_CHECK_SET_OWNERS(threads, shard_of);
-    pni_.setShardMap(threads, std::move(shard_of));
-}
-
-bool
-Machine::stepShard(unsigned shard, Cycle now)
-{
-    const par::ShardRange range = shardPlan_.range(shard);
-    bool all_done = true;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-        pe::Pe &pe = *pes_[shardPes_[i]];
-        if (pe.runnable(now))
-            pe.step(now);
-        all_done = all_done && pe.finished();
-    }
-    return all_done;
-}
-
-void
 Machine::flushObservers()
 {
     for (PEId pe : launched_)
@@ -238,7 +179,10 @@ Machine::flushObservers()
 bool
 Machine::run(Cycle max_cycles)
 {
-    prepareShards();
+    // PEs step in ascending id order.  Walk only the launched ones:
+    // programs often engage a handful of PEs on a large machine.
+    std::vector<PEId> step_order = launched_;
+    std::sort(step_order.begin(), step_order.end());
     prof::Profiler *const prof = prof_.get();
     if (prof != nullptr)
         prof->runBegin();
@@ -257,38 +201,27 @@ Machine::run(Cycle max_cycles)
     const Cycle deadline = now() + max_cycles;
     bool finished_all = false;
     while (now() < deadline) {
-        // Cycle-boundary yield point: the previous cycle is fully
-        // committed and the next compute phase has not started, so a
-        // hook (the live-inspection pause fence) observes only
-        // consistent state and may block here indefinitely.
+        // Cycle-boundary yield point: the previous cycle's network tick
+        // is done and no PE has stepped yet, so a hook (the
+        // live-inspection pause fence) observes only consistent state
+        // and may block here indefinitely.
         if (cycleHook_)
             cycleHook_(now());
         lap(prof::Phase::Hook);
-        // Compute phase: step PE coroutines, one shard per thread.
-        // Each shard touches only its own PEs' state and the PNI
-        // staging its shard owns; everything else this phase reads
-        // (now(), memory peeked before the run) is frozen.
+        // The canonical cycle order (DESIGN.md "The cycle loop"): PEs
+        // step, PNIs issue in PE-id order, the network and memory
+        // advance, observers sample.
         const Cycle cycle = now();
-        if (prof != nullptr)
-            prof->setEpisodePhase(prof::Phase::PeCompute);
-        ULTRA_CHECK_COMPUTE_BEGIN(cycle);
-        try {
-            engine_->forEachShard([this, cycle](unsigned shard) {
-                shardDone_[shard] = stepShard(shard, cycle) ? 1 : 0;
-            });
-        } catch (...) {
-            ULTRA_CHECK_COMPUTE_END();
-            throw;
-        }
-        ULTRA_CHECK_COMPUTE_END();
-        lap(prof::Phase::PeCompute);
         finished_all = true;
-        for (unsigned char done : shardDone_)
-            finished_all = finished_all && done != 0;
+        for (PEId id : step_order) {
+            pe::Pe &pe = *pes_[id];
+            if (pe.runnable(cycle))
+                pe.step(cycle);
+            finished_all = finished_all && pe.finished();
+        }
+        lap(prof::Phase::PeStep);
         if (finished_all)
             break;
-        // Commit phase (sequential): staged requests issue in PE-id
-        // order, the network and memory advance, observers sample.
         pni_.tick();
         lap(prof::Phase::Pni);
         network_.tick();
@@ -358,8 +291,7 @@ Machine::enableProfiling()
     if (prof_)
         return;
     prof_ = std::make_unique<prof::Profiler>();
-    // Wiring to the engine and network happens in prepareShards(),
-    // which also re-runs on thread-count changes between runs.
+    network_.setProfiler(prof_.get());
 }
 
 std::string

@@ -31,8 +31,6 @@
 #include "obs/latency.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
-#include "par/shard.h"
-#include "par/tick_engine.h"
 #include "prof/profiler.h"
 #include "pe/pe.h"
 #include "pe/task.h"
@@ -55,14 +53,6 @@ struct MachineConfig
     std::size_t wordsPerModule = 1 << 16;
     /** Hash virtual addresses across modules (section 3.1.4). */
     bool hashAddresses = true;
-    /**
-     * Host threads for run()'s compute phase (0 = one per hardware
-     * core).  PE coroutine stepping is partitioned across threads;
-     * PNI issue, the network, and memory remain a sequential commit
-     * phase, so results are bit-identical for every thread count (see
-     * DESIGN.md "The compute/commit phase contract").
-     */
-    unsigned threads = 1;
 
     /** The paper's Table-1 machine: 4096 ports, six stages of 4x4
      *  switches, 15-packet queues, PE instr = MM access = 2 cycles. */
@@ -116,8 +106,8 @@ class Machine
 
     /**
      * Install a hook called at the top of every run() iteration -- at
-     * the cycle boundary, after the previous cycle's commit phase and
-     * before the next compute phase, when no mid-tick state exists.
+     * the cycle boundary, after the previous cycle's network tick and
+     * before the next PE step, when no mid-tick state exists.
      * This is the pause fence of the live inspection protocol
      * (ultra::inspect): the hook may block (pausing the simulation) and
      * may read any machine state, but as long as it does not *write*
@@ -212,8 +202,7 @@ class Machine
 
     /**
      * Attach a wall-clock self-profiler (see src/prof): per-phase lap
-     * timers around the run() loop and the network tick, per-thread
-     * work/barrier-wait accounting inside the tick engine.  Call before
+     * timers around the run() loop and the network tick.  Call before
      * run(); idempotent.  Opt-in: profiling
      * reads the host clock but writes only to its own report channel,
      * so an unprofiled run (and the simulation content of a profiled
@@ -232,7 +221,7 @@ class Machine
      * combines, decombines, MM service, reply deliveries and
      * per-context memory waits all land on it.  When a profiler is also
      * enabled, run() rides periodic prof counter tracks on the same
-     * trace (phase seconds, barrier wait) so wall-clock cost lines up
+     * trace (phase seconds) so wall-clock cost lines up
      * with simulated activity in the viewer.
      */
     void attachEventTrace(obs::EventTrace *trace);
@@ -241,8 +230,6 @@ class Machine
 
   private:
     void registerMachineStats();
-    void prepareShards();
-    bool stepShard(unsigned shard, Cycle now);
     void flushObservers();
 
     MachineConfig cfg_;
@@ -263,17 +250,6 @@ class Machine
     Cycle lastSampleAt_ = static_cast<Cycle>(-1);
     /** Cycle-boundary yield point (live inspection pause fence). */
     std::function<void(Cycle)> cycleHook_;
-
-    // --- parallel compute phase (ultra::par) --------------------------
-    std::unique_ptr<par::TickEngine> engine_;
-    unsigned engineThreads_ = 0;
-    /** Launched PEs in ascending id order; shards are contiguous slices
-     *  of this list (apps often engage few PEs of a big machine, so
-     *  sharding raw PE-id space would leave threads idle). */
-    std::vector<PEId> shardPes_;
-    par::ShardPlan shardPlan_;
-    /** Per-shard "all my PEs finished" flags (single-writer each). */
-    std::vector<unsigned char> shardDone_;
     std::vector<std::unique_ptr<pe::Pe>> pes_;
     /** Keeps each PE's program callables (and thus any coroutine-lambda
      *  closures) alive while its tasks run; one entry per context. */

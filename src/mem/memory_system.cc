@@ -1,7 +1,5 @@
 #include "memory_system.h"
 
-#include "check/phase_check.h"
-
 #include <algorithm>
 
 #include "common/log.h"
@@ -31,9 +29,6 @@ MemorySystem::index(Addr paddr) const
 Word
 MemorySystem::execute(Op op, Addr paddr, Word operand)
 {
-    // MM execution happens in MNI service inside Network::tick; a
-    // compute-phase call would bypass the serialization the MNIs model.
-    ULTRA_CHECK_COMMIT_ONLY("mem.execute");
     const std::size_t idx = index(paddr);
     const Word old_value = words_[idx];
     words_[idx] = applyPhi(op, old_value, operand);

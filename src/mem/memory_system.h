@@ -8,10 +8,9 @@
  * fixed access latency; the module owning a physical word address is its
  * low lg N bits (hashing at the PNI keeps modules equally loaded).
  *
- * Threading: all MM execution happens via the MNI service inside
- * Network::tick, i.e. in the sequential commit phase of the src/par
- * compute/commit contract (DESIGN.md) -- MemorySystem itself needs no
- * synchronization.
+ * All MM execution happens via the MNI service inside Network::tick,
+ * in the serial cycle loop (DESIGN.md "The cycle loop") --
+ * MemorySystem itself needs no synchronization.
  */
 
 #ifndef ULTRA_MEM_MEMORY_SYSTEM_H

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "check/phase_check.h"
 #include "common/log.h"
 #include "net/combining.h"
 #include "obs/event_trace.h"
@@ -124,9 +123,6 @@ bool
 Network::tryInject(PEId pe, Op op, Addr paddr, Word data,
                    std::uint64_t tag, Cycle queued_at)
 {
-    // Injection mutates switch queues: sequential-phase only (issued by
-    // PniArray::tick, never by a compute-phase shard).
-    ULTRA_CHECK_COMMIT_ONLY("net.network.inject");
     ULTRA_ASSERT(pe < cfg_.numPorts);
     const MMId dest = memory_.moduleOf(paddr);
     const std::uint32_t packets = cfg_.packetsFor(op, false);
@@ -771,7 +767,6 @@ Network::commitPhase()
 void
 Network::tick()
 {
-    ULTRA_CHECK_COMMIT_ONLY("net.network.tick");
     // Chained phase stamps: each boundary is a single clock read, and
     // with no profiler attached the whole ladder compiles down to null
     // tests.  The phase times tile tick() wall time by construction.

@@ -152,8 +152,8 @@ class Network
      * serial network tick"): deliveries due now, the MNI sweep,
      * arrivals (copy, stage ascending, columns ascending), forward
      * departures stage-descending, reverse departures stage-ascending,
-     * and finally this cycle's Burroughs arrival kills.  Always called
-     * from the machine's sequential commit phase.
+     * and finally this cycle's Burroughs arrival kills.  Called once
+     * per cycle, after the PNIs issue (DESIGN.md "The cycle loop").
      */
     void tick();
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "check/phase_check.h"
 #include "common/log.h"
 #include "obs/registry.h"
 
@@ -12,7 +11,7 @@ namespace ultra::net
 PniArray::PniArray(const PniConfig &cfg, Network &network,
                    const mem::AddressHash &hash)
     : cfg_(cfg), network_(network), hash_(hash),
-      pes_(network.config().numPorts), pendingActive_(1)
+      pes_(network.config().numPorts)
 {
     network_.setDeliverCallback(
         [this](PEId pe, std::uint64_t ticket, Word value) {
@@ -24,34 +23,12 @@ PniArray::PniArray(const PniConfig &cfg, Network &network,
 }
 
 void
-PniArray::setShardMap(unsigned shards, std::vector<unsigned> shardOfPe)
-{
-    ULTRA_ASSERT(shards >= 1);
-    ULTRA_ASSERT(shardOfPe.empty() || shardOfPe.size() == pes_.size());
-    // Re-stage activations staged under the old map: a finished run's
-    // final network tick can leave delivery-triggered activations that
-    // tick() has not merged yet.
-    std::vector<PEId> staged;
-    for (std::vector<PEId> &pending : pendingActive_) {
-        staged.insert(staged.end(), pending.begin(), pending.end());
-        pending.clear();
-    }
-    pendingActive_.resize(shards);
-    shardOfPe_ = std::move(shardOfPe);
-    for (PEId pe : staged) {
-        const unsigned shard = shardOfPe_.empty() ? 0 : shardOfPe_[pe];
-        pendingActive_[shard].push_back(pe);
-    }
-}
-
-void
 PniArray::activate(PEId pe)
 {
     PeState &state = pes_[pe];
     if (!state.inActiveList) {
         state.inActiveList = true;
-        const unsigned shard = shardOfPe_.empty() ? 0 : shardOfPe_[pe];
-        pendingActive_[shard].push_back(pe);
+        pendingActive_.push_back(pe);
     }
 }
 
@@ -59,8 +36,6 @@ std::uint64_t
 PniArray::request(PEId pe, Op op, Addr vaddr, Word data)
 {
     ULTRA_ASSERT(pe < pes_.size());
-    // Contract: everything below is owned by pe's shard (DESIGN.md).
-    ULTRA_CHECK_COMPUTE_WRITE("net.pni.request", pe);
     PeState &state = pes_[pe];
     QueuedReq req;
     req.ticket = state.nextTicket++;
@@ -80,15 +55,13 @@ PniArray::request(PEId pe, Op op, Addr vaddr, Word data)
 void
 PniArray::tick()
 {
-    ULTRA_CHECK_COMMIT_ONLY("net.pni.tick");
-    // Merge activations staged by the compute phase, then sort so the
-    // network sees injection attempts in PE-id order regardless of how
-    // many shards staged them -- the keystone of N-thread determinism.
-    for (std::vector<PEId> &pending : pendingActive_) {
-        activePes_.insert(activePes_.end(), pending.begin(),
-                          pending.end());
-        pending.clear();
-    }
+    // Merge new activations, then sort so the network sees injection
+    // attempts in PE-id order.  Delivery and kill-retry activations
+    // arrive in network order, so the sort is needed even though PEs
+    // step in id order.
+    activePes_.insert(activePes_.end(), pendingActive_.begin(),
+                      pendingActive_.end());
+    pendingActive_.clear();
     std::sort(activePes_.begin(), activePes_.end());
 
     const Cycle now = network_.now();
@@ -155,9 +128,6 @@ PniArray::requestedCount() const
 std::size_t
 PniArray::pendingCount(PEId pe) const
 {
-    // Uncommitted per-PE state: only pe's own shard may poll it
-    // during the compute phase.
-    ULTRA_CHECK_COMPUTE_READ("net.pni.pending", pe);
     const PeState &state = pes_[pe];
     return state.issueQueue.size() + state.outstanding.size();
 }
@@ -236,7 +206,6 @@ PniArray::takeOutstanding(PEId pe, std::uint64_t ticket, const char *what)
 void
 PniArray::onDeliver(PEId pe, std::uint64_t ticket, Word value)
 {
-    ULTRA_CHECK_COMMIT_ONLY("net.pni.deliver");
     PeState &state = pes_[pe];
     const QueuedReq req = takeOutstanding(pe, ticket, "reply");
     ++stats_.completed;
@@ -252,7 +221,6 @@ PniArray::onDeliver(PEId pe, std::uint64_t ticket, Word value)
 void
 PniArray::onKill(PEId pe, std::uint64_t ticket)
 {
-    ULTRA_CHECK_COMMIT_ONLY("net.pni.kill");
     PeState &state = pes_[pe];
     QueuedReq req = takeOutstanding(pe, ticket, "kill");
     req.notBefore = network_.now() + cfg_.killRetryDelay;

@@ -97,27 +97,6 @@ class PniArray
     /** Requests enqueued by PEs (sum of per-PE counters). */
     std::uint64_t requestedCount() const;
 
-    /**
-     * Declare the PE->shard ownership map used by the parallel compute
-     * phase.  request() may then be called concurrently for PEs owned
-     * by different shards: everything it touches (the PE's issue queue,
-     * ticket counter, request count, and the shard's activation staging
-     * list) is owned by shardOfPe[pe].  tick() — always sequential —
-     * merges the staged activations and sorts the active list, so issue
-     * order is a pure function of PE ids, not of shard arrival order.
-     *
-     * With no map set (or shards == 1) behaviour is unchanged apart
-     * from the deterministic sort.
-     */
-    void setShardMap(unsigned shards, std::vector<unsigned> shardOfPe);
-
-    /** True when a request probe is attached (probe call order is not
-     *  deterministic under parallel stepping; callers clamp threads). */
-    bool hasRequestProbe() const
-    {
-        return static_cast<bool>(requestProbe_);
-    }
-
     /** Requests currently in the network (all PEs, gauge). */
     std::size_t outstandingCount() const;
 
@@ -169,11 +148,10 @@ class PniArray
     const mem::AddressHash &hash_;
     std::vector<PeState> pes_;
     std::vector<PEId> activePes_;
-    /** Newly-activated PEs, staged per shard during the compute phase
-     *  (single-writer per inner vector), merged+sorted by tick(). */
-    std::vector<std::vector<PEId>> pendingActive_;
-    /** PE -> owning shard; empty means everything is shard 0. */
-    std::vector<unsigned> shardOfPe_;
+    /** PEs activated since the last tick(), which merges them into
+     *  activePes_ and sorts.  Entries left by a run's final network
+     *  tick carry over to the next run. */
+    std::vector<PEId> pendingActive_;
     PniStats stats_;
     CompleteFn completeFn_;
     RequestProbe requestProbe_;

@@ -1,6 +1,5 @@
 #include "systolic_queue.h"
 
-#include "check/phase_check.h"
 #include "common/log.h"
 
 namespace ultra::net
@@ -17,8 +16,6 @@ SystolicQueue::StepResult
 SystolicQueue::step(const std::optional<SystolicItem> &input,
                     bool receiver_ready)
 {
-    // Systolic slots belong to a switch: they advance in commit only.
-    ULTRA_CHECK_COMMIT_ONLY("net.systolic_queue.step");
     StepResult result;
 
     // 1. Exit from the bottom of the right column; a matched partner in

@@ -7,8 +7,7 @@ namespace ultra::net
 
 TrafficGenerator::TrafficGenerator(const TrafficConfig &cfg,
                                    PniArray &pni, Network &network)
-    : cfg_(cfg), pni_(pni), network_(network),
-      generatedPe_(cfg.activePes, 0)
+    : cfg_(cfg), pni_(pni), network_(network)
 {
     ULTRA_ASSERT(cfg_.activePes <= network.config().numPorts);
     ULTRA_ASSERT(cfg_.rate >= 0.0);
@@ -42,20 +41,13 @@ TrafficGenerator::generateOne(PEId pe)
         data = static_cast<Word>(rng.uniformInt(1000));
     }
     pni_.request(pe, op, vaddr, data);
-    ++generatedPe_[pe];
+    ++generated_;
 }
 
 void
 TrafficGenerator::tick()
 {
-    tickRange(0, cfg_.activePes);
-}
-
-void
-TrafficGenerator::tickRange(PEId begin, PEId end)
-{
-    ULTRA_ASSERT(begin <= end && end <= cfg_.activePes);
-    for (PEId pe = begin; pe < end; ++pe) {
+    for (PEId pe = 0; pe < cfg_.activePes; ++pe) {
         if (cfg_.closedLoop) {
             while (pni_.pendingCount(pe) < cfg_.window)
                 generateOne(pe);
@@ -63,15 +55,6 @@ TrafficGenerator::tickRange(PEId begin, PEId end)
             generateOne(pe);
         }
     }
-}
-
-std::uint64_t
-TrafficGenerator::generated() const
-{
-    std::uint64_t total = 0;
-    for (std::uint64_t count : generatedPe_)
-        total += count;
-    return total;
 }
 
 void

@@ -55,21 +55,11 @@ class TrafficGenerator
     TrafficGenerator(const TrafficConfig &cfg, PniArray &pni,
                      Network &network);
 
-    /** Generate this cycle's requests; call before PniArray::tick(). */
+    /** Generate this cycle's requests, in PE-id order; call before
+     *  PniArray::tick(). */
     void tick();
 
-    /**
-     * Generate this cycle's requests for PEs in [begin, end) only.
-     * Each PE draws from its own RNG stream (split off the seed at
-     * construction), so any partition of [0, activePes) into ranges --
-     * including ranges ticked concurrently by different shards --
-     * produces exactly the per-PE request sequences of a full tick().
-     * Thread safety requires PniArray::setShardMap with ranges that
-     * respect the shard ownership of each PE.
-     */
-    void tickRange(PEId begin, PEId end);
-
-    std::uint64_t generated() const;
+    std::uint64_t generated() const { return generated_; }
 
     /**
      * Run the system for @p cycles: generator, PNIs and network each
@@ -93,8 +83,7 @@ class TrafficGenerator
      *  i.i.d. per-PE processes, and per-PE streams make the draws
      *  independent of the order PEs are visited in. */
     std::vector<Rng> rngs_;
-    /** Per-PE request counts (single-writer under sharded ticking). */
-    std::vector<std::uint64_t> generatedPe_;
+    std::uint64_t generated_ = 0;
 };
 
 } // namespace ultra::net

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "check/phase_check.h"
 #include "common/log.h"
 #include "obs/event_trace.h"
 
@@ -79,8 +78,6 @@ Pe::runnable(Cycle now) const
 void
 Pe::step(Cycle now)
 {
-    // The PE's coroutine frames, stats and clocks are shard-owned.
-    ULTRA_CHECK_COMPUTE_WRITE("pe.step", id_);
     ULTRA_ASSERT(runnable(now));
     // Round-robin among ready contexts so multiprogrammed tasks share
     // the pipeline fairly.
@@ -190,7 +187,6 @@ Pe::unblock(Context &ctx, Cycle earliest)
 void
 Pe::onComplete(std::uint64_t ticket, Word value)
 {
-    ULTRA_CHECK_COMMIT_ONLY("pe.complete");
     const Cycle now = network_.now();
     auto owner = ticketCtx_.find(ticket);
     ULTRA_ASSERT(owner != ticketCtx_.end(),
@@ -226,7 +222,6 @@ Pe::onComplete(std::uint64_t ticket, Word value)
 void
 Pe::flushWaits(Cycle now)
 {
-    ULTRA_CHECK_COMMIT_ONLY("pe.flush_waits");
     for (Context &ctx : contexts_) {
         if (ctx.state == State::Ready || ctx.blockStart >= now)
             continue;

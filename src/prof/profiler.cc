@@ -4,7 +4,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "common/log.h"
 #include "obs/event_trace.h"
 #include "obs/json.h"
 
@@ -24,8 +23,7 @@ phaseName(Phase p)
     case Phase::NetMni: return "net.mni";
     case Phase::NetSweepFwd: return "net.sweep_fwd";
     case Phase::NetSweepRev: return "net.sweep_rev";
-    case Phase::Other: return "other";
-    case Phase::PeCompute: return "pe.compute";
+    case Phase::PeStep: return "pe.step";
     case Phase::Pni: return "pni";
     case Phase::Sampler: return "sampler";
     case Phase::kCount: break;
@@ -45,16 +43,6 @@ Profiler::nowNs()
             .count());
 }
 
-Profiler::Profiler() : shards_(1) {}
-
-void
-Profiler::configureThreads(unsigned threads)
-{
-    ULTRA_ASSERT(threads >= 1);
-    if (shards_.size() < threads)
-        shards_.resize(threads);
-}
-
 void
 Profiler::runBegin()
 {
@@ -72,77 +60,7 @@ Profiler::runEnd(std::uint64_t cycles)
 void
 Profiler::reset()
 {
-    for (unsigned p = 0; p < kPhaseCount; ++p) {
-        phaseNs_[p] = 0;
-        phaseCalls_[p] = 0;
-        episodeNs_[p] = 0;
-    }
-    episodeCount_ = 0;
-    episodePhase_ = Phase::Other;
-    episodeT0_ = 0;
-    for (ShardSlot &slot : shards_) {
-        slot.workNs = 0;
-        slot.episodeWorkNs = 0;
-        slot.barrierWaitNs = 0;
-        slot.stageWaitNs = 0;
-        slot.workT0 = 0;
-        slot.stageT0 = 0;
-    }
-    runStartNs_ = 0;
-    runEndNs_ = 0;
-    cycles_ = 0;
-}
-
-void
-Profiler::episodeBegin()
-{
-    episodeT0_ = nowNs();
-}
-
-void
-Profiler::episodeEnd()
-{
-    const std::uint64_t wall = nowNs() - episodeT0_;
-    episodeNs_[static_cast<unsigned>(episodePhase_)] += wall;
-    ++episodeCount_;
-    // The finish barrier has joined: every worker's episodeWorkNs is
-    // visible.  A shard's work window sits strictly inside the
-    // caller's episode window (released by the start barrier, joined
-    // by the finish barrier), so wall >= work and the difference is
-    // the shard's time spent waiting on the fork-join barriers.
-    for (ShardSlot &slot : shards_) {
-        const std::uint64_t work = std::min(slot.episodeWorkNs, wall);
-        slot.barrierWaitNs += wall - work;
-        slot.episodeWorkNs = 0;
-    }
-}
-
-void
-Profiler::shardBegin(unsigned shard)
-{
-    shards_[shard].workT0 = nowNs();
-}
-
-void
-Profiler::shardEnd(unsigned shard)
-{
-    ShardSlot &slot = shards_[shard];
-    const std::uint64_t dt = nowNs() - slot.workT0;
-    slot.workNs += dt;
-    slot.episodeWorkNs += dt;
-}
-
-void
-Profiler::stageWaitBegin(unsigned shard)
-{
-    shards_[shard].stageT0 = nowNs();
-}
-
-void
-Profiler::stageWaitEnd(unsigned shard)
-{
-    ShardSlot &slot = shards_[shard];
-    slot.stageWaitNs += nowNs() - slot.stageT0;
+    *this = Profiler{};
 }
 
 std::uint64_t
@@ -150,15 +68,6 @@ Profiler::totalPhaseNs() const
 {
     std::uint64_t sum = 0;
     for (std::uint64_t ns : phaseNs_)
-        sum += ns;
-    return sum;
-}
-
-std::uint64_t
-Profiler::totalEpisodeNs() const
-{
-    std::uint64_t sum = 0;
-    for (std::uint64_t ns : episodeNs_)
         sum += ns;
     return sum;
 }
@@ -190,56 +99,17 @@ Profiler::reportJson() const
 {
     // Keys sorted at every level (the schema-stability contract; see
     // prof_test).  Top level: attribution < cycles < elapsed_seconds
-    // < phases < schema < thread_slots < threads.
+    // < phases < schema.
     const double elapsed = elapsedSeconds();
-    const double safe_elapsed = elapsed > 0 ? elapsed : 1.0;
-    const unsigned threads = this->threads();
-
-    const double phase_s = static_cast<double>(totalPhaseNs()) * kNsToS;
-    const double episode_s =
-        static_cast<double>(totalEpisodeNs()) * kNsToS;
-    const double serial_s = std::max(0.0, phase_s - episode_s);
-    double work_s = 0.0;      // task time net of stage waits
-    double barrier_s = 0.0;   // fork-join barrier waits
-    double stage_wait_s = 0.0;
-    double max_work_s = 0.0;
-    for (const ShardSlot &slot : shards_) {
-        const double w =
-            static_cast<double>(slot.workNs - std::min(slot.workNs,
-                                                       slot.stageWaitNs)) *
-            kNsToS;
-        work_s += w;
-        max_work_s = std::max(max_work_s, w);
-        barrier_s += static_cast<double>(slot.barrierWaitNs) * kNsToS;
-        stage_wait_s += static_cast<double>(slot.stageWaitNs) * kNsToS;
-    }
-    const double coverage = phase_s / safe_elapsed;
-    const double mean_work_s = work_s / threads;
+    const double coverage =
+        static_cast<double>(totalPhaseNs()) * kNsToS /
+        (elapsed > 0 ? elapsed : 1.0);
 
     std::ostringstream os;
-    os << "{\"attribution\": {";
-    os << "\"barrier_wait_fraction\": ";
-    writeNum(os, barrier_s / (threads * safe_elapsed));
-    os << ", \"barrier_wait_seconds\": ";
-    writeNum(os, barrier_s);
-    os << ", \"coverage\": ";
+    os << "{\"attribution\": {\"coverage\": ";
     writeNum(os, coverage);
-    os << ", \"imbalance_fraction\": ";
-    writeNum(os, (max_work_s - mean_work_s) / safe_elapsed);
     os << ", \"overhead_fraction\": ";
     writeNum(os, std::max(0.0, 1.0 - coverage));
-    os << ", \"parallel_seconds\": ";
-    writeNum(os, episode_s);
-    os << ", \"serial_fraction\": ";
-    writeNum(os, serial_s / safe_elapsed);
-    os << ", \"serial_seconds\": ";
-    writeNum(os, serial_s);
-    os << ", \"stage_wait_fraction\": ";
-    writeNum(os, stage_wait_s / (threads * safe_elapsed));
-    os << ", \"stage_wait_seconds\": ";
-    writeNum(os, stage_wait_s);
-    os << ", \"work_seconds\": ";
-    writeNum(os, work_s);
     os << "}";
 
     os << ", \"cycles\": " << cycles_;
@@ -251,34 +121,13 @@ Profiler::reportJson() const
         if (p > 0)
             os << ", ";
         os << "\"" << phaseName(static_cast<Phase>(p))
-           << "\": {\"calls\": " << phaseCalls_[p]
-           << ", \"episode_seconds\": ";
-        writeNum(os, static_cast<double>(episodeNs_[p]) * kNsToS);
-        os << ", \"seconds\": ";
+           << "\": {\"calls\": " << phaseCalls_[p] << ", \"seconds\": ";
         writeNum(os, static_cast<double>(phaseNs_[p]) * kNsToS);
         os << "}";
     }
     os << "}";
 
-    os << ", \"schema\": \"ultra.prof.v1\"";
-
-    os << ", \"thread_slots\": [";
-    for (unsigned i = 0; i < threads; ++i) {
-        const ShardSlot &slot = shards_[i];
-        if (i > 0)
-            os << ", ";
-        os << "{\"barrier_wait_seconds\": ";
-        writeNum(os, static_cast<double>(slot.barrierWaitNs) * kNsToS);
-        os << ", \"shard\": " << i << ", \"stage_wait_seconds\": ";
-        writeNum(os, static_cast<double>(slot.stageWaitNs) * kNsToS);
-        os << ", \"work_seconds\": ";
-        writeNum(os, static_cast<double>(slot.workNs) * kNsToS);
-        os << "}";
-    }
-    os << "]";
-
-    os << ", \"threads\": " << threads;
-
+    os << ", \"schema\": \"ultra.prof.v2\"";
     os << "}";
     return os.str();
 }
@@ -293,16 +142,6 @@ Profiler::flushCounters(obs::EventTrace &trace, Cycle now) const
         trace.counter(track, phaseName(static_cast<Phase>(p)), now,
                       static_cast<double>(phaseNs_[p]) * kNsToS);
     }
-    std::uint64_t barrier = 0;
-    std::uint64_t stage_wait = 0;
-    for (const ShardSlot &slot : shards_) {
-        barrier += slot.barrierWaitNs;
-        stage_wait += slot.stageWaitNs;
-    }
-    trace.counter(track, "barrier_wait", now,
-                  static_cast<double>(barrier) * kNsToS);
-    trace.counter(track, "stage_wait", now,
-                  static_cast<double>(stage_wait) * kNsToS);
 }
 
 } // namespace ultra::prof

@@ -1,36 +1,25 @@
 /**
  * @file
- * Wall-clock self-profiler for the parallel runtime (ultra::prof).
+ * Wall-clock self-profiler for the simulator (ultra::prof).
  *
  * Every other observability layer measures *simulated* cycles; this one
- * measures where *host* time goes, so a disappointing par_speedup
- * number or a perf-gate failure can be attributed instead of guessed
- * at.  The profiler is opt-in (a nullable pointer on the components it
- * instruments, one-branch cost when detached) and writes only to its
- * own channel: stats dumps, goldens and the byte-identity contract are
- * untouched whether it is attached or not.
+ * measures where *host* time goes, so a slower run can be attributed to
+ * a phase of the cycle loop instead of guessed at.  The profiler is
+ * opt-in (a nullable pointer on the components it instruments,
+ * one-branch cost when detached) and writes only to its own channel:
+ * stats dumps, goldens and the byte-identity contract are untouched
+ * whether it is attached or not.
  *
- * Two kinds of accounting:
- *   - per-phase wall timers: the simulation thread stamps the clock at
- *     each phase boundary of the tick loop (PE compute, PNI issue, the
- *     network's commit/MNI/arrival/departure sub-phases, sampler), so
- *     the phase times tile measured elapsed time;
- *   - per-shard work/wait: the tick engine brackets each fork-join
- *     episode and each shard's task; barrier wait per shard is the
- *     episode wall minus that shard's work.
+ * The simulation thread stamps the clock at each phase boundary of the
+ * cycle loop (PE step, PNI issue, the network's commit/MNI/arrival/
+ * departure sub-phases, sampler), so the phase times tile measured
+ * elapsed time; whatever they miss is reported as overhead.
  *
  * This file (src/prof) is the *only* place in simulation code allowed
  * to read the host clock -- tools/ultralint UL-DET-007 flags raw
  * std::chrono / clock_gettime anywhere else, because a wall-clock read
  * woven into simulation logic is a determinism hazard.  Components
  * time themselves through Profiler::nowNs(), an opaque call.
- *
- * Threading contract: phaseAdd / run lifecycle run on the simulation
- * thread at sequential points; shardBegin/shardEnd/stageWait* run on
- * the shard's own thread with a cache-line-padded slot per shard (no
- * sharing, no atomics); episodeBegin/episodeEnd run on the fork-join
- * caller, and the finish barrier orders every worker's slot writes
- * before episodeEnd reads them.
  */
 
 #ifndef ULTRA_PROF_PROFILER_H
@@ -38,7 +27,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 
@@ -55,15 +43,14 @@ namespace ultra::prof
  *  emit them by simple enumeration. */
 enum class Phase : unsigned {
     Hook,         //!< inspect pause fence (cycle hook)
-    Inject,       //!< net-mode traffic injection (sharded)
+    Inject,       //!< net-mode traffic injection
     NetArrival,   //!< switch arrivals (enqueue, combining, fission)
     NetCommit,    //!< reply deliveries due this cycle
     NetMni,       //!< MNI receipt and memory service
     NetSweepFwd,  //!< forward departures
     NetSweepRev,  //!< reverse departures and deferred arrival kills
-    Other,        //!< fork-join episodes with no phase assigned
-    PeCompute,    //!< PE coroutine stepping (sharded compute phase)
-    Pni,          //!< sequential PNI issue/completion
+    PeStep,       //!< PE coroutine stepping
+    Pni,          //!< PNI issue/completion
     Sampler,      //!< per-cycle sampler + observer flush
     kCount
 };
@@ -85,24 +72,19 @@ class Profiler
      */
     static std::uint64_t nowNs();
 
-    Profiler();
-
-    /** Size the per-shard slots; call before the first episode. */
-    void configureThreads(unsigned threads);
-
-    // -- run lifecycle (simulation thread) --------------------------
+    // -- run lifecycle ----------------------------------------------
     void runBegin();
     void runEnd(std::uint64_t cycles);
 
     /**
-     * Zero every counter (phase timers, episodes, shard slots, run
-     * window) in place, keeping the configured thread count.  A persistent server reuses one profiler across jobs,
-     * and a job's report must cover that job alone -- without this a
-     * warmed machine leaks laps across jobs (see serve_test).
+     * Zero every counter (phase timers, run window) in place.  A
+     * persistent server reuses one profiler across jobs, and a job's
+     * report must cover that job alone -- without this a warmed
+     * machine leaks laps across jobs (see serve_test).
      */
     void reset();
 
-    // -- per-phase wall timers (simulation thread) ------------------
+    // -- per-phase wall timers --------------------------------------
     void
     phaseAdd(Phase p, std::uint64_t ns)
     {
@@ -110,24 +92,12 @@ class Profiler
         ++phaseCalls_[static_cast<unsigned>(p)];
     }
 
-    // -- fork-join episode accounting (tick engine) -----------------
-    /** Attribute subsequent episodes to @p p (simulation thread). */
-    void setEpisodePhase(Phase p) { episodePhase_ = p; }
-    void episodeBegin();
-    void episodeEnd();
-    void shardBegin(unsigned shard);
-    void shardEnd(unsigned shard);
-
-    // -- stage-barrier waits (shard threads) ------------------------
-    void stageWaitBegin(unsigned shard);
-    void stageWaitEnd(unsigned shard);
-
     // -- report -----------------------------------------------------
     /** Seconds from runBegin to runEnd (or to now mid-run). */
     double elapsedSeconds() const;
 
     /**
-     * The full report as schema-versioned JSON ("ultra.prof.v1"),
+     * The full report as schema-versioned JSON ("ultra.prof.v2"),
      * keys sorted at every level so diffs and goldens are stable.
      * Callable mid-run (the live `prof` inspect command) -- elapsed
      * is measured to the call.
@@ -144,52 +114,16 @@ class Profiler
     void flushCounters(obs::EventTrace &trace, Cycle now) const;
 
     // -- accessors (tests, report writers) --------------------------
-    unsigned threads() const { return static_cast<unsigned>(shards_.size()); }
     std::uint64_t cycles() const { return cycles_; }
     std::uint64_t phaseNs(Phase p) const
     {
         return phaseNs_[static_cast<unsigned>(p)];
     }
-    std::uint64_t episodeNs(Phase p) const
-    {
-        return episodeNs_[static_cast<unsigned>(p)];
-    }
     std::uint64_t totalPhaseNs() const;
-    std::uint64_t totalEpisodeNs() const;
-    std::uint64_t shardWorkNs(unsigned shard) const
-    {
-        return shards_[shard].workNs;
-    }
-    std::uint64_t shardBarrierWaitNs(unsigned shard) const
-    {
-        return shards_[shard].barrierWaitNs;
-    }
-    std::uint64_t shardStageWaitNs(unsigned shard) const
-    {
-        return shards_[shard].stageWaitNs;
-    }
 
   private:
-    /** One fork-join shard's accounting; padded so neighbouring
-     *  shards never share a cache line. */
-    struct alignas(64) ShardSlot
-    {
-        std::uint64_t workNs = 0;        //!< task time, stage waits included
-        std::uint64_t episodeWorkNs = 0; //!< work inside the open episode
-        std::uint64_t barrierWaitNs = 0; //!< episode wall minus own work
-        std::uint64_t stageWaitNs = 0;   //!< stage-barrier waits
-        std::uint64_t workT0 = 0;
-        std::uint64_t stageT0 = 0;
-    };
-
     std::uint64_t phaseNs_[kPhaseCount] = {};
     std::uint64_t phaseCalls_[kPhaseCount] = {};
-    std::uint64_t episodeNs_[kPhaseCount] = {};
-    std::uint64_t episodeCount_ = 0;
-    Phase episodePhase_ = Phase::Other;
-    std::uint64_t episodeT0_ = 0;
-
-    std::vector<ShardSlot> shards_;
 
     std::uint64_t runStartNs_ = 0;
     std::uint64_t runEndNs_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iomanip>
 #include <sstream>
 
 #include "common/json_lite.h"
@@ -18,30 +19,36 @@ namespace
  *  that shape a simulated point. */
 enum class ParamKind { Bool, Num, Str };
 
+/** Largest value of a 32-bit field, and the largest integer a double
+ *  holds exactly (the cap for 64-bit fields). */
+constexpr double kMax32 = 4294967295.0;
+constexpr double kMax53 = 9007199254740992.0;
+
 struct KnownParam
 {
     const char *name;
     ParamKind kind;
-    bool integral; //!< Num params that must be non-negative integers
+    /** Num params that must be integers in [0, intMax], so the value
+     *  fits the spec field it is narrowed into; 0 = any number. */
+    double intMax;
 };
 
 const KnownParam kKnownParams[] = {
-    {"burroughs", ParamKind::Bool, false},
-    {"closed", ParamKind::Num, true},
-    {"cycles", ParamKind::Num, true},
-    {"d", ParamKind::Num, true},
-    {"hot", ParamKind::Num, false},
-    {"ideal", ParamKind::Bool, false},
-    {"k", ParamKind::Num, true},
-    {"latency", ParamKind::Bool, false},
-    {"m", ParamKind::Num, true},
-    {"policy", ParamKind::Str, false},
-    {"ports", ParamKind::Num, true},
-    {"queue", ParamKind::Num, true},
-    {"rate", ParamKind::Num, false},
-    {"seed", ParamKind::Num, true},
-    {"threads", ParamKind::Num, true},
-    {"uniform", ParamKind::Bool, false},
+    {"burroughs", ParamKind::Bool, 0},
+    {"closed", ParamKind::Num, kMax32},
+    {"cycles", ParamKind::Num, kMax53},
+    {"d", ParamKind::Num, kMax32},
+    {"hot", ParamKind::Num, 0},
+    {"ideal", ParamKind::Bool, 0},
+    {"k", ParamKind::Num, kMax32},
+    {"latency", ParamKind::Bool, 0},
+    {"m", ParamKind::Num, kMax32},
+    {"policy", ParamKind::Str, 0},
+    {"ports", ParamKind::Num, kMax32},
+    {"queue", ParamKind::Num, kMax32},
+    {"rate", ParamKind::Num, 0},
+    {"seed", ParamKind::Num, kMax53},
+    {"uniform", ParamKind::Bool, 0},
 };
 
 const KnownParam *
@@ -88,10 +95,14 @@ paramFromJson(const KnownParam &known, const jsonlite::JsonValue &v,
                   "' must be a number";
             return false;
         }
-        if (known.integral &&
-            (v.number < 0 || v.number != std::floor(v.number))) {
-            err = "parameter '" + std::string(known.name) +
-                  "' must be a non-negative integer";
+        if (known.intMax != 0 &&
+            (v.number < 0 || v.number > known.intMax ||
+             v.number != std::floor(v.number))) {
+            std::ostringstream os;
+            os << "parameter '" << known.name
+               << "' must be an integer in [0, " << std::fixed
+               << std::setprecision(0) << known.intMax << "]";
+            err = os.str();
             return false;
         }
         out = ParamValue::number(v.number);
@@ -163,7 +174,7 @@ expandGrid(const jsonlite::JsonValue &grid, std::vector<Point> &points,
     std::size_t seeds = 0; // 0 = no seed replication
     if (grid.has("seeds")) {
         const jsonlite::JsonValue &s = grid["seeds"];
-        if (!s.isNumber() || s.number < 1 ||
+        if (!s.isNumber() || s.number < 1 || s.number > kMax32 ||
             s.number != std::floor(s.number)) {
             err = "grid 'seeds' must be a positive integer";
             return false;
@@ -173,7 +184,7 @@ expandGrid(const jsonlite::JsonValue &grid, std::vector<Point> &points,
     std::uint64_t seedBase = 1;
     if (grid.has("seed_base")) {
         const jsonlite::JsonValue &s = grid["seed_base"];
-        if (!s.isNumber() || s.number < 0 ||
+        if (!s.isNumber() || s.number < 0 || s.number > kMax53 ||
             s.number != std::floor(s.number)) {
             err = "grid 'seed_base' must be a non-negative integer";
             return false;
@@ -356,6 +367,13 @@ expandGridFile(const std::string &text, std::string &err)
     }
     if (points.empty())
         err = "grid expands to zero points";
+    // Check every point now, so a bad value stops the sweep before any
+    // worker forks instead of failing (and being retried) in one.
+    for (std::size_t i = 0; err.empty() && i < points.size(); ++i) {
+        specFromParams(points[i].params, err);
+        if (!err.empty())
+            err = "point " + std::to_string(i) + ": " + err;
+    }
     return err.empty() ? points : std::vector<Point>{};
 }
 
@@ -397,11 +415,6 @@ specFromParams(const ParamMap &params, std::string &err)
         err = "unknown policy '" + policy + "'";
         return spec;
     }
-    if (!ncfg.valid()) {
-        err = "invalid network configuration (ports must be a power "
-              "of k, queues >= one message)";
-        return spec;
-    }
 
     net::TrafficConfig &tcfg = spec.traffic;
     tcfg.activePes = ncfg.numPorts;
@@ -420,9 +433,8 @@ specFromParams(const ParamMap &params, std::string &err)
     spec.pni.maxOutstanding = tcfg.closedLoop ? 0 : 8;
     spec.cycles =
         static_cast<Cycle>(numParam(params, "cycles", 10000));
-    spec.threads =
-        static_cast<unsigned>(numParam(params, "threads", 1));
     spec.wantLatency = boolParam(params, "latency");
+    err = validate(spec);
     return spec;
 }
 

@@ -78,14 +78,15 @@ std::uint64_t derivePointSeed(std::uint64_t base, std::size_t index);
 
 /**
  * Parse + expand a "sweep.grid.v1" document.  On any problem (bad
- * JSON, wrong schema, unknown parameter, non-array axis) returns an
- * empty vector with @p err set; err is empty on success.
+ * JSON, wrong schema, unknown parameter, non-array axis, a point that
+ * specFromParams rejects) returns an empty vector with @p err set; err
+ * is empty on success.
  */
 std::vector<Point> expandGridFile(const std::string &text,
                                   std::string &err);
 
-/** Map a point's parameters onto a run spec.  Unknown names, bad
- *  values and invalid network configurations set @p err. */
+/** Map a point's parameters onto a run spec.  Unknown names and any
+ *  value validate() rejects set @p err. */
 NetPointSpec specFromParams(const ParamMap &params, std::string &err);
 
 /** Load a parsed JSON object of parameters (the `--serve` job shape)

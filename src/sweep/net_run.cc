@@ -1,18 +1,38 @@
 #include "sweep/net_run.h"
 
 #include <sstream>
-#include <vector>
 
 #include "obs/event_trace.h"
 #include "obs/json.h"
 #include "obs/latency.h"
 #include "obs/sampler.h"
-#include "par/shard.h"
-#include "par/tick_engine.h"
 #include "prof/profiler.h"
 
 namespace ultra::sweep
 {
+
+std::string
+validate(const NetPointSpec &spec)
+{
+    if (!spec.net.valid()) {
+        return "invalid network configuration (ports must be a power "
+               "of k, queues >= one message)";
+    }
+    const auto fraction = [](const char *name, double x) {
+        // Written so that NaN fails too.
+        if (x >= 0.0 && x <= 1.0)
+            return std::string();
+        std::ostringstream os;
+        os << name << " must be in [0, 1], got " << x;
+        return os.str();
+    };
+    std::string err = fraction("rate", spec.traffic.rate);
+    if (err.empty())
+        err = fraction("hot", spec.traffic.hotFraction);
+    if (err.empty() && spec.cycles < 1)
+        err = "cycles must be at least 1";
+    return err;
+}
 
 WarmRig
 buildWarmRig(const net::NetSimConfig &cfg)
@@ -103,26 +123,7 @@ NetExperiment::~NetExperiment() = default;
 void
 NetExperiment::run(const Hooks &hooks)
 {
-    // Host parallelism: traffic generation (the compute phase here) is
-    // sharded across threads; PNI issue + network tick stay sequential.
-    unsigned threads = par::TickEngine::resolveThreads(spec_.threads);
-    if (threads > spec_.traffic.activePes && spec_.traffic.activePes > 0)
-        threads = spec_.traffic.activePes;
-    std::unique_ptr<par::TickEngine> own;
-    par::TickEngine *engine = hooks.engine;
-    if (engine == nullptr || engine->threads() != threads) {
-        own = std::make_unique<par::TickEngine>(threads);
-        engine = own.get();
-    }
-    const par::ShardPlan plan =
-        par::ShardPlan::contiguous(spec_.traffic.activePes, threads);
-    std::vector<unsigned> shard_of(spec_.net.numPorts, 0);
-    for (std::uint32_t pe = 0; pe < spec_.traffic.activePes; ++pe)
-        shard_of[pe] = plan.shardOf(pe);
-    pni_->setShardMap(threads, std::move(shard_of));
-
     prof::Profiler *const pr = hooks.prof;
-    engine->setProfiler(pr);
     network_->setProfiler(pr);
     if (hooks.trace != nullptr)
         network_->setEventTrace(hooks.trace);
@@ -148,13 +149,7 @@ NetExperiment::run(const Hooks &hooks)
             if (hooks.atCycle)
                 hooks.atCycle(network_->now());
             lap(prof::Phase::Hook);
-            if (pr != nullptr)
-                pr->setEpisodePhase(prof::Phase::Inject);
-            engine->forEachShard([&](unsigned shard) {
-                const par::ShardRange r = plan.range(shard);
-                traffic_->tickRange(static_cast<PEId>(r.begin),
-                                    static_cast<PEId>(r.end));
-            });
+            traffic_->tick();
             lap(prof::Phase::Inject);
             pni_->tick();
             lap(prof::Phase::Pni);

@@ -14,7 +14,7 @@
  *
  * Construction order (memory, network, hash, PNI, traffic, stats
  * registration, latency observatory) and the run loop (inspector
- * fence, sharded injection, PNI tick, network tick, sampler) are
+ * fence, injection, PNI tick, network tick, sampler) are
  * verbatim the historical cmdNet sequence; the observability hooks
  * (inspector, sampler, event trace, profiler) are all optional and all
  * byte-neutral, so a hookless sweep worker and a fully-instrumented
@@ -58,11 +58,6 @@ namespace ultra::prof
 class Profiler;
 } // namespace ultra::prof
 
-namespace ultra::par
-{
-class TickEngine;
-} // namespace ultra::par
-
 namespace ultra::sweep
 {
 
@@ -75,10 +70,19 @@ struct NetPointSpec
     net::TrafficConfig traffic;
     net::PniConfig pni;
     Cycle cycles = 10000;
-    unsigned threads = 1;  //!< --threads request (0 = all cores)
     bool wantLatency = false;
     double driftTolerance = analytic::kDefaultDriftTolerance;
 };
+
+/**
+ * Why @p spec cannot run, or "" when it can: a valid network, rate and
+ * hot fraction in [0, 1], at least one measured cycle.  Every entry
+ * point (`ultrasim net`, grid points, serve jobs) checks this before
+ * building an experiment, so a bad value gets a message instead of
+ * reaching an assertion.  Integral parameters are range-checked where
+ * they are parsed, before they are narrowed into the spec's fields.
+ */
+std::string validate(const NetPointSpec &spec);
 
 /** Headline metrics of a finished run, for sweep records and reports;
  *  everything here is derived from simulated state, so the values are
@@ -146,9 +150,6 @@ class NetExperiment
         Cycle sampleEvery = 0;
         obs::EventTrace *trace = nullptr;
         prof::Profiler *prof = nullptr;
-        /** External engine to reuse (serve); adopted only when its
-         *  thread count matches the resolved request. */
-        par::TickEngine *engine = nullptr;
     };
 
     /** Construct the rig; @p warm (when its configuration matches) is

@@ -11,8 +11,8 @@
  * sweep output is a pure function of the job list, never of worker
  * count or completion order.
  *
- * Core counting (detectHostCores) is the `par_speedup` honesty logic,
- * hoisted here so every consumer agrees: containers often pin CPU
+ * Core counting (detectHostCores) is shared by the pool and the
+ * benchmark records, so every consumer agrees: containers often pin CPU
  * affinity below the advertised core count (or report 0), and a pool
  * sized against the wrong denominator either oversubscribes or idles.
  */

@@ -10,7 +10,6 @@
 #include "inspect/server.h"
 #include "obs/latency.h"
 #include "obs/model_check.h"
-#include "par/tick_engine.h"
 #include "prof/profiler.h"
 #include "sweep/grid.h"
 #include "sweep/net_run.h"
@@ -89,7 +88,6 @@ struct ServerState
 {
     /** Pristine rigs in insertion order (FIFO eviction). */
     std::vector<std::pair<std::string, WarmRig>> cache;
-    std::unique_ptr<par::TickEngine> engine;
     prof::Profiler profiler;
     std::size_t jobsDone = 0;
     std::size_t cacheHits = 0;
@@ -110,8 +108,6 @@ handleSim(const jsonlite::JsonValue &req, const ServeOptions &opts,
         return errorReply(err);
     if (boolField(req, "latency"))
         spec.wantLatency = true;
-    if (params.count("threads") == 0)
-        spec.threads = opts.threads;
     const bool wantProf = boolField(req, "prof");
 
     // Hand a warmed pristine rig to a matching job; the experiment
@@ -130,17 +126,7 @@ handleSim(const jsonlite::JsonValue &req, const ServeOptions &opts,
     }
     NetExperiment exp(spec, std::move(warm));
 
-    // The engine persists across jobs of the same thread count;
-    // NetExperiment adopts it only when the count matches, so a
-    // mismatched request silently gets its own engine.
-    unsigned threads = par::TickEngine::resolveThreads(spec.threads);
-    if (threads > spec.traffic.activePes && spec.traffic.activePes > 0)
-        threads = spec.traffic.activePes;
-    if (state.engine == nullptr || state.engine->threads() != threads)
-        state.engine = std::make_unique<par::TickEngine>(threads);
-
     NetExperiment::Hooks hooks;
-    hooks.engine = state.engine.get();
     if (wantProf) {
         // One profiler serves every job; without the reset a warmed
         // machine would leak laps across jobs (the serve_test pin).

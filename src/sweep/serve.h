@@ -20,7 +20,8 @@
  *   -> {"cmd": "shutdown"} reply {"event": "bye", "ok": 1}, then exit
  *
  * `params` takes exactly the `ultrasim net` flag names (the grid
- * vocabulary of sweep/grid.h); `out` writes the stats dump to a file
+ * vocabulary of sweep/grid.h), range-checked like the grid loader
+ * (sweep::validate); `out` writes the stats dump to a file
  * with the same bytes a standalone `ultrasim net --stats-json` run
  * would produce -- the determinism contract the serve_test pins.
  * Errors reply {"error": "...", "event": "error", "ok": 0} and the
@@ -33,8 +34,7 @@
  * pristine (memory, network) rig per recent configuration, handed to
  * the next matching job and replaced with a freshly built one.  Rigs
  * are cached before first use only, so a cache hit is byte-identical
- * to a cold build by construction.  The tick engine persists across
- * jobs of the same thread count, and one profiler is reused with a
+ * to a cold build by construction.  One profiler is reused with a
  * reset per job (Profiler::reset) so reports never leak across jobs.
  */
 
@@ -49,7 +49,6 @@ namespace ultra::sweep
 
 struct ServeOptions
 {
-    unsigned threads = 1;        //!< default job threads (0 = cores)
     std::size_t cacheCapacity = 4; //!< warmed configurations kept
 };
 

@@ -3,9 +3,8 @@
  * End-to-end tests of the ultrasim command-line tool -- the first
  * coverage that actually executes the binary.  Runs `ultrasim net` and
  * `ultrasim app` as subprocesses, validates the --stats-json output
- * with the jsonlite parser, and checks the headline ultra::par
- * property from the outside: --threads N output is byte-identical to
- * --threads 1.
+ * with the jsonlite parser, and checks from the outside that reruns
+ * are byte-identical and that bad input exits 2 naming the flag.
  */
 
 #include <gtest/gtest.h>
@@ -66,7 +65,7 @@ TEST(CliTest, NetStatsJsonIsValidAndComplete)
 {
     const std::string out = tmpPath("net_stats.json");
     ASSERT_EQ(runTool("net --ports 64 --k 2 --cycles 1000 "
-                      "--threads 4 --stats-json " +
+                      "--stats-json " +
                       out),
               0);
     const std::string text = readFile(out);
@@ -87,22 +86,6 @@ TEST(CliTest, NetStatsJsonIsValidAndComplete)
     EXPECT_GT(stats["net.injected"].number, 0.0);
     EXPECT_GT(stats["net.delivered"].number, 0.0);
     std::remove(out.c_str());
-}
-
-TEST(CliTest, NetThreadsOutputByteIdentical)
-{
-    const std::string solo = tmpPath("net_t1.json");
-    const std::string quad = tmpPath("net_t4.json");
-    const std::string common =
-        "net --ports 64 --k 2 --rate 0.15 --hot 0.05 --cycles 1500 ";
-    ASSERT_EQ(runTool(common + "--threads 1 --stats-json " + solo), 0);
-    ASSERT_EQ(runTool(common + "--threads 4 --stats-json " + quad), 0);
-    const std::string solo_text = readFile(solo);
-    ASSERT_FALSE(solo_text.empty());
-    EXPECT_EQ(solo_text, readFile(quad))
-        << "--threads 4 must reproduce --threads 1 byte-for-byte";
-    std::remove(solo.c_str());
-    std::remove(quad.c_str());
 }
 
 TEST(CliTest, UnknownFlagsExitTwoWithUsage)
@@ -128,8 +111,8 @@ TEST(CliTest, UnknownFlagsExitTwoWithUsage)
 
 TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
 {
-    // Garbage, empty and out-of-range values must stop at the parser
-    // (exit 2, the flag named) -- never reach a model assertion.
+    // Garbage, empty and out-of-range values must stop before any
+    // simulation (exit 2, the flag named) -- never reach an assertion.
     const struct
     {
         const char *args;
@@ -142,7 +125,16 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"net --rate 7", "--rate"},
         {"net --rate 0.1x", "--rate"},
         {"net --hot 2", "--hot"},
+        {"net --ports 16 --k 2 --cycles 0", "cycles"},
+        {"net --ports 4294967312 --k 2", "--ports"},
         {"app --pes abc", "--pes"},
+        {"app --app tred2 --pes 0", "--pes"},
+        {"app --app tred2 --pes 5000", "--pes"},
+        {"app --app tred2 --n 0", "--n"},
+        {"app --app tred2 --n 300", "--n"},
+        {"app --app multigrid --n 1", "--n"},
+        {"app --app sssp --n 1", "--n"},
+        {"app --app tred2 --pes 16 --contexts 3", "--contexts"},
         {"model --best --rate 1.5", "--rate"},
     };
     const std::string err = tmpPath("bad_number.err");
@@ -154,10 +146,16 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         const std::string text = readFile(err);
         EXPECT_NE(text.find(c.flag), std::string::npos)
             << c.args << ": " << text;
+        EXPECT_EQ(text.find("panic"), std::string::npos)
+            << c.args << ": " << text;
     }
     std::remove(err.c_str());
-    // The boundaries of [0, 1] are legal.
+    // The boundaries are legal, and a PE count that is not a power of
+    // two gets the next power-of-two machine.
     EXPECT_EQ(runTool("net --ports 16 --rate 0 --hot 1 --cycles 50"), 0);
+    EXPECT_EQ(runTool("net --ports 16 --k 2 --cycles 1"), 0);
+    EXPECT_EQ(runTool("app --app tred2 --pes 1 --n 2"), 0);
+    EXPECT_EQ(runTool("app --app weather --pes 20 --n 4"), 0);
 }
 
 TEST(CliTest, FailedOutputWritesExitOne)
@@ -186,44 +184,27 @@ TEST(CliTest, FailedOutputWritesExitOne)
               1);
 }
 
-TEST(CliTest, AppThreadsOutputByteIdentical)
-{
-    const std::string solo = tmpPath("app_t1.json");
-    const std::string dual = tmpPath("app_t2.json");
-    const std::string common = "app --app tred2 --n 12 --pes 8 ";
-    ASSERT_EQ(runTool(common + "--threads 1 --stats-json " + solo), 0);
-    ASSERT_EQ(runTool(common + "--threads 2 --stats-json " + dual), 0);
-    const std::string solo_text = readFile(solo);
-    ASSERT_FALSE(solo_text.empty());
-    const jsonlite::JsonValue doc = jsonlite::parse(solo_text);
-    ASSERT_TRUE(doc.isObject());
-    EXPECT_GT(doc["stats"]["pe.instructions"].number, 0.0);
-    EXPECT_EQ(solo_text, readFile(dual));
-    std::remove(solo.c_str());
-    std::remove(dual.c_str());
-}
-
 TEST(CliTest, ProfJsonLeavesSimulationOutputByteIdentical)
 {
     // The profiler's write-only-to-its-own-channel contract: the same
     // workload with and without --prof-json dumps byte-identical
-    // stats, at one thread and at eight.
+    // stats, for the network and for a whole machine.
     const std::string base = tmpPath("prof_off.json");
     const std::string probed = tmpPath("prof_on.json");
     const std::string prof = tmpPath("prof_report.json");
-    const std::string common =
-        "net --ports 64 --k 2 --rate 0.15 --hot 0.05 --cycles 1500 ";
-    for (const char *threads : {"--threads 1 ", "--threads 8 "}) {
-        ASSERT_EQ(runTool(common + threads + "--stats-json " + base),
+    for (const char *common :
+         {"net --ports 64 --k 2 --rate 0.15 --hot 0.05 --cycles 1500 ",
+          "app --app tred2 --n 12 --pes 8 "}) {
+        ASSERT_EQ(runTool(std::string(common) + "--stats-json " + base),
                   0);
-        ASSERT_EQ(runTool(common + threads + "--stats-json " + probed +
-                          " --prof-json " + prof),
+        ASSERT_EQ(runTool(std::string(common) + "--stats-json " +
+                          probed + " --prof-json " + prof),
                   0);
         const std::string base_text = readFile(base);
         ASSERT_FALSE(base_text.empty());
         EXPECT_EQ(base_text, readFile(probed))
-            << "--prof-json must not perturb simulation output at "
-            << threads;
+            << "--prof-json must not perturb simulation output: "
+            << common;
         EXPECT_FALSE(readFile(prof).empty());
     }
     std::remove(base.c_str());
@@ -233,21 +214,19 @@ TEST(CliTest, ProfJsonLeavesSimulationOutputByteIdentical)
 
 TEST(CliTest, ProfJsonCoversMeasuredWallOnTable1)
 {
-    // The acceptance bar: on the Table-1 network at --threads 8 the
-    // per-phase wall timers must account for >= 95% of the measured
-    // elapsed time -- anything less means a phase boundary is missing
-    // a lap stamp.
+    // The acceptance bar: on the Table-1 network the per-phase wall
+    // timers must account for >= 95% of the measured elapsed time --
+    // anything less means a phase boundary is missing a lap stamp.
     const std::string prof = tmpPath("prof_table1.json");
     ASSERT_EQ(runTool("net --ports 4096 --k 4 --queue 15 --rate 0.1 "
-                      "--cycles 300 --threads 8 --prof-json " +
+                      "--cycles 300 --prof-json " +
                       prof),
               0);
     const std::string text = readFile(prof);
     ASSERT_FALSE(text.empty());
     const jsonlite::JsonValue doc = jsonlite::parse(text);
     ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(doc["schema"].string, "ultra.prof.v1");
-    EXPECT_EQ(static_cast<unsigned>(doc["threads"].number), 8u);
+    EXPECT_EQ(doc["schema"].string, "ultra.prof.v2");
 
     const double elapsed = doc["elapsed_seconds"].number;
     ASSERT_GT(elapsed, 0.0);
@@ -261,10 +240,8 @@ TEST(CliTest, ProfJsonCoversMeasuredWallOnTable1)
         << " of the measured wall";
     EXPECT_LE(phase_sum, elapsed * 1.001);
     EXPECT_GE(doc["attribution"]["coverage"].number, 0.95);
-
-    // The fork-join injection episodes were actually timed (8 threads
-    // sharding the traffic generators).
-    EXPECT_GT(doc["attribution"]["barrier_wait_seconds"].number, 0.0);
+    // Traffic injection is timed as its own phase.
+    EXPECT_GT(doc["phases"]["inject"]["calls"].number, 0.0);
     std::remove(prof.c_str());
 }
 
@@ -429,7 +406,7 @@ TEST(CliTest, ServeRejectsBadInvocations)
     EXPECT_NE(readFile(err).find("usage:"), std::string::npos)
         << readFile(err);
     // A flag where the address belongs.
-    EXPECT_EQ(runTool("serve --threads 2"), 2);
+    EXPECT_EQ(runTool("serve --cache 2"), 2);
     // Unknown flags honor the allowlist convention.
     EXPECT_EQ(runTool("serve 0 --frobnicate 1"), 2);
     std::remove(err.c_str());

@@ -4,8 +4,8 @@
  * Table-1-style network traffic on a scaled Table-1 configuration,
  * Fig-7 transit times across offered loads, and end-to-end application
  * runs (TRED2, multigrid), plus Burroughs kill-on-conflict mode under
- * hot-spot traffic -- as checked-in JSON, and asserts that 1-, 2- and
- * 8-thread runs all reproduce each golden byte-for-byte.
+ * hot-spot traffic -- as checked-in JSON, and asserts that a run
+ * reproduces each golden byte-for-byte.
  *
  * Regenerating (after an intentional simulation-semantics change):
  *
@@ -23,7 +23,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "apps/multigrid.h"
 #include "apps/tred2.h"
@@ -37,8 +36,6 @@
 #include "net/traffic.h"
 #include "obs/json.h"
 #include "obs/registry.h"
-#include "par/shard.h"
-#include "par/tick_engine.h"
 #include "pe/task.h"
 
 #ifndef ULTRA_GOLDEN_DIR
@@ -49,8 +46,6 @@ namespace ultra
 {
 namespace
 {
-
-const unsigned kThreadCounts[] = {1, 2, 8};
 
 std::string
 goldenPath(const std::string &name)
@@ -74,23 +69,12 @@ readFile(const std::string &path)
     return os.str();
 }
 
-/**
- * Produce @p name with every thread count, assert all runs agree
- * byte-for-byte, and compare (or regenerate) the golden file.
- */
+/** Produce @p name and compare (or regenerate) the golden file. */
 void
-checkGolden(const std::string &name,
-            const std::string (*produce)(unsigned threads))
+checkGolden(const std::string &name, const std::string (*produce)())
 {
-    const std::string solo = produce(1);
+    const std::string solo = produce();
     ASSERT_FALSE(solo.empty());
-    for (unsigned threads : kThreadCounts) {
-        if (threads == 1)
-            continue;
-        ASSERT_EQ(solo, produce(threads))
-            << name << ": " << threads
-            << "-thread run diverged from the 1-thread run";
-    }
     const std::string path = goldenPath(name);
     if (regenRequested()) {
         std::ofstream out(path, std::ios::binary);
@@ -126,7 +110,7 @@ fmt(double value)
  * 2-cycle MMs) driven open-loop at the paper's nominal intensity.
  */
 const std::string
-netTable1Scaled(unsigned threads)
+netTable1Scaled()
 {
     net::NetSimConfig ncfg;
     ncfg.numPorts = 256;
@@ -165,20 +149,9 @@ netTable1Scaled(unsigned threads)
     pni.registerStats(registry, "pni");
     memory.registerStats(registry, "mem");
 
-    par::TickEngine engine(threads);
-    const auto plan =
-        par::ShardPlan::contiguous(tcfg.activePes, threads);
-    std::vector<unsigned> shard_of(ncfg.numPorts, 0);
-    for (std::uint32_t pe = 0; pe < tcfg.activePes; ++pe)
-        shard_of[pe] = plan.shardOf(pe);
-    pni.setShardMap(threads, std::move(shard_of));
 
     for (Cycle c = 0; c < 2000; ++c) {
-        engine.forEachShard([&](unsigned shard) {
-            const par::ShardRange r = plan.range(shard);
-            traffic.tickRange(static_cast<PEId>(r.begin),
-                              static_cast<PEId>(r.end));
-        });
+        traffic.tick();
         pni.tick();
         network.tick();
     }
@@ -203,7 +176,7 @@ TEST(GoldenTest, NetTable1Scaled)
  * cycle, so the golden pins the order in which kills fire.
  */
 const std::string
-netBurroughsHotspot(unsigned threads)
+netBurroughsHotspot()
 {
     net::NetSimConfig ncfg;
     ncfg.numPorts = 256;
@@ -241,20 +214,9 @@ netBurroughsHotspot(unsigned threads)
     pni.registerStats(registry, "pni");
     memory.registerStats(registry, "mem");
 
-    par::TickEngine engine(threads);
-    const auto plan =
-        par::ShardPlan::contiguous(tcfg.activePes, threads);
-    std::vector<unsigned> shard_of(ncfg.numPorts, 0);
-    for (std::uint32_t pe = 0; pe < tcfg.activePes; ++pe)
-        shard_of[pe] = plan.shardOf(pe);
-    pni.setShardMap(threads, std::move(shard_of));
 
     for (Cycle c = 0; c < 1500; ++c) {
-        engine.forEachShard([&](unsigned shard) {
-            const par::ShardRange r = plan.range(shard);
-            traffic.tickRange(static_cast<PEId>(r.begin),
-                              static_cast<PEId>(r.end));
-        });
+        traffic.tick();
         pni.tick();
         network.tick();
     }
@@ -274,7 +236,7 @@ TEST(GoldenTest, NetBurroughsHotspot)
  *  over three offered loads; each load contributes its full registry
  *  dump, keyed by rate. */
 const std::string
-fig7Transit(unsigned threads)
+fig7Transit()
 {
     std::ostringstream doc;
     doc << "{\n";
@@ -307,20 +269,9 @@ fig7Transit(unsigned threads)
         network.registerStats(registry, "net");
         pni.registerStats(registry, "pni");
 
-        par::TickEngine engine(threads);
-        const auto plan =
-            par::ShardPlan::contiguous(tcfg.activePes, threads);
-        std::vector<unsigned> shard_of(ncfg.numPorts, 0);
-        for (std::uint32_t pe = 0; pe < tcfg.activePes; ++pe)
-            shard_of[pe] = plan.shardOf(pe);
-        pni.setShardMap(threads, std::move(shard_of));
 
         for (Cycle c = 0; c < 1500; ++c) {
-            engine.forEachShard([&](unsigned shard) {
-                const par::ShardRange r = plan.range(shard);
-                traffic.tickRange(static_cast<PEId>(r.begin),
-                                  static_cast<PEId>(r.end));
-            });
+            traffic.tick();
             pni.tick();
             network.tick();
         }
@@ -368,11 +319,9 @@ tred2Doc(core::Machine &machine)
  *  (tridiagonal entries), the simulated completion time, and the full
  *  machine stats. */
 const std::string
-appTred2(unsigned threads)
+appTred2()
 {
-    core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-    cfg.threads = threads;
-    core::Machine machine(cfg);
+    core::Machine machine(core::MachineConfig::small(64, 2));
     return tred2Doc(machine);
 }
 
@@ -386,11 +335,9 @@ TEST(GoldenTest, AppTred2)
  *  the hit, then detach and let it finish.  Read-only inspection must
  *  not move a single byte of the golden document. */
 const std::string
-appTred2Inspected(unsigned threads)
+appTred2Inspected()
 {
-    core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-    cfg.threads = threads;
-    core::Machine machine(cfg);
+    core::Machine machine(core::MachineConfig::small(64, 2));
 
     std::string err;
     auto server = inspect::InspectServer::listen("0", err);
@@ -452,21 +399,16 @@ TEST(GoldenTest, InspectedRunMatchesGolden)
     ASSERT_FALSE(golden.empty())
         << "missing golden " << goldenPath("app_tred2")
         << "; run golden_test with ULTRA_REGEN_GOLDEN=1 first";
-    for (unsigned threads : {1u, 4u}) {
-        EXPECT_EQ(appTred2Inspected(threads), golden)
-            << "live inspection perturbed the run at threads="
-            << threads;
-    }
+    EXPECT_EQ(appTred2Inspected(), golden)
+        << "live inspection perturbed the run";
 }
 
 /** Multigrid Poisson solve: pins the residual, a solution checksum,
  *  the completion time, and the full machine stats. */
 const std::string
-appMultigrid(unsigned threads)
+appMultigrid()
 {
-    core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-    cfg.threads = threads;
-    core::Machine machine(cfg);
+    core::Machine machine(core::MachineConfig::small(64, 2));
     apps::MultigridConfig gcfg;
     gcfg.level = 4;
     const auto rhs = apps::multigridRhs(gcfg.level);

@@ -9,7 +9,7 @@
  *
  * The headline guarantee is pinned at the end: an attached, paused,
  * inspected and resumed run produces statsJson() byte-identical to an
- * unattached run, at 1 and 4 host threads.
+ * unattached run.
  */
 
 #include <gtest/gtest.h>
@@ -316,11 +316,10 @@ constexpr int kIters = 40;
  *  test thread can play the attached client. */
 struct Harness
 {
-    explicit Harness(unsigned threads, bool profiled = false)
+    explicit Harness(bool profiled = false)
     {
-        core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-        cfg.threads = threads;
-        machine = std::make_unique<core::Machine>(cfg);
+        machine = std::make_unique<core::Machine>(
+            core::MachineConfig::small(64, 2));
         if (profiled)
             machine->enableProfiling();
         counter = machine->allocShared(1, "counter");
@@ -422,7 +421,7 @@ awaitEvent(InspectClient &client, const std::string &name)
 
 TEST(InspectorTest, StartPausedThenResumeRunsToCompletion)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -458,7 +457,7 @@ TEST(InspectorTest, StartPausedThenResumeRunsToCompletion)
 
 TEST(InspectorTest, CycleWatchpointPausesForInspection)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -517,7 +516,7 @@ TEST(InspectorTest, CycleWatchpointPausesForInspection)
 
 TEST(InspectorTest, StepAdvancesExactlyNCycles)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -552,7 +551,7 @@ TEST(InspectorTest, ProfCommandSnapshotsTheProfiler)
 {
     // A profiled machine serves live wall-clock snapshots mid-run; the
     // report is the same schema-versioned JSON --prof-json writes.
-    Harness h(1, /*profiled=*/true);
+    Harness h(/*profiled=*/true);
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -563,7 +562,7 @@ TEST(InspectorTest, ProfCommandSnapshotsTheProfiler)
     ASSERT_TRUE(prof.isObject());
     EXPECT_TRUE(prof["ok"].boolean);
     ASSERT_TRUE(prof["prof"].isObject());
-    EXPECT_EQ(prof["prof"]["schema"].string, "ultra.prof.v1");
+    EXPECT_EQ(prof["prof"]["schema"].string, "ultra.prof.v2");
     // Mid-run: elapsed is measured to the call, phases accumulated so
     // far cannot exceed it.
     EXPECT_GT(prof["prof"]["elapsed_seconds"].number, 0.0);
@@ -578,7 +577,7 @@ TEST(InspectorTest, ProfCommandSnapshotsTheProfiler)
 
 TEST(InspectorTest, ProfCommandWithoutProfilerIsCleanError)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -596,7 +595,7 @@ TEST(InspectorTest, ProfCommandWithoutProfilerIsCleanError)
 
 TEST(InspectorTest, StatWatchpointFiresOnRealTraffic)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -623,7 +622,7 @@ TEST(InspectorTest, StatWatchpointFiresOnRealTraffic)
 
 TEST(InspectorTest, WatchValidationAndLifecycle)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -671,7 +670,7 @@ TEST(InspectorTest, WatchValidationAndLifecycle)
 
 TEST(InspectorTest, MemReadAndPokeSteerTheRun)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -719,7 +718,7 @@ TEST(InspectorTest, MemReadAndPokeSteerTheRun)
 
 TEST(InspectorTest, DisconnectWhilePausedAutoResumes)
 {
-    Harness h(1);
+    Harness h;
     auto client = h.attach();
     ASSERT_NE(client, nullptr);
 
@@ -745,9 +744,9 @@ TEST(InspectorTest, DisconnectWhilePausedAutoResumes)
 /** statsJson() of an inspected run: attach, pause at a watchpoint,
  *  dump state, step, resume to completion. */
 std::string
-runInspected(unsigned threads)
+runInspected()
 {
-    Harness h(threads);
+    Harness h;
     auto client = h.attach();
     if (client == nullptr)
         return "";
@@ -770,11 +769,9 @@ runInspected(unsigned threads)
 
 /** statsJson() of the identical machine with no inspection at all. */
 std::string
-runPlain(unsigned threads)
+runPlain()
 {
-    core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-    cfg.threads = threads;
-    core::Machine machine(cfg);
+    core::Machine machine(core::MachineConfig::small(64, 2));
     const Addr counter = machine.allocShared(1, "counter");
     machine.launchAll(kPes, [counter](pe::Pe &pe) -> pe::Task {
         for (int i = 0; i < kIters; ++i) {
@@ -788,13 +785,10 @@ runPlain(unsigned threads)
 
 TEST(InspectorTest, InspectedRunIsByteIdenticalToPlainRun)
 {
-    const std::string plain = runPlain(1);
+    const std::string plain = runPlain();
     ASSERT_FALSE(plain.empty());
-    for (unsigned threads : {1u, 4u}) {
-        EXPECT_EQ(runInspected(threads), plain)
-            << "inspection perturbed the simulation at threads="
-            << threads;
-    }
+    EXPECT_EQ(runInspected(), plain)
+        << "inspection perturbed the simulation";
 }
 
 } // namespace

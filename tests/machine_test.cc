@@ -4,12 +4,15 @@
  * critical-section-free coordination library (section 2.3, appendix):
  * the parallel queue with TIR/TDR, the fetch-and-add barrier, and the
  * readers-writers protocol, all running on the simulated network.
+ * Ends with the regression tests for Machine::run() flushing observers
+ * on a max_cycles timeout.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/coord.h"
@@ -336,6 +339,62 @@ TEST(MachineTest, PaperTable1ConfigRuns)
     }
     ASSERT_TRUE(machine.run());
     EXPECT_EQ(machine.peek(ctr), 8);
+}
+
+// ------------------------------------------------------------------
+// Machine::run() max_cycles observer flush (regression)
+// ------------------------------------------------------------------
+
+TEST(MachineTimeoutFlushTest, TimeoutStillEmitsFinalSampleRow)
+{
+    core::MachineConfig cfg = core::MachineConfig::small(16, 2);
+    core::Machine machine(cfg);
+    machine.enableSampling(1000); // period longer than the whole run
+    const Addr cell = machine.allocShared(1);
+    machine.launch(0, [cell](pe::Pe &pe) -> pe::Task {
+        for (;;) {
+            co_await pe.fetchAdd(cell, 1);
+            co_await pe.compute(8);
+        }
+    });
+    const bool finished = machine.run(64);
+    EXPECT_FALSE(finished);
+    // Without the flush no sample period elapsed, so the series would
+    // be empty and the truncated run would drop its only window.
+    ASSERT_GE(machine.sampler().numRows(), 1u);
+    const std::string csv = machine.sampler().csv();
+    EXPECT_NE(csv.find("\n" + std::to_string(machine.now()) + ","),
+              std::string::npos)
+        << "final row must be stamped with the timeout cycle:\n"
+        << csv;
+}
+
+TEST(MachineTimeoutFlushTest, BlockedWaitTimeIsCreditedAtTimeout)
+{
+    core::MachineConfig cfg = core::MachineConfig::small(16, 2);
+    cfg.net.mmAccessTime = 50; // guarantee the PE is blocked at cutoff
+    core::Machine machine(cfg);
+    const Addr cell = machine.allocShared(1);
+    machine.launch(0, [cell](pe::Pe &pe) -> pe::Task {
+        co_await pe.load(cell);
+    });
+    const bool finished = machine.run(10);
+    ASSERT_FALSE(finished);
+    const auto timeout_stats = machine.peAt(0).stats();
+    EXPECT_GT(timeout_stats.idleCycles, 0u)
+        << "waiting accrued before the timeout must be credited";
+
+    // Resuming must not double-count: total idle after completion has
+    // to equal the wait actually served, flush or no flush.
+    core::Machine reference(cfg);
+    const Addr ref_cell = reference.allocShared(1);
+    reference.launch(0, [ref_cell](pe::Pe &pe) -> pe::Task {
+        co_await pe.load(ref_cell);
+    });
+    EXPECT_TRUE(reference.run(100'000));
+    EXPECT_TRUE(machine.run(100'000));
+    EXPECT_EQ(machine.peAt(0).stats().idleCycles,
+              reference.peAt(0).stats().idleCycles);
 }
 
 } // namespace

@@ -1,24 +1,22 @@
 /**
  * @file
- * Wall-clock self-profiler (ultra::prof) unit tests: the accounting
- * identities the report's Amdahl attribution rests on, the sorted-key
- * JSON schema, and the engine/network/machine wiring -- including the
- * contract that profiling never changes simulation output.
+ * Wall-clock self-profiler (ultra::prof) unit tests: phase tiling, the
+ * sorted-key JSON schema, and the network/machine wiring -- including
+ * the contract that profiling never changes simulation output.
  *
  * Wall-clock magnitudes are host-dependent, so the assertions pin
- * *identities* (work + barrier wait vs episode wall, phase tiling vs
- * elapsed) and *shape* (key order, slot counts), never durations.
+ * *identities* (phase tiling vs elapsed) and *shape* (the exact key
+ * set and its order), never durations.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/json_lite.h"
 #include "core/machine.h"
-#include "par/tick_engine.h"
 #include "prof/profiler.h"
 
 namespace ultra
@@ -40,58 +38,6 @@ TEST(ProfTest, PhaseNamesAreSortedAndUnique)
         names.emplace_back(prof::phaseName(static_cast<prof::Phase>(p)));
     for (std::size_t i = 1; i < names.size(); ++i)
         EXPECT_LT(names[i - 1], names[i]) << names[i];
-}
-
-TEST(ProfTest, EngineAccountingIdentity)
-{
-    // Per shard: barrier wait is defined as episode wall minus that
-    // shard's own work (clamped at the wall), so summed over episodes
-    // work + wait >= total episode wall holds exactly, and the wait
-    // alone can never exceed the episode wall.
-    prof::Profiler prof;
-    par::TickEngine engine(2);
-    engine.setProfiler(&prof);
-    std::atomic<std::uint64_t> sink{0};
-    for (int episode = 0; episode < 50; ++episode) {
-        engine.forEachShard([&](unsigned shard) {
-            std::uint64_t acc = shard;
-            for (int i = 0; i < 20000; ++i)
-                acc = acc * 2654435761u + 1;
-            sink += acc;
-        });
-    }
-    ASSERT_EQ(prof.threads(), 2u);
-    const std::uint64_t episodes = prof.totalEpisodeNs();
-    EXPECT_GT(episodes, 0u);
-    for (unsigned s = 0; s < prof.threads(); ++s) {
-        const std::uint64_t work = prof.shardWorkNs(s);
-        const std::uint64_t wait = prof.shardBarrierWaitNs(s);
-        EXPECT_GT(work, 0u) << "shard " << s;
-        EXPECT_GE(work + wait, episodes) << "shard " << s;
-        EXPECT_LE(wait, episodes) << "shard " << s;
-    }
-}
-
-TEST(ProfTest, InlineEngineHasNoBarrierWait)
-{
-    // threads == 1 runs the task inline: the episode wall is the
-    // shard's own work, so the computed barrier wait stays ~zero
-    // (bounded by the clamp, i.e. never above the episode wall minus
-    // work, which is the timer-call overhead itself).
-    prof::Profiler prof;
-    par::TickEngine engine(1);
-    engine.setProfiler(&prof);
-    std::uint64_t sink = 0;
-    for (int episode = 0; episode < 10; ++episode) {
-        engine.forEachShard([&](unsigned) {
-            for (int i = 0; i < 1000; ++i)
-                sink = sink * 31 + 7;
-        });
-    }
-    EXPECT_GT(sink, 0u);
-    const std::uint64_t episodes = prof.totalEpisodeNs();
-    EXPECT_GE(prof.shardWorkNs(0) + prof.shardBarrierWaitNs(0),
-              episodes);
 }
 
 /** Assert every object's keys appear in strictly sorted order, at
@@ -165,11 +111,19 @@ expectEmittedKeysSorted(const std::string &text)
     }
 }
 
+/** The key set of object @p v. */
+std::set<std::string>
+keysOf(const jsonlite::JsonValue &v)
+{
+    std::set<std::string> keys;
+    for (const auto &kv : v.object)
+        keys.insert(kv.first);
+    return keys;
+}
+
 TEST(ProfTest, MachineReportSchemaAndCoverage)
 {
-    MachineConfig cfg = MachineConfig::small(64, 2);
-    cfg.threads = 2;
-    Machine machine(cfg);
+    Machine machine(MachineConfig::small(64, 2));
     machine.enableProfiling();
     const Addr ctr = machine.allocShared(1);
     machine.launchAll(16, [&](Pe &pe) -> Task {
@@ -197,24 +151,26 @@ TEST(ProfTest, MachineReportSchemaAndCoverage)
     expectEmittedKeysSorted(text);
     const jsonlite::JsonValue doc = jsonlite::parse(text);
     ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(doc["schema"].string, "ultra.prof.v1");
-    EXPECT_EQ(static_cast<unsigned>(doc["threads"].number), 2u);
-    ASSERT_TRUE(doc["thread_slots"].isArray());
-    EXPECT_EQ(doc["thread_slots"].array.size(), 2u);
+    EXPECT_EQ(doc["schema"].string, "ultra.prof.v2");
+    // The exact v2 key set: no field may appear or vanish silently.
+    EXPECT_EQ(keysOf(doc),
+              (std::set<std::string>{"attribution", "cycles",
+                                     "elapsed_seconds", "phases",
+                                     "schema"}));
     ASSERT_TRUE(doc["attribution"].isObject());
     const jsonlite::JsonValue &at = doc["attribution"];
-    for (const char *key :
-         {"barrier_wait_fraction", "barrier_wait_seconds", "coverage",
-          "imbalance_fraction", "overhead_fraction", "parallel_seconds",
-          "serial_fraction", "serial_seconds", "stage_wait_fraction",
-          "stage_wait_seconds", "work_seconds"}) {
-        EXPECT_TRUE(at.has(key)) << key;
+    EXPECT_EQ(keysOf(at), (std::set<std::string>{"coverage",
+                                                 "overhead_fraction"}));
+    ASSERT_TRUE(doc["phases"].isObject());
+    EXPECT_EQ(doc["phases"].object.size(), prof::kPhaseCount);
+    for (const auto &[name, phase] : doc["phases"].object) {
+        EXPECT_EQ(keysOf(phase),
+                  (std::set<std::string>{"calls", "seconds"}))
+            << name;
     }
-    // Fractions of elapsed wall land in [0, 1] (barrier wait is
-    // normalised by threads * elapsed).
-    for (const char *key :
-         {"serial_fraction", "barrier_wait_fraction",
-          "stage_wait_fraction", "overhead_fraction", "coverage"}) {
+    EXPECT_GT(doc["phases"]["pe.step"]["calls"].number, 0.0);
+    // Fractions of elapsed wall land in [0, 1].
+    for (const char *key : {"overhead_fraction", "coverage"}) {
         EXPECT_GE(at[key].number, 0.0) << key;
         EXPECT_LE(at[key].number, 1.0 + 1e-9) << key;
     }
@@ -228,9 +184,7 @@ TEST(ProfTest, ProfilingDoesNotChangeSimulation)
     // identical memory results (the CLI-level golden check rides in
     // cli_test).
     auto runOnce = [](bool profiled) {
-        MachineConfig cfg = MachineConfig::small(64, 2);
-        cfg.threads = 2;
-        Machine machine(cfg);
+        Machine machine(MachineConfig::small(64, 2));
         if (profiled)
             machine.enableProfiling();
         const Addr ctr = machine.allocShared(1);
@@ -249,69 +203,38 @@ TEST(ProfTest, ProfilingDoesNotChangeSimulation)
 TEST(ProfTest, ReportIsCallableMidRunAndEmpty)
 {
     // A fresh profiler (the live `prof` inspect command can hit one
-    // before the first episode) must produce a complete, parseable
+    // before the first run) must produce a complete, parseable
     // report rather than divide-by-zero garbage.
     prof::Profiler prof;
     const std::string text = prof.reportJson();
     expectEmittedKeysSorted(text);
     const jsonlite::JsonValue doc = jsonlite::parse(text);
-    EXPECT_EQ(doc["schema"].string, "ultra.prof.v1");
+    EXPECT_EQ(doc["schema"].string, "ultra.prof.v2");
     EXPECT_EQ(doc["cycles"].number, 0.0);
 }
 
-TEST(ProfTest, ResetClearsCountersKeepsGeometry)
+TEST(ProfTest, ResetClearsCounters)
 {
     // One profiler serves every job of a persistent server
-    // (`ultrasim serve`); reset must return it to the fresh state
-    // while keeping the configured shard count, which describes the
-    // attached machine rather than any one run.
+    // (`ultrasim serve`); reset must return it to the fresh state.
     prof::Profiler prof;
-    prof.configureThreads(2);
-
     prof.runBegin();
     prof.phaseAdd(prof::Phase::Pni, 1000);
-    prof.setEpisodePhase(prof::Phase::PeCompute);
-    prof.episodeBegin();
-    prof.shardBegin(0);
-    prof.shardEnd(0);
-    prof.episodeEnd();
+    prof.phaseAdd(prof::Phase::PeStep, 500);
     prof.runEnd(480);
     ASSERT_GT(prof.phaseNs(prof::Phase::Pni), 0u);
-    ASSERT_GT(prof.totalEpisodeNs(), 0u);
     ASSERT_EQ(prof.cycles(), 480u);
 
     prof.reset();
 
-    EXPECT_EQ(prof.threads(), 2u) << "geometry must survive reset";
     EXPECT_EQ(prof.cycles(), 0u);
     EXPECT_EQ(prof.totalPhaseNs(), 0u);
-    EXPECT_EQ(prof.totalEpisodeNs(), 0u);
-    for (unsigned p = 0; p < prof::kPhaseCount; ++p) {
+    EXPECT_EQ(prof.elapsedSeconds(), 0.0);
+    for (unsigned p = 0; p < prof::kPhaseCount; ++p)
         EXPECT_EQ(prof.phaseNs(static_cast<prof::Phase>(p)), 0u);
-        EXPECT_EQ(prof.episodeNs(static_cast<prof::Phase>(p)), 0u);
-    }
-    for (unsigned s = 0; s < prof.threads(); ++s) {
-        EXPECT_EQ(prof.shardWorkNs(s), 0u);
-        EXPECT_EQ(prof.shardBarrierWaitNs(s), 0u);
-    }
 
-    // The post-reset report equals a fresh-but-configured profiler's
-    // report: same geometry, all-zero counters.
-    prof::Profiler fresh;
-    fresh.configureThreads(2);
-    // Elapsed is wall-measured to the call when no run window is set,
-    // so compare everything except that one host-dependent field.
-    const jsonlite::JsonValue a = jsonlite::parse(prof.reportJson());
-    const jsonlite::JsonValue b = jsonlite::parse(fresh.reportJson());
-    EXPECT_EQ(a["cycles"].number, b["cycles"].number);
-    EXPECT_EQ(a["threads"].number, b["threads"].number);
-    EXPECT_EQ(a["thread_slots"].array.size(),
-              b["thread_slots"].array.size());
-    for (unsigned p = 0; p < prof::kPhaseCount; ++p) {
-        const char *name = prof::phaseName(static_cast<prof::Phase>(p));
-        EXPECT_EQ(a["phases"][name]["calls"].number, 0.0) << name;
-        EXPECT_EQ(a["phases"][name]["seconds"].number, 0.0) << name;
-    }
+    // The post-reset report equals a fresh profiler's report.
+    EXPECT_EQ(prof.reportJson(), prof::Profiler{}.reportJson());
 }
 
 } // namespace

@@ -151,6 +151,30 @@ TEST(ServeTest, PingStatusAndErrorReplies)
     bad = roundTrip(*client,
                     "{\"cmd\": \"sim\", \"params\": {\"protz\": 1}}");
     EXPECT_EQ(bad["event"].string, "error");
+    // So are values out of range, which used to reach an assertion
+    // and kill the server: each gets an error reply naming the
+    // parameter, and the connection keeps working.
+    const struct
+    {
+        const char *params;
+        const char *name;
+    } jobs[] = {
+        {"{\"ports\": 16, \"k\": 2, \"cycles\": 50, \"rate\": -1}",
+         "rate"},
+        {"{\"ports\": 16, \"k\": 2, \"cycles\": 0}", "cycles"},
+        {"{\"ports\": 16, \"k\": 2, \"hot\": 2}", "hot"},
+        {"{\"ports\": 1e30}", "ports"},
+    };
+    for (const auto &job : jobs) {
+        bad = roundTrip(*client,
+                        std::string("{\"cmd\": \"sim\", \"params\": ") +
+                            job.params + "}");
+        EXPECT_EQ(bad["event"].string, "error") << job.params;
+        EXPECT_NE(bad["error"].string.find(job.name), std::string::npos)
+            << job.params << ": " << bad["error"].string;
+        pong = roundTrip(*client, "{\"cmd\": \"ping\"}");
+        EXPECT_EQ(pong["event"].string, "pong") << job.params;
+    }
 
     jsonlite::JsonValue status =
         roundTrip(*client, "{\"cmd\": \"status\"}");

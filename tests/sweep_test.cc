@@ -171,6 +171,53 @@ TEST(GridTest, RejectsUnknownParamsAndMalformedJson)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(GridTest, RejectsOutOfRangeValuesAtLoad)
+{
+    // Every point is checked when the grid loads, naming the point and
+    // the parameter; values the CLI rejects are rejected here too.
+    const struct
+    {
+        const char *base;
+        const char *name;
+    } cases[] = {
+        {R"({"cycles": 0})", "cycles"},
+        {R"({"rate": -1})", "rate"},
+        {R"({"rate": 7})", "rate"},
+        {R"({"hot": 2})", "hot"},
+        {R"({"ports": 1e30})", "ports"},
+        {R"({"k": 4294967296})", "'k'"},
+        {R"({"seed": 1e30})", "seed"},
+        {R"({"ports": 24})", "invalid network"},
+    };
+    for (const auto &c : cases) {
+        std::string err;
+        const auto points = sweep::expandGridFile(
+            std::string(R"({"schema": "sweep.grid.v1", "grids": [)"
+                        R"({"base": {"ports": 16, "cycles": 10}},)"
+                        R"({"base": )") +
+                c.base + "}]}",
+            err);
+        EXPECT_TRUE(points.empty()) << c.base;
+        EXPECT_NE(err.find(c.name), std::string::npos)
+            << c.base << ": " << err;
+    }
+
+    // The valid point before the bad one does not rescue the grid, and
+    // the message says which point failed.
+    std::string err;
+    sweep::expandGridFile(
+        R"({"schema": "sweep.grid.v1",
+            "grids": [{"base": {"ports": 16}, "axes": {"rate": [0.1, 7]}}]})",
+        err);
+    EXPECT_NE(err.find("point 1: rate"), std::string::npos) << err;
+
+    // specFromParams applies the same checks to a serve job's params.
+    sweep::ParamMap params;
+    params["cycles"] = sweep::ParamValue::number(0);
+    sweep::specFromParams(params, err);
+    EXPECT_NE(err.find("cycles"), std::string::npos) << err;
+}
+
 TEST(GridTest, SpecFromParamsMirrorsCliDefaults)
 {
     std::string err;

@@ -5,15 +5,12 @@
 #include <map>
 #include <vector>
 
-#include "check/phase_check.h"
-
 class OutQueue
 {
   public:
     void
     enqueue(int pkts)
     {
-        ULTRA_CHECK_COMMIT_ONLY("net.out_queue.enqueue");
         used_ += pkts;
     }
 

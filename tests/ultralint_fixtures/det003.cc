@@ -1,5 +1,5 @@
 // Fixture: UL-DET-003 -- thread_local state in simulation code (its
-// value depends on which thread ran the shard).
+// value depends on which host thread ran the code).
 
 thread_local int scratchDepth = 0;
 

@@ -1,5 +1,5 @@
 // Fixture: UL-DET-006 -- atomic floating-point accumulation: the sum
-// depends on the order shards happen to arrive.
+// depends on the order the threads happen to arrive.
 
 #include <atomic>
 

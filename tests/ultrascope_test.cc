@@ -133,7 +133,7 @@ TEST(UltrascopeTest, ScriptedAttachMatchesUnattachedRun)
     const std::string log = tmpPath("session.log");
     const std::string common =
         " net --ports 64 --k 2 --rate 0.12 --hot 0.05 --cycles 1200"
-        " --threads 4 --stats-json ";
+        " --stats-json ";
     std::remove(attached_json.c_str());
 
     // Background run, paused at cycle 0 until the script resumes it.
@@ -191,7 +191,7 @@ TEST(UltrascopeTest, ProfReportRendersAttribution)
     const std::string report = tmpPath("prof_report.txt");
     ASSERT_EQ(runCommand(std::string(ULTRASIM_BIN) +
                          " net --ports 64 --k 2 --rate 0.15 --hot 0.05"
-                         " --cycles 1500 --threads 2 --prof-json " +
+                         " --cycles 1500 --prof-json " +
                          prof + " > /dev/null 2>&1"),
               0);
     ASSERT_FALSE(readFile(prof).empty());
@@ -200,10 +200,13 @@ TEST(UltrascopeTest, ProfReportRendersAttribution)
                          prof + " > " + report + " 2>&1"),
               0);
     const std::string text = readFile(report);
-    EXPECT_NE(text.find("ultra.prof.v1"), std::string::npos) << text;
-    EXPECT_NE(text.find("speedup-loss attribution"), std::string::npos);
-    EXPECT_NE(text.find("barrier wait"), std::string::npos);
-    EXPECT_NE(text.find("phase"), std::string::npos);
+    EXPECT_NE(text.find("ultra.prof.v2"), std::string::npos) << text;
+    EXPECT_NE(text.find("timer coverage"), std::string::npos) << text;
+    EXPECT_NE(text.find("phase times"), std::string::npos) << text;
+    EXPECT_NE(text.find("inject"), std::string::npos) << text;
+    // The threading sections are gone for good.
+    EXPECT_EQ(text.find("barrier"), std::string::npos) << text;
+    EXPECT_EQ(text.find("thread"), std::string::npos) << text;
     std::remove(prof.c_str());
     std::remove(report.c_str());
 }

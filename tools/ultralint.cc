@@ -1,22 +1,13 @@
 /**
  * @file
- * ultralint -- static phase-discipline and determinism analyzer for the
- * compute/commit contract (DESIGN.md "Static phase-discipline
- * verification").
+ * ultralint -- determinism lint for the simulator sources (DESIGN.md
+ * "Determinism lint").
  *
- * The runtime PhaseChecker (src/check/phase_check.h) verifies the
- * contract only on paths that execute under -DULTRA_CHECK=ON, and only
- * where an annotation was remembered.  ultralint closes the gap
- * statically: it scans the simulator sources (no compiler headers
- * needed -- a token-level C++ scanner keyed to this repo's idioms) and
- * enforces two rule families:
+ * "Same seed, same bytes" is the simulator's core invariant, and the
+ * sweeps rely on it.  ultralint scans the simulator sources (no
+ * compiler headers needed -- a token-level C++ scanner keyed to this
+ * repo's idioms) for the constructs that break it:
  *
- *   phase-discipline reachability
- *     UL-PHASE-001  a conservative call graph from the compute-phase
- *                   entry points (PE stepping) must not reach a
- *                   COMMIT_ONLY-annotated mutator
- *
- *   determinism lint
  *     UL-DET-001  iteration over std::unordered_{map,set}
  *     UL-DET-002  rand()/time()/std::random_device and wall clocks
  *                 outside common/rng
@@ -29,14 +20,13 @@
  *                 outside src/prof, src/obs and bench (host timing
  *                 belongs behind prof::Profiler::nowNs())
  *
- * Deliberate exceptions live in an allowlist file (--allowlist; one
- * `RULE key reason` per line) or as an inline
+ * A deliberate exception carries an inline
  * `// ultralint: allow(RULE): reason` comment on (or directly above)
  * the flagged line.
  *
  * Usage:
  *   ultralint [--compdb build/compile_commands.json | --root DIR |
- *              FILE...] [--allowlist FILE]
+ *              FILE...]
  *
  * Diagnostics are deterministic (file:line sorted, byte-stable).
  * Exit status: 0 clean, 1 diagnostics emitted, 2 usage or I/O error.
@@ -63,20 +53,6 @@ namespace fs = std::filesystem;
 // ---------------------------------------------------------------------
 // Rule tables (the repo-specific knowledge lives here).
 // ---------------------------------------------------------------------
-
-/** The phase-checker annotation macros a function body may open with. */
-const char *const kAnnotationMacros[] = {
-    "ULTRA_CHECK_COMPUTE_WRITE",
-    "ULTRA_CHECK_COMPUTE_READ",
-    "ULTRA_CHECK_COMMIT_ONLY",
-};
-
-/** Compute-phase entry points for UL-PHASE-001 (Cls::method).  Any
- *  function containing a COMPUTE_WRITE/COMPUTE_READ annotation is an
- *  entry as well. */
-const char *const kComputeEntries[] = {
-    "Pe::step", // PE compute phase
-};
 
 /** Nondeterminism sources for UL-DET-002 (callable identifiers). */
 const char *const kRawEntropy[] = {
@@ -252,38 +228,12 @@ lex(const std::string &text, SourceFile &out)
 }
 
 // ---------------------------------------------------------------------
-// Structural pass: classes, methods, functions, declarations
+// Container declarations
 // ---------------------------------------------------------------------
-
-struct Method
-{
-    std::string cls;  //!< empty for free functions
-    std::string name;
-    int line = 0;
-    int fileIdx = -1;
-    bool isConst = false;
-    bool isStatic = false;
-    bool isPublic = true;
-    bool isCtorDtor = false;
-    long bodyBegin = -1; //!< token index of '{', -1 = declaration only
-    long bodyEnd = -1;   //!< token index one past the matching '}'
-    std::string annotation; //!< first ULTRA_CHECK_* macro in the body
-};
-
-struct ClassInfo
-{
-    std::string name;
-    int line = 0;
-    int fileIdx = -1;
-    std::vector<Method> methods; //!< in-class declarations/definitions
-    std::map<std::string, std::string> memberTypes; //!< name -> type
-};
 
 struct ParsedFile
 {
     SourceFile src;
-    std::vector<ClassInfo> classes;
-    std::vector<Method> functions; //!< all defs with bodies (free + methods)
     std::map<std::string, std::string> declTypes; //!< container decls
 };
 
@@ -294,21 +244,6 @@ const std::set<std::string> kKeywords = {
     "dynamic_cast", "const_cast", "reinterpret_cast", "alignof",
     "decltype", "noexcept", "throw",    "assert",   "defined",
 };
-
-long
-matchBrace(const std::vector<Tok> &toks, long open)
-{
-    int depth = 0;
-    for (std::size_t i = open; i < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::Punct)
-            continue;
-        if (toks[i].text == "{")
-            ++depth;
-        else if (toks[i].text == "}" && --depth == 0)
-            return static_cast<long>(i) + 1;
-    }
-    return static_cast<long>(toks.size());
-}
 
 /** Skip a balanced <...> starting at toks[i] == "<"; returns the index
  *  one past the closing ">".  Bails out (returns i + 1) when the angle
@@ -365,322 +300,8 @@ collectDecls(const std::vector<Tok> &toks,
     }
 }
 
-/**
- * Parse one statement's worth of tokens starting at @p i inside a class
- * body or at namespace scope, appending found methods/members, and
- * return the index one past the statement.
- */
-std::size_t
-parseStatement(const std::vector<Tok> &toks, std::size_t i, int fileIdx,
-               ClassInfo *cls, int access, std::vector<Method> &defs,
-               std::vector<ClassInfo> &classes);
-
-/** Parse a class/struct body given the token index of its '{'. */
-void
-parseClassBody(const std::vector<Tok> &toks, long open, long close,
-               int fileIdx, ClassInfo &info,
-               std::vector<Method> &defs, std::vector<ClassInfo> &classes,
-               bool is_struct)
-{
-    int access = is_struct ? 0 : 2; // 0 = public, 2 = private
-    std::size_t i = open + 1;
-    while (static_cast<long>(i) < close - 1) {
-        const Tok &t = toks[i];
-        if (t.kind == TokKind::Ident &&
-            (t.text == "public" || t.text == "private" ||
-             t.text == "protected") &&
-            i + 1 < toks.size() && toks[i + 1].text == ":") {
-            access = t.text == "public" ? 0 : t.text == "protected" ? 1 : 2;
-            i += 2;
-            continue;
-        }
-        i = parseStatement(toks, i, fileIdx, &info, access, defs, classes);
-    }
-}
-
-std::size_t
-parseStatement(const std::vector<Tok> &toks, std::size_t i, int fileIdx,
-               ClassInfo *cls, int access, std::vector<Method> &defs,
-               std::vector<ClassInfo> &classes)
-{
-    const std::size_t n = toks.size();
-    if (i >= n)
-        return n;
-
-    // Skip stray punctuation.
-    if (toks[i].kind == TokKind::Punct) {
-        if (toks[i].text == "{")
-            return matchBrace(toks, static_cast<long>(i));
-        return i + 1;
-    }
-
-    // template <...> prefix.
-    if (toks[i].text == "template" && i + 1 < n &&
-        toks[i + 1].text == "<") {
-        return parseStatement(toks, skipAngles(toks, i + 1), fileIdx, cls,
-                              access, defs, classes);
-    }
-
-    // using / typedef / friend / static_assert: skip to ';'.
-    if (toks[i].text == "using" || toks[i].text == "typedef" ||
-        toks[i].text == "friend" || toks[i].text == "static_assert") {
-        while (i < n && toks[i].text != ";")
-            ++i;
-        return i + 1;
-    }
-
-    // namespace N { ... }: recurse transparently.
-    if (toks[i].text == "namespace") {
-        std::size_t j = i + 1;
-        while (j < n && toks[j].text != "{" && toks[j].text != ";")
-            ++j;
-        if (j >= n || toks[j].text == ";")
-            return j + 1;
-        const long close = matchBrace(toks, static_cast<long>(j));
-        std::size_t k = j + 1;
-        while (static_cast<long>(k) < close - 1)
-            k = parseStatement(toks, k, fileIdx, nullptr, 0, defs, classes);
-        return static_cast<std::size_t>(close);
-    }
-
-    // enum [class] ...: skip body.
-    if (toks[i].text == "enum") {
-        std::size_t j = i;
-        while (j < n && toks[j].text != "{" && toks[j].text != ";")
-            ++j;
-        if (j < n && toks[j].text == "{")
-            j = matchBrace(toks, static_cast<long>(j));
-        while (j < n && toks[j].text != ";")
-            ++j;
-        return j + 1;
-    }
-
-    // class/struct/union definition (possibly nested).
-    if (toks[i].text == "class" || toks[i].text == "struct" ||
-        toks[i].text == "union") {
-        const bool is_struct = toks[i].text != "class";
-        std::size_t j = i + 1;
-        std::string name;
-        while (j < n && toks[j].kind == TokKind::Ident) {
-            name = toks[j].text; // last ident before { / : / ; wins
-            ++j;
-            if (j < n && toks[j].text == "<")
-                j = skipAngles(toks, j); // specializations
-        }
-        // Find the body '{' at angle depth 0 (base clause may carry
-        // templates), or ';' for a forward declaration / member decl.
-        while (j < n && toks[j].text != "{" && toks[j].text != ";") {
-            if (toks[j].text == "<") {
-                j = skipAngles(toks, j);
-                continue;
-            }
-            ++j;
-        }
-        if (j >= n || toks[j].text == ";")
-            return j + 1;
-        const long close = matchBrace(toks, static_cast<long>(j));
-        ClassInfo info;
-        info.name = name;
-        info.line = toks[i].line;
-        info.fileIdx = fileIdx;
-        parseClassBody(toks, static_cast<long>(j), close, fileIdx, info,
-                       defs, classes, is_struct);
-        classes.push_back(std::move(info));
-        // Trailing declarator (`} name;`) -- treat as a member.
-        std::size_t k = static_cast<std::size_t>(close);
-        while (k < n && toks[k].text != ";" && toks[k].text != "{")
-            ++k;
-        return k + 1;
-    }
-
-    // Generic statement: scan to ';' or a body '{' at depth 0, tracking
-    // whether a top-level parameter list was seen (function-ness).
-    const std::size_t start = i;
-    int paren = 0;
-    long paren_open = -1, paren_close = -1;
-    bool saw_params = false;
-    std::size_t j = i;
-    for (; j < n; ++j) {
-        const std::string &t = toks[j].text;
-        if (toks[j].kind != TokKind::Punct) {
-            if (t == "operator") {
-                // operator<, operator(), ...: consume the symbol so its
-                // punctuation is not mistaken for structure.
-                ++j;
-                while (j < n && toks[j].text != "(")
-                    ++j;
-                --j;
-            }
-            continue;
-        }
-        if (t == "(") {
-            if (paren == 0 && paren_open < 0) {
-                paren_open = static_cast<long>(j);
-                saw_params = true;
-            }
-            ++paren;
-        } else if (t == ")") {
-            --paren;
-            if (paren == 0 && paren_close < 0 &&
-                paren_open >= 0) {
-                paren_close = static_cast<long>(j);
-            }
-        } else if (t == "<" && paren == 0 && paren_close < 0) {
-            const std::size_t after = skipAngles(toks, j);
-            if (after > j + 1) {
-                j = after - 1;
-                continue;
-            }
-        } else if (t == ";" && paren == 0) {
-            break;
-        } else if (t == "{" && paren == 0) {
-            if (!saw_params || paren_close < 0) {
-                // Brace initializer (`Histogram h{2, 256};`): consume
-                // and continue to the ';'.
-                j = static_cast<std::size_t>(
-                        matchBrace(toks, static_cast<long>(j))) -
-                    1;
-                saw_params = false;
-                continue;
-            }
-            break;
-        } else if (t == "=" && paren == 0 && paren_close >= 0) {
-            // `= default` / `= delete` / `= 0`: declaration, not body.
-            saw_params = false;
-            while (j < n && toks[j].text != ";")
-                ++j;
-            break;
-        }
-    }
-    if (j >= n)
-        return n;
-
-    const bool has_body = toks[j].text == "{" && saw_params;
-    if (paren_open > 0 && paren_close > paren_open) {
-        // Function declaration or definition.  Name = ident before '('.
-        Method m;
-        m.fileIdx = fileIdx;
-        long name_idx = paren_open - 1;
-        if (toks[name_idx].kind == TokKind::Ident ||
-            toks[name_idx].kind == TokKind::Punct) {
-            // operatorX: name is "operator" + symbol(s).
-            long k = name_idx;
-            while (k > static_cast<long>(start) &&
-                   toks[k].kind == TokKind::Punct &&
-                   toks[k].text != "::" && toks[k].text != "*" &&
-                   toks[k].text != "&")
-                --k;
-            if (toks[k].kind == TokKind::Ident &&
-                toks[k].text == "operator") {
-                m.name = "operator";
-                for (long q = k + 1; q <= name_idx; ++q)
-                    m.name += toks[q].text;
-                name_idx = k;
-            }
-        }
-        if (m.name.empty()) {
-            if (toks[name_idx].kind != TokKind::Ident)
-                return j + 1; // not a function shape we model
-            m.name = toks[name_idx].text;
-        }
-        m.line = toks[name_idx].line;
-        // Qualification: `Cls :: name (` -> out-of-line method.
-        if (name_idx >= 2 && toks[name_idx - 1].text == "::" &&
-            toks[name_idx - 2].kind == TokKind::Ident) {
-            m.cls = toks[name_idx - 2].text;
-        } else if (cls != nullptr) {
-            m.cls = cls->name;
-        }
-        // Ctor/dtor.
-        if (!m.cls.empty() &&
-            (m.name == m.cls ||
-             (name_idx >= 1 && toks[name_idx - 1].text == "~"))) {
-            m.isCtorDtor = true;
-        }
-        for (std::size_t q = start; static_cast<long>(q) < paren_open;
-             ++q) {
-            if (toks[q].text == "static")
-                m.isStatic = true;
-        }
-        for (long q = paren_close + 1; q < static_cast<long>(j); ++q) {
-            if (toks[q].text == "const")
-                m.isConst = true;
-        }
-        m.isPublic = access == 0;
-        if (has_body) {
-            m.bodyBegin = static_cast<long>(j);
-            m.bodyEnd = matchBrace(toks, static_cast<long>(j));
-            for (long q = m.bodyBegin; q < m.bodyEnd; ++q) {
-                if (toks[q].kind == TokKind::Ident &&
-                    toks[q].text.rfind("ULTRA_CHECK_", 0) == 0 &&
-                    m.annotation.empty()) {
-                    for (const char *macro : kAnnotationMacros) {
-                        if (toks[q].text == macro)
-                            m.annotation = macro;
-                    }
-                }
-            }
-        }
-        if (cls != nullptr)
-            cls->methods.push_back(m);
-        if (has_body)
-            defs.push_back(m);
-        return has_body ? static_cast<std::size_t>(m.bodyEnd) : j + 1;
-    }
-
-    // Data member / plain declaration: record `name` for the class.
-    if (cls != nullptr && toks[j].text == ";") {
-        long name_idx = static_cast<long>(j) - 1;
-        // `Type name = init;` / `Type name{init};`: walk back to the
-        // declarator.
-        for (long q = static_cast<long>(start); q < static_cast<long>(j);
-             ++q) {
-            if (toks[q].text == "=" || toks[q].text == "{") {
-                name_idx = q - 1;
-                break;
-            }
-        }
-        if (name_idx >= static_cast<long>(start) &&
-            toks[name_idx].kind == TokKind::Ident) {
-            std::string type;
-            for (long q = static_cast<long>(start); q < name_idx; ++q) {
-                type += toks[q].text;
-                type += ' ';
-            }
-            cls->memberTypes[toks[name_idx].text] = type;
-        }
-    }
-    return j + 1;
-}
-
-void
-parseFile(ParsedFile &pf)
-{
-    std::size_t i = 0;
-    const int fileIdx = 0; // per-file parse; index fixed up by caller
-    while (i < pf.src.toks.size()) {
-        i = parseStatement(pf.src.toks, i, fileIdx, nullptr, 0,
-                           pf.functions, pf.classes);
-    }
-    collectDecls(pf.src.toks, pf.declTypes);
-    for (const ClassInfo &c : pf.classes) {
-        for (const auto &[name, type] : c.memberTypes) {
-            if (pf.declTypes.count(name) == 0 &&
-                type.find('<') != std::string::npos) {
-                // Re-derive container element info from the member type.
-                std::map<std::string, std::string> tmp;
-                SourceFile sf;
-                lex(type + " " + name + " ;", sf);
-                collectDecls(sf.toks, tmp);
-                for (auto &kv : tmp)
-                    pf.declTypes.insert(kv);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Diagnostics and allowlist
+// Diagnostics
 // ---------------------------------------------------------------------
 
 struct Diag
@@ -702,61 +323,6 @@ struct Diag
         return msg < o.msg;
     }
 };
-
-struct Allowlist
-{
-    /** rule -> set of keys (Cls::method, Entry->Target, file:ident). */
-    std::map<std::string, std::map<std::string, std::string>> entries;
-
-    bool
-    allows(const std::string &rule, const std::string &key) const
-    {
-        auto it = entries.find(rule);
-        return it != entries.end() && it->second.count(key) > 0;
-    }
-
-    const std::string *
-    reason(const std::string &rule, const std::string &key) const
-    {
-        auto it = entries.find(rule);
-        if (it == entries.end())
-            return nullptr;
-        auto jt = it->second.find(key);
-        return jt == it->second.end() ? nullptr : &jt->second;
-    }
-};
-
-bool
-loadAllowlist(const std::string &path, Allowlist &out, std::string &err)
-{
-    std::ifstream in(path);
-    if (!in) {
-        err = "cannot open allowlist '" + path + "'";
-        return false;
-    }
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const std::size_t first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        std::istringstream is(line);
-        std::string rule, key;
-        is >> rule >> key;
-        std::string reason;
-        std::getline(is, reason);
-        const std::size_t r = reason.find_first_not_of(" \t");
-        reason = r == std::string::npos ? "" : reason.substr(r);
-        if (rule.rfind("UL-", 0) != 0 || key.empty() || reason.empty()) {
-            err = path + ":" + std::to_string(lineno) +
-                  ": malformed allowlist entry (want: RULE key reason)";
-            return false;
-        }
-        out.entries[rule][key] = reason;
-    }
-    return true;
-}
 
 /** Inline `ultralint: allow(RULE...)` on the line or the line above. */
 bool
@@ -793,133 +359,17 @@ inlineAllowed(const SourceFile &src, int line, const std::string &rule)
 struct Analysis
 {
     std::vector<ParsedFile> files;
-    Allowlist allow;
     std::vector<Diag> diags;
 
     void
     emit(const ParsedFile &pf, int line, const std::string &rule,
-         const std::string &msg, const std::string &allow_key = "")
+         const std::string &msg)
     {
-        if (!allow_key.empty() && allow.allows(rule, allow_key))
-            return;
         if (inlineAllowed(pf.src, line, rule))
             return;
         diags.push_back({pf.src.path, line, rule, msg});
     }
 };
-
-/** UL-PHASE-001: compute entries must not reach commit-only mutators. */
-void
-rulePhaseReachability(Analysis &a)
-{
-    struct Def
-    {
-        const ParsedFile *pf;
-        const Method *m;
-        std::string qual; //!< Cls::name or name
-        bool commitOnly = false;
-        bool entry = false;
-    };
-    std::vector<Def> defs;
-    std::map<std::string, std::vector<std::size_t>> byName;
-    for (const ParsedFile &pf : a.files) {
-        for (const Method &m : pf.functions) {
-            Def d;
-            d.pf = &pf;
-            d.m = &m;
-            d.qual = m.cls.empty() ? m.name : m.cls + "::" + m.name;
-            d.commitOnly = m.annotation == "ULTRA_CHECK_COMMIT_ONLY";
-            d.entry = m.annotation == "ULTRA_CHECK_COMPUTE_WRITE" ||
-                      m.annotation == "ULTRA_CHECK_COMPUTE_READ";
-            for (const char *e : kComputeEntries) {
-                if (d.qual == e)
-                    d.entry = true;
-            }
-            byName[m.name].push_back(defs.size());
-            defs.push_back(d);
-        }
-    }
-
-    // Conservative edges: an identifier followed by '(' inside a body
-    // calls every known function of that name -- except that when the
-    // caller's own class has one, C++ lookup picks it.
-    auto edges = [&](std::size_t from) {
-        std::vector<std::size_t> out;
-        const Def &d = defs[from];
-        const std::vector<Tok> &toks = d.pf->src.toks;
-        for (long i = d.m->bodyBegin; i + 1 < d.m->bodyEnd; ++i) {
-            if (toks[i].kind != TokKind::Ident ||
-                toks[i + 1].text != "(" || kKeywords.count(toks[i].text))
-                continue;
-            auto it = byName.find(toks[i].text);
-            if (it == byName.end())
-                continue;
-            // Qualified call: Cls::name(...) resolves exactly.
-            std::string qual_cls;
-            if (i >= 2 && toks[i - 1].text == "::" &&
-                toks[i - 2].kind == TokKind::Ident)
-                qual_cls = toks[i - 2].text;
-            bool same_class = false;
-            for (std::size_t t : it->second) {
-                if (!qual_cls.empty()) {
-                    if (defs[t].m->cls == qual_cls)
-                        out.push_back(t);
-                } else if (defs[t].m->cls == d.m->cls) {
-                    same_class = true;
-                }
-            }
-            if (!qual_cls.empty())
-                continue;
-            for (std::size_t t : it->second) {
-                if (!same_class || defs[t].m->cls == d.m->cls)
-                    out.push_back(t);
-            }
-        }
-        return out;
-    };
-
-    for (std::size_t e = 0; e < defs.size(); ++e) {
-        if (!defs[e].entry)
-            continue;
-        // BFS with parents for path reporting.
-        std::map<std::size_t, std::size_t> parent;
-        std::vector<std::size_t> queue{e};
-        parent[e] = e;
-        for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-            const std::size_t cur = queue[qi];
-            for (std::size_t nxt : edges(cur)) {
-                if (parent.count(nxt))
-                    continue;
-                parent[nxt] = cur;
-                if (defs[nxt].commitOnly) {
-                    // Allowlist key: Entry->Target (qualified).
-                    const std::string key =
-                        defs[e].qual + "->" + defs[nxt].qual;
-                    std::vector<std::string> path;
-                    for (std::size_t p = nxt;; p = parent[p]) {
-                        path.push_back(defs[p].qual);
-                        if (p == e)
-                            break;
-                    }
-                    std::reverse(path.begin(), path.end());
-                    std::string via;
-                    for (std::size_t p = 0; p < path.size(); ++p) {
-                        if (p)
-                            via += " -> ";
-                        via += path[p];
-                    }
-                    a.emit(*defs[e].pf, defs[e].m->line, "UL-PHASE-001",
-                           "compute-phase entry '" + defs[e].qual +
-                               "' reaches commit-only '" +
-                               defs[nxt].qual + "' via: " + via,
-                           key);
-                    continue; // do not traverse past a commit-only def
-                }
-                queue.push_back(nxt);
-            }
-        }
-    }
-}
 
 /** UL-DET-001: iteration over unordered containers. */
 void
@@ -1040,9 +490,9 @@ ruleThreadLocal(Analysis &a)
         for (const Tok &t : pf.src.toks) {
             if (t.kind == TokKind::Ident && t.text == "thread_local") {
                 a.emit(pf, t.line, "UL-DET-003",
-                       "'thread_local' state in simulation code is "
-                       "thread-count-dependent; keep per-shard state in "
-                       "the shard plan");
+                       "'thread_local' state in simulation code "
+                       "differs per host thread; keep state in the "
+                       "component that owns it");
             }
         }
     }
@@ -1079,8 +529,7 @@ ruleWallClock(Analysis &a)
             a.emit(pf, t.line, "UL-DET-007",
                    "wall-clock source '" + t.text +
                        "' outside src/prof, src/obs or bench; route "
-                       "host timing through prof::Profiler::nowNs()",
-                   pf.src.path + ":" + t.text);
+                       "host timing through prof::Profiler::nowNs()");
         }
     }
 }
@@ -1250,8 +699,8 @@ ruleFpReduction(Analysis &a)
                  toks[i + 2].text == "float")) {
                 a.emit(pf, toks[i].line, "UL-DET-006",
                        "atomic floating-point accumulation is "
-                       "order-dependent; stage per-shard partials and "
-                       "fold them in unit order");
+                       "order-dependent; fold the terms in a fixed "
+                       "order on one thread");
             }
             if ((t == "reduce" || t == "transform_reduce") &&
                 toks[i + 1].text == "(" && i >= 1 &&
@@ -1354,8 +803,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: ultralint [--compdb compile_commands.json | --root DIR |"
-        " FILE...]\n"
-        "                 [--allowlist FILE]\n");
+        " FILE...]\n");
 }
 
 } // namespace
@@ -1363,7 +811,7 @@ usage()
 int
 main(int argc, char **argv)
 {
-    std::string compdb, rootArg, allowPath;
+    std::string compdb, rootArg;
     std::vector<std::string> explicitFiles;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1378,8 +826,6 @@ main(int argc, char **argv)
             next(compdb);
         else if (arg == "--root")
             next(rootArg);
-        else if (arg == "--allowlist")
-            next(allowPath);
         else if (arg == "--help") {
             usage();
             return 0;
@@ -1418,11 +864,6 @@ main(int argc, char **argv)
     }
 
     Analysis a;
-    if (!allowPath.empty() &&
-        !loadAllowlist(allowPath, a.allow, err)) {
-        std::fprintf(stderr, "ultralint: %s\n", err.c_str());
-        return 2;
-    }
 
     for (const fs::path &p : files) {
         std::string text;
@@ -1438,11 +879,10 @@ main(int argc, char **argv)
                 : fs::relative(p, root).generic_string();
         splitLines(text, pf.src.rawLines);
         lex(text, pf.src);
-        parseFile(pf);
+        collectDecls(pf.src.toks, pf.declTypes);
         a.files.push_back(std::move(pf));
     }
 
-    rulePhaseReachability(a);
     ruleUnorderedIteration(a);
     ruleRawEntropy(a);
     ruleWallClock(a);

@@ -20,9 +20,8 @@
  *
  * Profiler mode: `ultrascope --prof PROF.json` renders the wall-clock
  * self-profile written by `ultrasim ... --prof-json` as "where did my
- * wall-clock go?" -- the Amdahl loss attribution (serial fraction,
- * barrier wait, imbalance, overhead), the phase-time table and
- * per-thread work/wait balance.
+ * wall-clock go?" -- the phase-time table, busiest first, and the
+ * share of wall time the phase timers did not cover.
  *
  * Sweep mode: `ultrascope --sweep SWEEP.json` renders an `ultrasweep`
  * merged result (schema "sweep.v1") as a per-point table -- config,
@@ -295,7 +294,7 @@ numAt(const jsonlite::JsonValue &obj, const std::string &key)
 }
 
 /** Render an `ultrasim --prof-json` report ("where did my wall-clock
- *  go?"): loss attribution, phase table, per-thread balance.  Exit 2
+ *  go?"): run totals, timer coverage, phase table.  Exit 2
  *  when the file is not an ultra.prof report. */
 int
 profMain(const std::string &path)
@@ -327,34 +326,14 @@ profMain(const std::string &path)
 
     const double elapsed = numAt(doc, "elapsed_seconds");
     const double cycles = numAt(doc, "cycles");
-    const auto threads =
-        static_cast<unsigned long long>(numAt(doc, "threads"));
-    std::printf("%s: %s, %llu threads, %.0f cycles in %.3f s "
-                "(%.0f cycles/s)\n",
-                path.c_str(), doc["schema"].string.c_str(), threads,
-                cycles, elapsed,
-                elapsed > 0.0 ? cycles / elapsed : 0.0);
+    std::printf("%s: %s, %.0f cycles in %.3f s (%.0f cycles/s)\n",
+                path.c_str(), doc["schema"].string.c_str(), cycles,
+                elapsed, elapsed > 0.0 ? cycles / elapsed : 0.0);
 
     if (doc.has("attribution") && doc["attribution"].isObject()) {
         const jsonlite::JsonValue &at = doc["attribution"];
-        std::printf("\nspeedup-loss attribution (fractions of "
-                    "elapsed wall):\n");
-        std::printf("  serial phases      %6.1f%%  (%.3f s)\n",
-                    100.0 * numAt(at, "serial_fraction"),
-                    numAt(at, "serial_seconds"));
-        std::printf("  barrier wait       %6.1f%%  (%.3f s summed "
-                    "over threads)\n",
-                    100.0 * numAt(at, "barrier_wait_fraction"),
-                    numAt(at, "barrier_wait_seconds"));
-        std::printf("  ... stage barriers %6.1f%%  (%.3f s, part of "
-                    "barrier wait)\n",
-                    100.0 * numAt(at, "stage_wait_fraction"),
-                    numAt(at, "stage_wait_seconds"));
-        std::printf("  shard imbalance    %6.1f%%  (max-mean work "
-                    "per episode)\n",
-                    100.0 * numAt(at, "imbalance_fraction"));
-        std::printf("  unattributed       %6.1f%%  (timer coverage "
-                    "%.1f%%)\n",
+        std::printf("unattributed %.1f%% of elapsed wall (timer "
+                    "coverage %.1f%%)\n",
                     100.0 * numAt(at, "overhead_fraction"),
                     100.0 * numAt(at, "coverage"));
     }
@@ -380,20 +359,6 @@ profMain(const std::string &path)
                         name.c_str(), s,
                         elapsed > 0.0 ? 100.0 * s / elapsed : 0.0,
                         numAt(*val, "calls"));
-        }
-    }
-
-    if (doc.has("thread_slots") && doc["thread_slots"].isArray()) {
-        std::printf("\nper-thread accounting (seconds):\n");
-        std::printf("  %5s %10s %12s %12s\n", "shard", "work",
-                    "barrier_wait", "stage_wait");
-        for (const jsonlite::JsonValue &slot :
-             doc["thread_slots"].array) {
-            std::printf("  %5.0f %10.4f %12.4f %12.4f\n",
-                        numAt(slot, "shard"),
-                        numAt(slot, "work_seconds"),
-                        numAt(slot, "barrier_wait_seconds"),
-                        numAt(slot, "stage_wait_seconds"));
         }
     }
 

@@ -13,8 +13,7 @@
  *   ultrasim serve ADDR        persistent job server on the inspect
  *                              transport (protocol "ultra.serve.v1",
  *                              see src/sweep/serve.h); ADDR as in
- *                              --inspect.  Options: --threads N
- *                              (default job threads), --cache N
+ *                              --inspect.  Option: --cache N
  *                              (warmed configurations kept, default 4)
  *
  * `trace` options:
@@ -42,19 +41,14 @@
  *   --latency-json FILE    packet-lifecycle latency report (per-stage
  *                          waits, combining effectiveness, model drift)
  *   --prof-json FILE       wall-clock self-profile of the host run:
- *                          per-phase times, per-thread barrier waits,
- *                          Amdahl loss attribution
- *                          (simulation output stays byte-identical;
+ *                          per-phase times and their coverage of the
+ *                          run (simulation output stays byte-identical;
  *                          read with `ultrascope --prof FILE`)
  *   --heatmap-csv FILE     stage x switch congestion heatmap
  *   --check-drift [TOL]    net only: fail (exit 3) when the measured
  *                          transit drifts more than TOL (default 0.15)
  *                          from the Kruskal-Snir prediction; exit 2
  *                          when the config violates model assumptions
- *
- * Host-parallelism options (`net` and `app`):
- *   --threads N    host threads for the compute phase (0 = all cores,
- *                  default 1); results are identical for every N
  *
  * Live inspection (`net` and `app`; see DESIGN.md "Live inspection"):
  *   --inspect ADDR serve the gdb-style inspection protocol on ADDR (an
@@ -70,19 +64,25 @@
  * failed output-file write exits 1.
  *
  * `net` options:
- *   --rate R       offered load, messages/PE/cycle (default 0.1)
- *   --hot F        fraction of traffic to one hot F&A cell (default 0)
- *   --cycles C     measured cycles (default 10000)
+ *   --rate R       offered load, messages/PE/cycle, in [0, 1]
+ *                  (default 0.1)
+ *   --hot F        fraction of traffic to one hot F&A cell, in [0, 1]
+ *                  (default 0)
+ *   --cycles C     measured cycles, at least 1 (default 10000)
  *   --closed W     closed loop with window W instead of open loop
  *   --seed S       traffic RNG seed (default 1); lets a sweep point be
  *                  reproduced as a standalone run
  *
  * `app` options:
  *   --app NAME     tred2 | weather | multigrid | montecarlo | sssp | accounts
- *   --pes P        cooperating PEs (default 16)
- *   --n N          problem size (matrix order / grid side / particles /
- *                  vertices; default depends on app)
- *   --contexts K   hardware multiprogramming fold (tred2 only)
+ *   --pes P        cooperating PEs, 1..4096 (default 16); the machine
+ *                  has the next power of two at or above max(P, 16)
+ *                  ports
+ *   --n N          problem size (matrix order / grid side / multigrid
+ *                  level / particles / vertices / accounts; default
+ *                  and range depend on app)
+ *   --contexts K   hardware multiprogramming fold, dividing P (tred2
+ *                  only)
  *
  * `model` options:
  *   --ports --k --m --d as above; sweeps p and prints the curve
@@ -96,15 +96,18 @@
  *   ultrasim pack --ports 4096
  */
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "analytic/drift.h"
@@ -130,7 +133,6 @@
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "prof/profiler.h"
-#include "par/tick_engine.h"
 #include "sweep/net_run.h"
 #include "sweep/serve.h"
 
@@ -188,10 +190,11 @@ class Args
 
     bool has(const std::string &key) const { return values_.count(key); }
 
-    /** The value of --@p key as a non-negative integer; exit 2 on an
-     *  empty value, trailing garbage or overflow. */
+    /** The value of --@p key as an integer in [0, @p max]; exit 2 on
+     *  an empty value, trailing garbage or a value out of range. */
     std::uint64_t
-    getInt(const std::string &key, std::uint64_t fallback) const
+    getInt(const std::string &key, std::uint64_t fallback,
+           std::uint64_t max = UINT32_MAX) const
     {
         auto it = values_.find(key);
         if (it == values_.end())
@@ -201,8 +204,10 @@ class Args
         errno = 0;
         const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
         if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-            *end != '\0' || errno == ERANGE) {
-            badValue(key, v, "a non-negative integer");
+            *end != '\0' || errno == ERANGE || x > max) {
+            badValue(key, v,
+                     ("an integer in [0, " + std::to_string(max) + "]")
+                         .c_str());
         }
         return x;
     }
@@ -275,7 +280,7 @@ struct ObsOptions
         ObsOptions o;
         o.statsJson = args.getString("stats-json", "");
         o.statsPretty = args.has("stats-pretty");
-        o.sampleEvery = args.getInt("sample-every", 0);
+        o.sampleEvery = args.getInt("sample-every", 0, UINT64_MAX);
         o.sampleOut = args.getString("sample-out", "");
         o.traceEvents = args.getString("trace-events", "");
         o.latencyJson = args.getString("latency-json", "");
@@ -365,11 +370,11 @@ netConfigFrom(const Args &args)
     return cfg;
 }
 
-/** Flags shared by `net` and `app` (observability + parallelism). */
+/** Flags shared by `net` and `app` (observability). */
 #define ULTRASIM_OBS_FLAGS                                              \
     "stats-json", "stats-pretty", "sample-every", "sample-out",         \
         "trace-events", "latency-json", "prof-json", "heatmap-csv",     \
-        "check-drift", "threads", "inspect"
+        "check-drift", "inspect"
 
 /**
  * Create the inspection server + engine for --inspect ADDR (exit 2 on
@@ -430,12 +435,15 @@ cmdNet(const Args &args)
         spec.traffic.window =
             static_cast<unsigned>(args.getInt("closed", 1));
     }
-    spec.traffic.seed = args.getInt("seed", 1);
+    spec.traffic.seed = args.getInt("seed", 1, UINT64_MAX);
     spec.pni.maxOutstanding = spec.traffic.closedLoop ? 0 : 8;
-    spec.cycles = args.getInt("cycles", 10000);
-    spec.threads = static_cast<unsigned>(args.getInt("threads", 1));
+    spec.cycles = args.getInt("cycles", 10000, UINT64_MAX);
     spec.wantLatency = obs.latencyWanted();
     spec.driftTolerance = obs.driftTolerance;
+    if (const std::string err = sweep::validate(spec); !err.empty()) {
+        std::fprintf(stderr, "ultrasim net: %s\n", err.c_str());
+        return 2;
+    }
 
     sweep::NetExperiment exp(spec);
     net::Network &network = exp.network();
@@ -459,7 +467,7 @@ cmdNet(const Args &args)
                                   "net.mni_pending_pkts");
     }
 
-    // Wall-clock self-profiler (opt-in): times the injection episodes
+    // Wall-clock self-profiler (opt-in): times injection, PNI issue
     // and the network's sub-phases; the simulated run is byte-identical
     // with or without it.
     std::unique_ptr<prof::Profiler> prof;
@@ -608,18 +616,87 @@ cmdNet(const Args &args)
     return 0;
 }
 
+/** One `ultrasim app` workload's --n: its default, its smallest legal
+ *  value, and the shared words the app allocates at a given n, so an
+ *  --n too big for the machine exits 2 instead of exhausting shared
+ *  memory mid-setup. */
+struct AppSize
+{
+    const char *app;
+    std::uint64_t defaultN;
+    std::uint64_t minN;
+    double (*sharedWords)(double n);
+};
+
+const AppSize kAppSizes[] = {
+    // matrix, d, e, u, p, scratch[4], barrier[2]
+    {"tred2", 32, 2, [](double n) { return n * n + 4 * n + 6; }},
+    // two grids, barrier
+    {"weather", 32, 1, [](double n) { return 2 * n * n + 2; }},
+    // u, f, r at every level 1..n of (2^lev + 1)^2 points, barrier
+    {"multigrid", 5, 2,
+     [](double level) {
+         double words = 2;
+         for (double lev = 1; lev <= std::min(level, 64.0); ++lev) {
+             const double side = std::ldexp(1.0, static_cast<int>(lev)) + 1;
+             words += 3 * side * side;
+         }
+         return words;
+     }},
+    // next-particle counter, tally bins
+    {"montecarlo", 512, 0,
+     [](double) { return 1.0 + apps::MonteCarloConfig{}.bins; }},
+    // balances, reader-writer lock
+    {"accounts", 64, 2, [](double n) { return n + 4; }},
+    // CSR graph of 4 edges/vertex, dist, counters, 4n+64-slot queue
+    {"sssp", 64, 2, [](double n) { return 22 * n + 199; }},
+};
+
 int
 cmdApp(const Args &args)
 {
     args.rejectUnknown("app", {"app", "pes", "n", "contexts",
                                ULTRASIM_OBS_FLAGS});
+    const auto fail = [](const std::string &msg) {
+        std::fprintf(stderr, "ultrasim app: %s\n", msg.c_str());
+        return 2;
+    };
     const std::string app = args.getString("app", "tred2");
+    const AppSize *size = nullptr;
+    for (const AppSize &s : kAppSizes)
+        size = app == s.app ? &s : size;
+    if (size == nullptr)
+        return fail("unknown app '" + app + "'");
     const auto pes =
-        static_cast<std::uint32_t>(args.getInt("pes", 16));
+        static_cast<std::uint32_t>(args.getInt("pes", 16, 4096));
+    if (pes < 1)
+        return fail("--pes expects an integer in [1, 4096], got 0");
+    const auto contexts =
+        static_cast<std::uint32_t>(args.getInt("contexts", 1));
+    if (app == "tred2" && (contexts < 1 || pes % contexts != 0)) {
+        return fail("--contexts must divide --pes, got " +
+                    std::to_string(contexts));
+    }
+    const std::uint64_t n = args.getInt("n", size->defaultN);
+    if (n < size->minN) {
+        return fail("--n expects at least " +
+                    std::to_string(size->minN) + " for " + app +
+                    ", got " + std::to_string(n));
+    }
     core::MachineConfig mcfg = core::MachineConfig::small(
-        std::max<std::uint32_t>(16, pes), 2);
+        std::bit_ceil(std::max<std::uint32_t>(16, pes)), 2);
     mcfg.net.combinePolicy = net::CombinePolicy::Full;
-    mcfg.threads = static_cast<unsigned>(args.getInt("threads", 1));
+    const double words = size->sharedWords(static_cast<double>(n));
+    const double total = static_cast<double>(mcfg.net.numPorts) *
+                         static_cast<double>(mcfg.wordsPerModule);
+    if (words > total) {
+        std::ostringstream os;
+        os << "--n " << n << " needs " << std::fixed
+           << std::setprecision(0) << words << " shared words for "
+           << app << "; the " << mcfg.net.numPorts
+           << "-port machine has " << total;
+        return fail(os.str());
+    }
 
     Cycle cycles = 0;
     pe::PeStats totals;
@@ -651,19 +728,17 @@ cmdApp(const Args &args)
         });
     }
     if (app == "tred2") {
-        const std::size_t n = args.getInt("n", 32);
-        const auto contexts =
-            static_cast<std::uint32_t>(args.getInt("contexts", 1));
         const auto result = apps::tred2Parallel(
             machine, pes, apps::randomSymmetric(n, 1), n, contexts);
         cycles = result.cycles;
         totals = result.peTotals;
-        std::printf("tred2: N=%zu, %u workers on %u PEs, "
+        std::printf("tred2: N=%llu, %u workers on %u PEs, "
                     "waiting/worker %.0f cycles\n",
-                    n, pes, pes / contexts, result.waitingTime);
+                    static_cast<unsigned long long>(n), pes,
+                    pes / contexts, result.waitingTime);
     } else if (app == "weather") {
         apps::WeatherConfig wcfg;
-        wcfg.rows = args.getInt("n", 32);
+        wcfg.rows = n;
         wcfg.cols = wcfg.rows;
         wcfg.steps = 4;
         const auto result = apps::weatherParallel(
@@ -674,7 +749,7 @@ cmdApp(const Args &args)
                     wcfg.rows, wcfg.cols, wcfg.steps, pes);
     } else if (app == "multigrid") {
         apps::MultigridConfig gcfg;
-        gcfg.level = static_cast<unsigned>(args.getInt("n", 5));
+        gcfg.level = static_cast<unsigned>(n);
         const auto result = apps::multigridParallel(
             machine, pes, gcfg, apps::multigridRhs(gcfg.level));
         cycles = result.cycles;
@@ -685,7 +760,7 @@ cmdApp(const Args &args)
                     result.residualNorm, pes);
     } else if (app == "montecarlo") {
         apps::MonteCarloConfig ccfg;
-        ccfg.particles = args.getInt("n", 512);
+        ccfg.particles = n;
         const auto result =
             apps::monteCarloParallel(machine, pes, ccfg);
         cycles = result.cycles;
@@ -695,8 +770,7 @@ cmdApp(const Args &args)
                     pes);
     } else if (app == "accounts") {
         apps::AccountsConfig acfg;
-        acfg.numAccounts = static_cast<std::uint32_t>(
-            args.getInt("n", 64));
+        acfg.numAccounts = static_cast<std::uint32_t>(n);
         const auto result = apps::runAccounts(machine, pes, acfg);
         cycles = result.cycles;
         totals = machine.aggregatePeStats();
@@ -710,8 +784,7 @@ cmdApp(const Args &args)
                         ? "yes"
                         : "NO",
                     pes);
-    } else if (app == "sssp") {
-        const std::size_t n = args.getInt("n", 64);
+    } else {
         const apps::Graph graph = apps::randomGraph(n, 4, 1);
         const auto result = apps::shortestPathsParallel(
             machine, pes, graph, 0, true);
@@ -723,9 +796,6 @@ cmdApp(const Args &args)
                     static_cast<unsigned long long>(
                         result.relaxations),
                     pes);
-    } else {
-        std::fprintf(stderr, "unknown app '%s'\n", app.c_str());
-        return 2;
     }
     if (inspector)
         inspector->finishRun(machine.now(), true);
@@ -929,9 +999,8 @@ cmdServe(int argc, char **argv)
     }
     const std::string addr = argv[2];
     const Args args(argc, argv, 3);
-    args.rejectUnknown("serve", {"threads", "cache"});
+    args.rejectUnknown("serve", {"cache"});
     sweep::ServeOptions opts;
-    opts.threads = static_cast<unsigned>(args.getInt("threads", 1));
     opts.cacheCapacity = args.getInt("cache", 4);
     return sweep::serveMain(addr, opts);
 }
@@ -943,7 +1012,7 @@ usage()
                  "usage: ultrasim <net|app|model|pack|trace> "
                  "[options]\n"
                  "       ultrasim serve <port|unix-socket> "
-                 "[--threads N] [--cache N]\n"
+                 "[--cache N]\n"
                  "see the comment at the top of tools/ultrasim.cc\n");
 }
 
