@@ -1,7 +1,10 @@
 #include "trace.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
+#include <string_view>
 
 #include "common/log.h"
 
@@ -78,12 +81,12 @@ replayTrace(const Trace &trace, PniArray &pni, Network &network)
     return result;
 }
 
-void
+bool
 saveTrace(const Trace &trace, const std::string &path)
 {
     std::FILE *file = std::fopen(path.c_str(), "w");
     if (!file)
-        fatal("cannot open '", path, "' for writing");
+        return false;
     for (const TraceEntry &entry : trace.entries) {
         std::fprintf(file, "%" PRIu64 ",%u,%u,%" PRIu64 ",%" PRId64
                            "\n",
@@ -92,30 +95,74 @@ saveTrace(const Trace &trace, const std::string &path)
                      static_cast<std::uint64_t>(entry.vaddr),
                      static_cast<std::int64_t>(entry.data));
     }
-    std::fclose(file);
+    const bool written = std::ferror(file) == 0;
+    return std::fclose(file) == 0 && written;
 }
 
-Trace
-loadTrace(const std::string &path)
+namespace
 {
-    std::FILE *file = std::fopen(path.c_str(), "r");
-    if (!file)
-        fatal("cannot open '", path, "' for reading");
-    Trace trace;
-    std::uint64_t at = 0, vaddr = 0;
-    unsigned pe = 0, op = 0;
-    std::int64_t data = 0;
-    int line = 0;
-    while (std::fscanf(file,
-                       "%" SCNu64 ",%u,%u,%" SCNu64 ",%" SCNd64 "\n",
-                       &at, &pe, &op, &vaddr, &data) == 5) {
-        ++line;
-        if (op > static_cast<unsigned>(Op::FetchMin))
-            fatal("bad op code at line ", line, " of '", path, "'");
-        trace.entries.push_back({at, pe, static_cast<Op>(op), vaddr,
-                                 data});
+
+/** Parse all of @p text as one integer field. */
+template <typename T>
+bool
+parseField(std::string_view text, T &out)
+{
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), out);
+    return ec == std::errc() && ptr == text.data() + text.size();
+}
+
+/** Parse one "cycle,pe,op,vaddr,data" line. */
+bool
+parseLine(std::string_view line, TraceEntry &entry)
+{
+    std::string_view fields[5];
+    std::size_t count = 0;
+    for (std::size_t start = 0; count < 5; ++count) {
+        const std::size_t comma = line.find(',', start);
+        fields[count] = line.substr(start, comma - start);
+        start = comma + 1;
+        if (comma == std::string_view::npos)
+            break;
     }
-    std::fclose(file);
+    unsigned op = 0;
+    if (count != 4 || !parseField(fields[0], entry.at) ||
+        !parseField(fields[1], entry.pe) || !parseField(fields[2], op) ||
+        !parseField(fields[3], entry.vaddr) ||
+        !parseField(fields[4], entry.data) ||
+        op > static_cast<unsigned>(Op::FetchMin)) {
+        return false;
+    }
+    entry.op = static_cast<Op>(op);
+    return true;
+}
+
+} // namespace
+
+Trace
+loadTrace(const std::string &path, std::string &err)
+{
+    std::ifstream in(path);
+    if (!in) {
+        err = "cannot open '" + path + "' for reading";
+        return {};
+    }
+    Trace trace;
+    std::string text;
+    for (std::size_t line = 1; std::getline(in, text); ++line) {
+        TraceEntry entry;
+        const char *what = nullptr;
+        if (!parseLine(text, entry))
+            what = "expected cycle,pe,op,vaddr,data with a known op code";
+        else if (!trace.entries.empty() &&
+                 entry.at < trace.entries.back().at)
+            what = "cycle goes backwards";
+        if (what != nullptr) {
+            err = path + ":" + std::to_string(line) + ": " + what;
+            return {};
+        }
+        trace.entries.push_back(entry);
+    }
     return trace;
 }
 

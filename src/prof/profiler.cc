@@ -57,12 +57,6 @@ Profiler::runEnd(std::uint64_t cycles)
     cycles_ = cycles;
 }
 
-void
-Profiler::reset()
-{
-    *this = Profiler{};
-}
-
 std::uint64_t
 Profiler::totalPhaseNs() const
 {

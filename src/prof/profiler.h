@@ -76,14 +76,6 @@ class Profiler
     void runBegin();
     void runEnd(std::uint64_t cycles);
 
-    /**
-     * Zero every counter (phase timers, run window) in place.  A
-     * persistent server reuses one profiler across jobs, and a job's
-     * report must cover that job alone -- without this a warmed
-     * machine leaks laps across jobs (see serve_test).
-     */
-    void reset();
-
     // -- per-phase wall timers --------------------------------------
     void
     phaseAdd(Phase p, std::uint64_t ns)

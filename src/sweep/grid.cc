@@ -119,6 +119,30 @@ paramFromJson(const KnownParam &known, const jsonlite::JsonValue &v,
     return false;
 }
 
+/** Load a grid's `base` parameter object into @p out, validating
+ *  names and value kinds like an axis. */
+bool
+loadParamsJson(const jsonlite::JsonValue &obj, ParamMap &out,
+               std::string &err)
+{
+    if (!obj.isObject()) {
+        err = "parameters must be a JSON object";
+        return false;
+    }
+    for (const auto &kv : obj.object) {
+        const KnownParam *known = findParam(kv.first);
+        if (known == nullptr) {
+            err = "unknown parameter '" + kv.first + "'";
+            return false;
+        }
+        ParamValue v;
+        if (!paramFromJson(*known, kv.second, v, err))
+            return false;
+        out[kv.first] = v;
+    }
+    return true;
+}
+
 /** Expand one grid object, appending points (global indices). */
 bool
 expandGrid(const jsonlite::JsonValue &grid, std::vector<Point> &points,
@@ -243,28 +267,6 @@ boolParam(const ParamMap &params, const char *name)
 }
 
 } // namespace
-
-bool
-loadParamsJson(const jsonlite::JsonValue &obj, ParamMap &out,
-               std::string &err)
-{
-    if (!obj.isObject()) {
-        err = "parameters must be a JSON object";
-        return false;
-    }
-    for (const auto &kv : obj.object) {
-        const KnownParam *known = findParam(kv.first);
-        if (known == nullptr) {
-            err = "unknown parameter '" + kv.first + "'";
-            return false;
-        }
-        ParamValue v;
-        if (!paramFromJson(*known, kv.second, v, err))
-            return false;
-        out[kv.first] = v;
-    }
-    return true;
-}
 
 ParamValue
 ParamValue::boolean(bool v)

@@ -36,11 +36,6 @@
 
 #include "sweep/net_run.h"
 
-namespace jsonlite
-{
-struct JsonValue;
-} // namespace jsonlite
-
 namespace ultra::sweep
 {
 
@@ -88,12 +83,6 @@ std::vector<Point> expandGridFile(const std::string &text,
 /** Map a point's parameters onto a run spec.  Unknown names and any
  *  value validate() rejects set @p err. */
 NetPointSpec specFromParams(const ParamMap &params, std::string &err);
-
-/** Load a parsed JSON object of parameters (the `--serve` job shape)
- *  into @p out, validating names and value kinds exactly like the
- *  grid loader.  Returns false with @p err set on any problem. */
-bool loadParamsJson(const jsonlite::JsonValue &obj, ParamMap &out,
-                    std::string &err);
 
 /** The `ultrasim net` argument vector reproducing @p params (without
  *  any output flags): ["net", "--ports", "16", ...]. */

@@ -34,54 +34,14 @@ validate(const NetPointSpec &spec)
     return err;
 }
 
-WarmRig
-buildWarmRig(const net::NetSimConfig &cfg)
+NetExperiment::NetExperiment(const NetPointSpec &spec) : spec_(spec)
 {
-    WarmRig rig;
     mem::MemoryConfig mcfg;
-    mcfg.numModules = cfg.numPorts;
+    mcfg.numModules = spec_.net.numPorts;
     mcfg.wordsPerModule = 1 << 14;
-    mcfg.accessTime = cfg.mmAccessTime;
-    rig.memory = std::make_unique<mem::MemorySystem>(mcfg);
-    rig.network = std::make_unique<net::Network>(cfg, *rig.memory);
-    return rig;
-}
-
-std::string
-netConfigKey(const net::NetSimConfig &cfg)
-{
-    // Every field that shapes memory/network construction, in a fixed
-    // order; two configurations with equal keys build identical rigs.
-    std::ostringstream os;
-    os << "ports=" << cfg.numPorts << ";k=" << cfg.k << ";m=" << cfg.m
-       << ";d=" << cfg.d << ";data=" << cfg.dataPackets
-       << ";sizing=" << static_cast<int>(cfg.sizing)
-       << ";q=" << cfg.queueCapacityPackets
-       << ";wb=" << cfg.waitBufferCapacity
-       << ";policy=" << static_cast<int>(cfg.combinePolicy)
-       << ";maxcomb=" << cfg.maxCombinesPerVisit
-       << ";mmaccess=" << cfg.mmAccessTime
-       << ";mmpend=" << cfg.mmPendingCapacityPackets
-       << ";kill=" << (cfg.burroughsKill ? 1 : 0)
-       << ";ideal=" << (cfg.idealParacomputer ? 1 : 0);
-    return os.str();
-}
-
-NetExperiment::NetExperiment(const NetPointSpec &spec, WarmRig warm)
-    : spec_(spec)
-{
-    // Adopt the warm rig only when it was built for this exact
-    // configuration; a mismatch silently falls back to a cold build so
-    // a stale cache entry can never distort an experiment.
-    if (warm.network != nullptr &&
-        netConfigKey(warm.network->config()) == netConfigKey(spec_.net)) {
-        memory_ = std::move(warm.memory);
-        network_ = std::move(warm.network);
-    } else {
-        WarmRig fresh = buildWarmRig(spec_.net);
-        memory_ = std::move(fresh.memory);
-        network_ = std::move(fresh.network);
-    }
+    mcfg.accessTime = spec_.net.mmAccessTime;
+    memory_ = std::make_unique<mem::MemorySystem>(mcfg);
+    network_ = std::make_unique<net::Network>(spec_.net, *memory_);
     hash_ = std::make_unique<mem::AddressHash>(
         log2Exact(memory_->totalWords()), true);
     pni_ = std::make_unique<net::PniArray>(spec_.pni, *network_, *hash_);

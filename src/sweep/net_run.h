@@ -2,15 +2,13 @@
  * @file
  * The shared synthetic-traffic experiment core (ultra::sweep).
  *
- * `ultrasim net`, the `ultrasweep` worker processes and the
- * `ultrasim serve` job loop all answer the same question -- "run this
- * network configuration under this workload and dump the stats" -- and
- * the golden byte-identity contract requires all three to answer it
- * with the *same bytes*.  Before this file each entry point would have
- * had to replicate the construction order, the warmup/reset/measure
- * sequence and the model cross-check wiring of `cmdNet` by hand;
- * NetExperiment extracts that sequence once so equivalence holds by
- * construction rather than by vigilance.
+ * `ultrasim net` and the `ultrasweep` worker processes both answer the
+ * same question -- "run this network configuration under this workload
+ * and dump the stats" -- and the golden byte-identity contract requires
+ * both to answer it with the *same bytes*.  NetExperiment holds the
+ * construction order, the warmup/reset/measure sequence and the model
+ * cross-check wiring once, so equivalence holds by construction rather
+ * than by vigilance.
  *
  * Construction order (memory, network, hash, PNI, traffic, stats
  * registration, latency observatory) and the run loop (inspector
@@ -19,13 +17,6 @@
  * (inspector, sampler, event trace, profiler) are all optional and all
  * byte-neutral, so a hookless sweep worker and a fully-instrumented
  * interactive run produce identical --stats-json output.
- *
- * WarmRig is the server's "warmed machine configuration" cache entry:
- * a freshly constructed (memory, network) pair for a configuration,
- * built ahead of time because network construction is pure setup cost.
- * A rig is never reused after carrying traffic -- the cache hands out
- * pristine rigs only -- which is what keeps a cache hit byte-identical
- * to a cold build.
  */
 
 #ifndef ULTRA_SWEEP_NET_RUN_H
@@ -77,7 +68,7 @@ struct NetPointSpec
 /**
  * Why @p spec cannot run, or "" when it can: a valid network, rate and
  * hot fraction in [0, 1], at least one measured cycle.  Every entry
- * point (`ultrasim net`, grid points, serve jobs) checks this before
+ * point (`ultrasim net`, grid points) checks this before
  * building an experiment, so a bad value gets a message instead of
  * reaching an assertion.  Integral parameters are range-checked where
  * they are parsed, before they are narrowed into the spec's fields.
@@ -123,20 +114,6 @@ struct NetRunSummary
     std::string json() const;
 };
 
-/** A pre-built, never-used (memory, network) pair for one network
- *  configuration; see the file comment. */
-struct WarmRig
-{
-    std::unique_ptr<mem::MemorySystem> memory;
-    std::unique_ptr<net::Network> network;
-};
-
-/** Build a pristine rig for @p cfg (the cache-refill path). */
-WarmRig buildWarmRig(const net::NetSimConfig &cfg);
-
-/** Canonical cache key: every field that shapes rig construction. */
-std::string netConfigKey(const net::NetSimConfig &cfg);
-
 /** One net-mode experiment, construction through stats dump. */
 class NetExperiment
 {
@@ -152,10 +129,8 @@ class NetExperiment
         prof::Profiler *prof = nullptr;
     };
 
-    /** Construct the rig; @p warm (when its configuration matches) is
-     *  adopted instead of building memory + network from scratch. */
-    explicit NetExperiment(const NetPointSpec &spec,
-                           WarmRig warm = WarmRig{});
+    /** Construct the rig: memory, network, PNIs and traffic. */
+    explicit NetExperiment(const NetPointSpec &spec);
     ~NetExperiment();
 
     NetExperiment(const NetExperiment &) = delete;

@@ -136,6 +136,13 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"app --app sssp --n 1", "--n"},
         {"app --app tred2 --pes 16 --contexts 3", "--contexts"},
         {"model --best --rate 1.5", "--rate"},
+        // `trace --record` runs the same checks as `app`.
+        {"trace --record /dev/null --app tred2 --n 1", "--n"},
+        {"trace --record /dev/null --pes 0", "--pes"},
+        {"trace --record /dev/null --app weather --n 0", "--n"},
+        {"trace --record /dev/null --app tred2 --n 300", "--n"},
+        {"pack --ports 0", "--ports must be a power of two >= 4"},
+        {"pack --ports 12", "--ports must be a power of two >= 4"},
     };
     const std::string err = tmpPath("bad_number.err");
     for (const auto &c : cases) {
@@ -156,6 +163,43 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
     EXPECT_EQ(runTool("net --ports 16 --k 2 --cycles 1"), 0);
     EXPECT_EQ(runTool("app --app tred2 --pes 1 --n 2"), 0);
     EXPECT_EQ(runTool("app --app weather --pes 20 --n 4"), 0);
+    EXPECT_EQ(runTool("trace --record /dev/null --pes 100 --n 4"), 0);
+    EXPECT_EQ(runTool("pack --ports 4"), 0);
+}
+
+TEST(CliTest, TraceReplayRejectsBadFilesNamingTheLine)
+{
+    // A replay file that does not parse, stops parsing part-way or
+    // names a PE or address the network lacks exits 2 naming the file
+    // and line; it never replays a prefix and never reaches an
+    // assertion.
+    const std::string trace = tmpPath("replay.csv");
+    const std::string err = tmpPath("replay.err");
+    const struct
+    {
+        const char *text;
+        const char *where;
+    } cases[] = {
+        {"\x8f\x03zq\xff\x01,,\x7f\n\x10", ":1: "},
+        {"0,1,0,5,0\n1,2,0,6,0\n#garbage\n3,1,0,5,0\n", ":3: "},
+        {"0,1,0,5,0\n1,16,0,6,0\n", ":2: PE 16"},
+        {"0,1,0,262144,0\n", ":1: address 262144"},
+    };
+    for (const auto &c : cases) {
+        std::ofstream(trace, std::ios::binary) << c.text;
+        EXPECT_EQ(runCommand(std::string(ULTRASIM_BIN) + " trace --replay " +
+                             trace + " --ports 16 > /dev/null 2> " + err),
+                  2)
+            << c.text;
+        const std::string text = readFile(err);
+        EXPECT_NE(text.find(trace + c.where), std::string::npos) << text;
+        EXPECT_EQ(text.find("panic"), std::string::npos) << text;
+    }
+    // The well-formed prefix of the truncated case replays.
+    std::ofstream(trace, std::ios::binary) << "0,1,0,5,0\n1,2,0,6,0\n";
+    EXPECT_EQ(runTool("trace --replay " + trace + " --ports 16"), 0);
+    std::remove(trace.c_str());
+    std::remove(err.c_str());
 }
 
 TEST(CliTest, FailedOutputWritesExitOne)
@@ -182,6 +226,9 @@ TEST(CliTest, FailedOutputWritesExitOne)
                       "--sample-out " +
                       bad),
               1);
+    // A full device fails at write or close, not at open.
+    EXPECT_EQ(runTool("trace --record /dev/full --pes 2 --n 4"), 1);
+    EXPECT_EQ(runTool("trace --record " + bad + " --pes 2 --n 4"), 1);
 }
 
 TEST(CliTest, ProfJsonLeavesSimulationOutputByteIdentical)
@@ -373,6 +420,17 @@ TEST(CliTest, UltrascopeAnalyzesTrace)
 TEST(CliTest, BadSubcommandFails)
 {
     EXPECT_NE(runTool("frobnicate"), 0);
+    // There is no job server: `serve` is an unknown subcommand.
+    const std::string err = tmpPath("serve_usage.err");
+    for (const char *args : {" serve 0", " --serve 0"}) {
+        EXPECT_EQ(runCommand(std::string(ULTRASIM_BIN) + args +
+                             " > /dev/null 2> " + err),
+                  2)
+            << args;
+        EXPECT_NE(readFile(err).find("usage:"), std::string::npos)
+            << args << ": " << readFile(err);
+    }
+    std::remove(err.c_str());
 }
 
 TEST(CliTest, NetSeedFlagIsDeterministic)
@@ -394,22 +452,6 @@ TEST(CliTest, NetSeedFlagIsDeterministic)
     std::remove(a.c_str());
     std::remove(b.c_str());
     std::remove(c.c_str());
-}
-
-TEST(CliTest, ServeRejectsBadInvocations)
-{
-    const std::string err = tmpPath("serve_usage.err");
-    // No address operand.
-    ASSERT_EQ(runCommand(std::string(ULTRASIM_BIN) +
-                         " serve > /dev/null 2> " + err),
-              2);
-    EXPECT_NE(readFile(err).find("usage:"), std::string::npos)
-        << readFile(err);
-    // A flag where the address belongs.
-    EXPECT_EQ(runTool("serve --cache 2"), 2);
-    // Unknown flags honor the allowlist convention.
-    EXPECT_EQ(runTool("serve 0 --frobnicate 1"), 2);
-    std::remove(err.c_str());
 }
 
 TEST(CliTest, UltrasweepRejectsBadInvocations)

@@ -213,29 +213,5 @@ TEST(ProfTest, ReportIsCallableMidRunAndEmpty)
     EXPECT_EQ(doc["cycles"].number, 0.0);
 }
 
-TEST(ProfTest, ResetClearsCounters)
-{
-    // One profiler serves every job of a persistent server
-    // (`ultrasim serve`); reset must return it to the fresh state.
-    prof::Profiler prof;
-    prof.runBegin();
-    prof.phaseAdd(prof::Phase::Pni, 1000);
-    prof.phaseAdd(prof::Phase::PeStep, 500);
-    prof.runEnd(480);
-    ASSERT_GT(prof.phaseNs(prof::Phase::Pni), 0u);
-    ASSERT_EQ(prof.cycles(), 480u);
-
-    prof.reset();
-
-    EXPECT_EQ(prof.cycles(), 0u);
-    EXPECT_EQ(prof.totalPhaseNs(), 0u);
-    EXPECT_EQ(prof.elapsedSeconds(), 0.0);
-    for (unsigned p = 0; p < prof::kPhaseCount; ++p)
-        EXPECT_EQ(prof.phaseNs(static_cast<prof::Phase>(p)), 0u);
-
-    // The post-reset report equals a fresh profiler's report.
-    EXPECT_EQ(prof.reportJson(), prof::Profiler{}.reportJson());
-}
-
 } // namespace
 } // namespace ultra

@@ -211,7 +211,8 @@ TEST(GridTest, RejectsOutOfRangeValuesAtLoad)
         err);
     EXPECT_NE(err.find("point 1: rate"), std::string::npos) << err;
 
-    // specFromParams applies the same checks to a serve job's params.
+    // specFromParams applies the same checks to a point's params on
+    // their own, as each ultrasweep worker calls it.
     sweep::ParamMap params;
     params["cycles"] = sweep::ParamValue::number(0);
     sweep::specFromParams(params, err);

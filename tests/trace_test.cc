@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/machine.h"
 #include "mem/address_hash.h"
@@ -157,8 +158,10 @@ TEST(TraceTest, SaveLoadRoundTrip)
 {
     const Trace trace = recordCounterStorm();
     const std::string path = "/tmp/ultra_trace_test.csv";
-    saveTrace(trace, path);
-    const Trace loaded = loadTrace(path);
+    ASSERT_TRUE(saveTrace(trace, path));
+    std::string err;
+    const Trace loaded = loadTrace(path, err);
+    ASSERT_TRUE(err.empty()) << err;
     ASSERT_EQ(loaded.entries.size(), trace.entries.size());
     for (std::size_t i = 0; i < trace.entries.size(); ++i) {
         EXPECT_EQ(loaded.entries[i].at, trace.entries[i].at);
@@ -168,6 +171,42 @@ TEST(TraceTest, SaveLoadRoundTrip)
         EXPECT_EQ(loaded.entries[i].data, trace.entries[i].data);
     }
     std::remove(path.c_str());
+}
+
+TEST(TraceTest, LoadRejectsMalformedLinesNamingTheLine)
+{
+    // A bad line fails the whole load: never a silently shortened
+    // trace.
+    const std::string path = "/tmp/ultra_trace_bad.csv";
+    const struct
+    {
+        const char *text;
+        const char *where;
+    } cases[] = {
+        {"0,1,0,5,0\n1,2,0,6,0\ngarbage\n", ":3: expected"},
+        {"0,1,0,5,0\n1,2,0,6\n", ":2: expected"},
+        {"0,1,0,5,0,9\n", ":1: expected"},
+        {"0,-1,0,5,0\n", ":1: expected"},
+        {"0,1,99,5,0\n", ":1: expected"},
+        {"5,1,0,5,0\n4,1,0,5,0\n", ":2: cycle goes backwards"},
+    };
+    for (const auto &c : cases) {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(c.text, f);
+        std::fclose(f);
+        std::string err;
+        const Trace loaded = loadTrace(path, err);
+        EXPECT_TRUE(loaded.entries.empty()) << c.text;
+        EXPECT_NE(err.find(path + c.where), std::string::npos)
+            << c.text << ": " << err;
+    }
+    std::remove(path.c_str());
+
+    std::string err;
+    loadTrace("/nonexistent-dir/trace.csv", err);
+    EXPECT_NE(err.find("cannot open"), std::string::npos) << err;
+    EXPECT_FALSE(saveTrace(Trace{}, "/nonexistent-dir/trace.csv"));
 }
 
 } // namespace

@@ -10,15 +10,13 @@
  *   ultrasim model [options]   evaluate the analytic transit-time model
  *   ultrasim pack  [options]   section-3.6 packaging estimate
  *   ultrasim trace [options]   record an app's traffic / replay a file
- *   ultrasim serve ADDR        persistent job server on the inspect
- *                              transport (protocol "ultra.serve.v1",
- *                              see src/sweep/serve.h); ADDR as in
- *                              --inspect.  Option: --cache N
- *                              (warmed configurations kept, default 4)
  *
  * `trace` options:
- *   --record FILE --app NAME --pes P --n N    record a workload trace
+ *   --record FILE --app NAME --pes P --n N    record a tred2 or weather
+ *                                             trace, checked and sized
+ *                                             as for `app`
  *   --replay FILE [network options]           replay through a config
+ *                                             (a bad line exits 2)
  *
  * Common network options:
  *   --ports N      ports per side (default 256)
@@ -107,6 +105,7 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -134,7 +133,6 @@
 #include "obs/sampler.h"
 #include "prof/profiler.h"
 #include "sweep/net_run.h"
-#include "sweep/serve.h"
 
 namespace
 {
@@ -419,10 +417,10 @@ cmdNet(const Args &args)
 
     // The experiment itself -- construction order, warmup/reset/
     // measure loop, model cross-check -- lives in sweep::NetExperiment
-    // so `ultrasim net`, the ultrasweep workers and `ultrasim serve`
-    // produce identical bytes by sharing the code, not by replicating
-    // it.  This function only maps flags onto the spec and wires the
-    // byte-neutral observability hooks.
+    // so `ultrasim net` and the ultrasweep workers produce identical
+    // bytes by sharing the code, not by replicating it.  This function
+    // only maps flags onto the spec and wires the byte-neutral
+    // observability hooks.
     sweep::NetPointSpec spec;
     spec.net = netConfigFrom(args);
     spec.traffic.activePes = spec.net.numPorts;
@@ -652,51 +650,76 @@ const AppSize kAppSizes[] = {
     {"sssp", 64, 2, [](double n) { return 22 * n + 199; }},
 };
 
+/** A checked `app` or `trace --record` workload and its machine. */
+struct AppRun
+{
+    std::string app;
+    std::uint32_t pes = 0;
+    std::uint32_t contexts = 1;
+    std::uint64_t n = 0;
+    core::MachineConfig machine;
+};
+
+/**
+ * Read --app, --pes, --contexts and --n for subcommand @p cmd and size
+ * the machine: the next power of two at or above max(16, --pes) ports.
+ * A value the workload cannot run with prints "ultrasim CMD: ..." and
+ * yields nothing, so the caller exits 2 before any simulation.
+ */
+std::optional<AppRun>
+appRunFrom(const Args &args, const char *cmd)
+{
+    const auto fail = [cmd](const std::string &msg) {
+        std::fprintf(stderr, "ultrasim %s: %s\n", cmd, msg.c_str());
+        return std::nullopt;
+    };
+    AppRun run;
+    run.app = args.getString("app", "tred2");
+    const AppSize *size = nullptr;
+    for (const AppSize &s : kAppSizes)
+        size = run.app == s.app ? &s : size;
+    if (size == nullptr)
+        return fail("unknown app '" + run.app + "'");
+    run.pes = static_cast<std::uint32_t>(args.getInt("pes", 16, 4096));
+    if (run.pes < 1)
+        return fail("--pes expects an integer in [1, 4096], got 0");
+    run.contexts = static_cast<std::uint32_t>(args.getInt("contexts", 1));
+    if (run.app == "tred2" &&
+        (run.contexts < 1 || run.pes % run.contexts != 0)) {
+        return fail("--contexts must divide --pes, got " +
+                    std::to_string(run.contexts));
+    }
+    run.n = args.getInt("n", size->defaultN);
+    if (run.n < size->minN) {
+        return fail("--n expects at least " +
+                    std::to_string(size->minN) + " for " + run.app +
+                    ", got " + std::to_string(run.n));
+    }
+    run.machine = core::MachineConfig::small(
+        std::bit_ceil(std::max<std::uint32_t>(16, run.pes)), 2);
+    const double words = size->sharedWords(static_cast<double>(run.n));
+    const double total = static_cast<double>(run.machine.net.numPorts) *
+                         static_cast<double>(run.machine.wordsPerModule);
+    if (words > total) {
+        std::ostringstream os;
+        os << "--n " << run.n << " needs " << std::fixed
+           << std::setprecision(0) << words << " shared words for "
+           << run.app << "; the " << run.machine.net.numPorts
+           << "-port machine has " << total;
+        return fail(os.str());
+    }
+    return run;
+}
+
 int
 cmdApp(const Args &args)
 {
     args.rejectUnknown("app", {"app", "pes", "n", "contexts",
                                ULTRASIM_OBS_FLAGS});
-    const auto fail = [](const std::string &msg) {
-        std::fprintf(stderr, "ultrasim app: %s\n", msg.c_str());
+    const std::optional<AppRun> run = appRunFrom(args, "app");
+    if (!run)
         return 2;
-    };
-    const std::string app = args.getString("app", "tred2");
-    const AppSize *size = nullptr;
-    for (const AppSize &s : kAppSizes)
-        size = app == s.app ? &s : size;
-    if (size == nullptr)
-        return fail("unknown app '" + app + "'");
-    const auto pes =
-        static_cast<std::uint32_t>(args.getInt("pes", 16, 4096));
-    if (pes < 1)
-        return fail("--pes expects an integer in [1, 4096], got 0");
-    const auto contexts =
-        static_cast<std::uint32_t>(args.getInt("contexts", 1));
-    if (app == "tred2" && (contexts < 1 || pes % contexts != 0)) {
-        return fail("--contexts must divide --pes, got " +
-                    std::to_string(contexts));
-    }
-    const std::uint64_t n = args.getInt("n", size->defaultN);
-    if (n < size->minN) {
-        return fail("--n expects at least " +
-                    std::to_string(size->minN) + " for " + app +
-                    ", got " + std::to_string(n));
-    }
-    core::MachineConfig mcfg = core::MachineConfig::small(
-        std::bit_ceil(std::max<std::uint32_t>(16, pes)), 2);
-    mcfg.net.combinePolicy = net::CombinePolicy::Full;
-    const double words = size->sharedWords(static_cast<double>(n));
-    const double total = static_cast<double>(mcfg.net.numPorts) *
-                         static_cast<double>(mcfg.wordsPerModule);
-    if (words > total) {
-        std::ostringstream os;
-        os << "--n " << n << " needs " << std::fixed
-           << std::setprecision(0) << words << " shared words for "
-           << app << "; the " << mcfg.net.numPorts
-           << "-port machine has " << total;
-        return fail(os.str());
-    }
+    const auto &[app, pes, contexts, n, mcfg] = *run;
 
     Cycle cycles = 0;
     pe::PeStats totals;
@@ -904,30 +927,32 @@ cmdTrace(const Args &args)
                         "ideal", "uniform"});
     if (args.has("record")) {
         const std::string path = args.getString("record", "trace.csv");
-        const std::string app = args.getString("app", "tred2");
-        const auto pes =
-            static_cast<std::uint32_t>(args.getInt("pes", 16));
-        core::MachineConfig mcfg = core::MachineConfig::small(
-            std::max<std::uint32_t>(64, pes), 2);
-        core::Machine machine(mcfg);
-        net::TraceRecorder recorder(machine.pni());
-        if (app == "tred2") {
-            const std::size_t n = args.getInt("n", 32);
-            (void)apps::tred2Parallel(
-                machine, pes, apps::randomSymmetric(n, 1), n);
-        } else if (app == "weather") {
-            apps::WeatherConfig wcfg;
-            wcfg.rows = args.getInt("n", 32);
-            wcfg.cols = wcfg.rows;
-            (void)apps::weatherParallel(
-                machine, pes, wcfg, apps::weatherInitial(wcfg, 1));
-        } else {
+        const std::optional<AppRun> run = appRunFrom(args, "trace");
+        if (!run)
+            return 2;
+        const auto &[app, pes, contexts, n, mcfg] = *run;
+        if (app != "tred2" && app != "weather") {
             std::fprintf(stderr, "trace --record supports tred2 and "
                                  "weather\n");
             return 2;
         }
+        core::Machine machine(mcfg);
+        net::TraceRecorder recorder(machine.pni());
+        if (app == "tred2") {
+            (void)apps::tred2Parallel(
+                machine, pes, apps::randomSymmetric(n, 1), n);
+        } else {
+            apps::WeatherConfig wcfg;
+            wcfg.rows = n;
+            wcfg.cols = wcfg.rows;
+            (void)apps::weatherParallel(
+                machine, pes, wcfg, apps::weatherInitial(wcfg, 1));
+        }
         const net::Trace trace = recorder.take();
-        net::saveTrace(trace, path);
+        if (!net::saveTrace(trace, path)) {
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return 1;
+        }
         std::printf("recorded %zu requests over %llu cycles to %s "
                     "(intensity %.4f/PE/cycle)\n",
                     trace.entries.size(),
@@ -937,11 +962,36 @@ cmdTrace(const Args &args)
     }
     if (args.has("replay")) {
         const std::string path = args.getString("replay", "trace.csv");
-        const net::Trace trace = net::loadTrace(path);
+        std::string err;
+        const net::Trace trace = net::loadTrace(path, err);
+        if (!err.empty()) {
+            std::fprintf(stderr, "ultrasim trace: %s\n", err.c_str());
+            return 2;
+        }
         const net::NetSimConfig ncfg = netConfigFrom(args);
         mem::MemoryConfig mcfg;
         mcfg.numModules = ncfg.numPorts;
         mcfg.wordsPerModule = 1 << 14;
+        // Entry i is line i + 1; a PE or address the replay network
+        // lacks stops here instead of at an assertion.
+        const Addr words = Addr{ncfg.numPorts} * mcfg.wordsPerModule;
+        for (std::size_t i = 0; i < trace.entries.size(); ++i) {
+            const net::TraceEntry &e = trace.entries[i];
+            if (e.pe < ncfg.numPorts && e.vaddr < words)
+                continue;
+            std::fprintf(stderr, "ultrasim trace: %s:%zu: ", path.c_str(),
+                         i + 1);
+            if (e.pe >= ncfg.numPorts) {
+                std::fprintf(stderr, "PE %u is outside the %u-port network\n",
+                             e.pe, ncfg.numPorts);
+            } else {
+                std::fprintf(stderr,
+                             "address %llu is outside the %llu-word memory\n",
+                             static_cast<unsigned long long>(e.vaddr),
+                             static_cast<unsigned long long>(words));
+            }
+            return 2;
+        }
         mem::MemorySystem memory(mcfg);
         net::Network network(ncfg, memory);
         mem::AddressHash hash(log2Exact(memory.totalWords()), true);
@@ -962,8 +1012,16 @@ int
 cmdPack(const Args &args)
 {
     args.rejectUnknown("pack", {"ports"});
-    const auto pkg =
-        analytic::packageMachine(args.getInt("ports", 4096));
+    const std::uint64_t ports = args.getInt("ports", 4096);
+    const unsigned k = analytic::ChipBudget{}.switchDegree;
+    if (!isPowerOfTwo(ports) || ports < k) {
+        std::fprintf(stderr,
+                     "ultrasim pack: --ports must be a power of two >= "
+                     "%u, got %llu\n",
+                     k, static_cast<unsigned long long>(ports));
+        return 2;
+    }
+    const auto pkg = analytic::packageMachine(ports);
     std::printf("PEs: %llu\nchips: %llu PE + %llu MM + %llu network "
                 "= %llu total (%.1f%% network)\n",
                 static_cast<unsigned long long>(pkg.numPe),
@@ -985,34 +1043,12 @@ cmdPack(const Args &args)
     return 0;
 }
 
-int
-cmdServe(int argc, char **argv)
-{
-    // `ultrasim serve ADDR` (also spelled `ultrasim --serve ADDR`):
-    // the persistent job server; see src/sweep/serve.h for the
-    // protocol.
-    if (argc < 3 || argv[2][0] == '-') {
-        std::fprintf(stderr,
-                     "serve needs a port or unix-socket path\n");
-        usage();
-        return 2;
-    }
-    const std::string addr = argv[2];
-    const Args args(argc, argv, 3);
-    args.rejectUnknown("serve", {"cache"});
-    sweep::ServeOptions opts;
-    opts.cacheCapacity = args.getInt("cache", 4);
-    return sweep::serveMain(addr, opts);
-}
-
 void
 usage()
 {
     std::fprintf(stderr,
                  "usage: ultrasim <net|app|model|pack|trace> "
                  "[options]\n"
-                 "       ultrasim serve <port|unix-socket> "
-                 "[--cache N]\n"
                  "see the comment at the top of tools/ultrasim.cc\n");
 }
 
@@ -1026,8 +1062,6 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string cmd = argv[1];
-    if (cmd == "serve" || cmd == "--serve")
-        return cmdServe(argc, argv);
     const Args args(argc, argv, 2);
     if (cmd == "net")
         return cmdNet(args);
