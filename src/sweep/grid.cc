@@ -1,12 +1,13 @@
 #include "sweep/grid.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
+#include <optional>
 #include <sstream>
+#include <utility>
 
+#include "common/cli.h"
 #include "common/json_lite.h"
 
 namespace ultra::sweep
@@ -15,40 +16,50 @@ namespace ultra::sweep
 namespace
 {
 
-/** The accepted grid parameters -- exactly the `ultrasim net` flags
- *  that shape a simulated point. */
-enum class ParamKind { Bool, Num, Str };
-
 /** Largest value of a 32-bit field, and the largest integer a double
  *  holds exactly (the cap for 64-bit fields). */
 constexpr double kMax32 = 4294967295.0;
 constexpr double kMax53 = 9007199254740992.0;
 
+/** Where a parameter is a flag besides a grid: Network ones shape the
+ *  network (`ultrasim net` and `trace --replay`), Run ones the traffic
+ *  or the run (`ultrasim net` only); Grid ones are grid-only. */
+enum class Scope { Network, Run, Grid };
+
 struct KnownParam
 {
     const char *name;
-    ParamKind kind;
-    /** Num params that must be integers in [0, intMax], so the value
-     *  fits the spec field it is narrowed into; 0 = any number. */
-    double intMax;
+    ParamValue::Kind kind;
+    Scope scope;
+    /** Num params: the accepted closed range, and whether the value
+     *  must be whole (it is narrowed into an integer field). */
+    double lo = 0;
+    double hi = 0;
+    bool integral = true;
 };
 
+/**
+ * The net parameters: every `ultrasim net` flag that shapes a
+ * simulated point, plus the grid's "latency".  This table is the one
+ * place their names, kinds and ranges are declared; the defaults live
+ * in specFromParams.
+ */
 const KnownParam kKnownParams[] = {
-    {"burroughs", ParamKind::Bool, 0},
-    {"closed", ParamKind::Num, kMax32},
-    {"cycles", ParamKind::Num, kMax53},
-    {"d", ParamKind::Num, kMax32},
-    {"hot", ParamKind::Num, 0},
-    {"ideal", ParamKind::Bool, 0},
-    {"k", ParamKind::Num, kMax32},
-    {"latency", ParamKind::Bool, 0},
-    {"m", ParamKind::Num, kMax32},
-    {"policy", ParamKind::Str, 0},
-    {"ports", ParamKind::Num, kMax32},
-    {"queue", ParamKind::Num, kMax32},
-    {"rate", ParamKind::Num, 0},
-    {"seed", ParamKind::Num, kMax53},
-    {"uniform", ParamKind::Bool, 0},
+    {"burroughs", ParamValue::Kind::Bool, Scope::Network},
+    {"closed", ParamValue::Kind::Num, Scope::Run, 1, kMax32},
+    {"cycles", ParamValue::Kind::Num, Scope::Run, 1, kMax53},
+    {"d", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
+    {"hot", ParamValue::Kind::Num, Scope::Run, 0, 1, false},
+    {"ideal", ParamValue::Kind::Bool, Scope::Network},
+    {"k", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
+    {"latency", ParamValue::Kind::Bool, Scope::Grid},
+    {"m", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
+    {"policy", ParamValue::Kind::Str, Scope::Network},
+    {"ports", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
+    {"queue", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
+    {"rate", ParamValue::Kind::Num, Scope::Run, 0, 1, false},
+    {"seed", ParamValue::Kind::Num, Scope::Run, 0, kMax53},
+    {"uniform", ParamValue::Kind::Bool, Scope::Network},
 };
 
 const KnownParam *
@@ -59,6 +70,21 @@ findParam(const std::string &name)
             return &p;
     }
     return nullptr;
+}
+
+bool
+onSurface(const KnownParam &p, FlagSurface surface)
+{
+    return p.scope == Scope::Network ||
+           (p.scope == Scope::Run && surface == FlagSurface::Net);
+}
+
+std::string
+rangeText(const KnownParam &p)
+{
+    return p.integral ? cli::intRange(static_cast<std::uint64_t>(p.lo),
+                                      static_cast<std::uint64_t>(p.hi))
+                      : cli::numberRange(p.lo, p.hi);
 }
 
 std::string
@@ -74,49 +100,56 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Scalar JSON value -> ParamValue, validated against the parameter's
- *  declared kind. */
+std::string
+mustBe(const KnownParam &p, const std::string &what)
+{
+    return "parameter '" + std::string(p.name) + "' must be " + what;
+}
+
+const char *
+kindText(ParamValue::Kind kind)
+{
+    return kind == ParamValue::Kind::Bool  ? "true/false"
+           : kind == ParamValue::Kind::Num ? "a number"
+                                           : "a string";
+}
+
+/** Why @p v is not a value of @p p, or "".  An integer out of range
+ *  does not fit its field; a fraction out of range is reported as a
+ *  quantity, with its value. */
+std::string
+checkParam(const KnownParam &p, const ParamValue &v)
+{
+    if (v.kind != p.kind)
+        return mustBe(p, kindText(p.kind));
+    if (p.kind != ParamValue::Kind::Num ||
+        (v.num >= p.lo && v.num <= p.hi &&
+         (!p.integral || v.num == std::floor(v.num)))) {
+        return "";
+    }
+    return p.integral ? mustBe(p, rangeText(p))
+                      : std::string(p.name) + " must be " + rangeText(p) +
+                            ", got " + v.jsonText();
+}
+
+/** Scalar JSON value -> ParamValue of the parameter's kind; its range
+ *  is checked per point, by specFromParams. */
 bool
 paramFromJson(const KnownParam &known, const jsonlite::JsonValue &v,
               ParamValue &out, std::string &err)
 {
-    switch (known.kind) {
-    case ParamKind::Bool:
-        if (v.type != jsonlite::JsonValue::Type::Bool) {
-            err = "parameter '" + std::string(known.name) +
-                  "' must be true/false";
-            return false;
-        }
+    if (known.kind == ParamValue::Kind::Bool &&
+        v.type == jsonlite::JsonValue::Type::Bool) {
         out = ParamValue::boolean(v.boolean);
-        return true;
-    case ParamKind::Num:
-        if (!v.isNumber()) {
-            err = "parameter '" + std::string(known.name) +
-                  "' must be a number";
-            return false;
-        }
-        if (known.intMax != 0 &&
-            (v.number < 0 || v.number > known.intMax ||
-             v.number != std::floor(v.number))) {
-            std::ostringstream os;
-            os << "parameter '" << known.name
-               << "' must be an integer in [0, " << std::fixed
-               << std::setprecision(0) << known.intMax << "]";
-            err = os.str();
-            return false;
-        }
+    } else if (known.kind == ParamValue::Kind::Num && v.isNumber()) {
         out = ParamValue::number(v.number);
-        return true;
-    case ParamKind::Str:
-        if (!v.isString()) {
-            err = "parameter '" + std::string(known.name) +
-                  "' must be a string";
-            return false;
-        }
+    } else if (known.kind == ParamValue::Kind::Str && v.isString()) {
         out = ParamValue::text(v.string);
-        return true;
+    } else {
+        err = mustBe(known, kindText(known.kind));
+        return false;
     }
-    return false;
+    return true;
 }
 
 /** Load a grid's `base` parameter object into @p out, validating
@@ -385,10 +418,11 @@ specFromParams(const ParamMap &params, std::string &err)
     err.clear();
     NetPointSpec spec;
     for (const auto &kv : params) {
-        if (findParam(kv.first) == nullptr) {
-            err = "unknown parameter '" + kv.first + "'";
+        const KnownParam *known = findParam(kv.first);
+        err = known == nullptr ? "unknown parameter '" + kv.first + "'"
+                               : checkParam(*known, kv.second);
+        if (!err.empty())
             return spec;
-        }
     }
     net::NetSimConfig &ncfg = spec.net;
     ncfg.numPorts =
@@ -436,8 +470,61 @@ specFromParams(const ParamMap &params, std::string &err)
     spec.cycles =
         static_cast<Cycle>(numParam(params, "cycles", 10000));
     spec.wantLatency = boolParam(params, "latency");
-    err = validate(spec);
+    if (!ncfg.valid()) {
+        err = "invalid network configuration (ports must be a power of "
+              "k, queues >= one message)";
+    }
     return spec;
+}
+
+bool
+paramFromFlag(FlagSurface surface, const std::string &name,
+              const std::string &text, ParamMap &params, std::string &err)
+{
+    const KnownParam *known = findParam(name);
+    if (known == nullptr || !onSurface(*known, surface)) {
+        err = "unknown flag '--" + name + "'";
+        return false;
+    }
+    switch (known->kind) {
+    case ParamValue::Kind::Bool:
+        if (!text.empty()) {
+            err = "--" + name + " takes no value, got '" + text + "'";
+            return false;
+        }
+        params[name] = ParamValue::boolean(true);
+        return true;
+    case ParamValue::Kind::Str:
+        params[name] = ParamValue::text(text);
+        return true;
+    case ParamValue::Kind::Num:
+        break;
+    }
+    std::optional<double> x;
+    if (!known->integral) {
+        x = cli::parseNumber(text, known->lo, known->hi);
+    } else if (const auto i = cli::parseInt(
+                   text, static_cast<std::uint64_t>(known->lo),
+                   static_cast<std::uint64_t>(known->hi))) {
+        x = static_cast<double>(*i);
+    }
+    if (!x) {
+        err = cli::badValue(name, text, rangeText(*known));
+        return false;
+    }
+    params[name] = ParamValue::number(*x);
+    return true;
+}
+
+std::vector<std::string>
+flagNames(FlagSurface surface)
+{
+    std::vector<std::string> names;
+    for (const KnownParam &p : kKnownParams) {
+        if (onSurface(p, surface))
+            names.push_back(p.name);
+    }
+    return names;
 }
 
 std::vector<std::string>
@@ -446,8 +533,9 @@ argvForParams(const ParamMap &params)
     std::vector<std::string> argv;
     argv.push_back("net");
     for (const auto &kv : params) {
-        if (kv.first == "latency")
-            continue; // observability, not an `ultrasim net` sim flag
+        const KnownParam *known = findParam(kv.first);
+        if (known != nullptr && !onSurface(*known, FlagSurface::Net))
+            continue; // grid-only observability, no `ultrasim net` flag
         if (kv.second.kind == ParamValue::Kind::Bool) {
             if (kv.second.b)
                 argv.push_back("--" + kv.first);
@@ -519,133 +607,6 @@ isSweepDocument(const std::string &text)
     } catch (const std::exception &) {
         return false;
     }
-}
-
-std::string
-emitFig7Json(const std::string &mergedSweep, const std::string &tag,
-             std::string &err)
-{
-    err.clear();
-    jsonlite::JsonValue doc;
-    try {
-        doc = jsonlite::parse(mergedSweep);
-    } catch (const std::exception &e) {
-        err = e.what();
-        return "";
-    }
-    if (!doc.has("points") || !doc["points"].isArray()) {
-        err = "not a sweep.v1 document";
-        return "";
-    }
-    std::ostringstream body;
-    double worst = 0.0;
-    unsigned long long ports = 0;
-    std::size_t count = 0;
-    for (const jsonlite::JsonValue &pt : doc["points"].array) {
-        if (!pt.isObject() || !pt.has("tag") || pt["tag"].string != tag)
-            continue;
-        const jsonlite::JsonValue &params = pt["params"];
-        const jsonlite::JsonValue &summary = pt["summary"];
-        if (summary["model_applicable"].number == 0) {
-            err = "point " +
-                  std::to_string(static_cast<long long>(
-                      pt["index"].number)) +
-                  " (tag '" + tag + "') is not model-applicable";
-            return "";
-        }
-        if (ports == 0) {
-            ports = static_cast<unsigned long long>(
-                params["ports"].number);
-        }
-        const double drift = summary["drift"].number;
-        worst = std::max(worst, std::abs(drift));
-        if (count > 0)
-            body << ",\n";
-        body << "    {\"k\": "
-             << static_cast<unsigned>(params["k"].number)
-             << ", \"d\": " << static_cast<unsigned>(params["d"].number)
-             << ", \"p\": " << params["rate"].number
-             << ", \"predicted\": " << summary["predicted_transit"].number
-             << ", \"measured\": " << summary["measured_transit"].number
-             << ", \"drift\": " << drift << "}";
-        ++count;
-    }
-    if (count == 0) {
-        err = "no points with tag '" + tag + "'";
-        return "";
-    }
-    std::ostringstream out;
-    out << "{\n  \"bench\": \"fig7_transit_time\",\n"
-        << "  \"ports\": " << ports << ",\n"
-        << "  \"tolerance\": " << analytic::kDefaultDriftTolerance
-        << ",\n"
-        << "  \"worst_abs_drift\": " << worst << ",\n"
-        << "  \"points\": [\n"
-        << body.str() << "\n  ]\n}\n";
-    return out.str();
-}
-
-std::string
-emitHotspotJson(const std::string &mergedSweep, const std::string &tag,
-                std::string &err)
-{
-    err.clear();
-    jsonlite::JsonValue doc;
-    try {
-        doc = jsonlite::parse(mergedSweep);
-    } catch (const std::exception &e) {
-        err = e.what();
-        return "";
-    }
-    if (!doc.has("points") || !doc["points"].isArray()) {
-        err = "not a sweep.v1 document";
-        return "";
-    }
-    std::ostringstream body;
-    std::size_t count = 0;
-    for (const jsonlite::JsonValue &pt : doc["points"].array) {
-        if (!pt.isObject() || !pt.has("tag") || pt["tag"].string != tag)
-            continue;
-        const jsonlite::JsonValue &params = pt["params"];
-        const jsonlite::JsonValue &summary = pt["summary"];
-        if (!summary.has("lat")) {
-            err = "point " +
-                  std::to_string(static_cast<long long>(
-                      pt["index"].number)) +
-                  " (tag '" + tag +
-                  "') has no latency analytics; set \"latency\": true";
-            return "";
-        }
-        const jsonlite::JsonValue &lat = summary["lat"];
-        const auto u64 = [](const jsonlite::JsonValue &v) {
-            return static_cast<unsigned long long>(v.number);
-        };
-        if (count > 0)
-            body << ",\n";
-        body << "    {\"ports\": " << u64(params["ports"])
-             << ", \"ops_per_cycle\": "
-             << summary["ops_per_cycle"].number
-             << ", \"access_time\": " << summary["access_mean"].number
-             << ", \"combined_fraction\": "
-             << summary["combined_fraction"].number
-             << ", \"delivered\": " << u64(lat["delivered"])
-             << ", \"combined_delivered\": "
-             << u64(lat["combined_delivered"])
-             << ", \"mm_cycles_saved\": " << u64(lat["mm_cycles_saved"])
-             << ", \"fanin_p50\": " << u64(lat["fanin_p50"])
-             << ", \"fanin_max\": " << u64(lat["fanin_max"])
-             << ", \"violations\": " << u64(lat["violations"]) << "}";
-        ++count;
-    }
-    if (count == 0) {
-        err = "no points with tag '" + tag + "'";
-        return "";
-    }
-    std::ostringstream out;
-    out << "{\n  \"bench\": \"hotspot_combining\",\n"
-        << "  \"design\": \"combining\",\n  \"runs\": [\n"
-        << body.str() << "\n  ]\n}\n";
-    return out.str();
 }
 
 } // namespace ultra::sweep

@@ -14,9 +14,13 @@
  *         "seed_base": 1}]}
  *
  * (A single-grid file may also put tag/base/axes at top level.)  Every
- * parameter name is an `ultrasim net` flag; unknown names are rejected
- * -- a typo must never silently become a default-configured
- * experiment, the same contract the CLI enforces.
+ * parameter name is an `ultrasim net` flag, except the grid-only
+ * "latency"; unknown names are rejected -- a typo must never silently
+ * become a default-configured experiment.
+ *
+ * One table in grid.cc declares the net parameters' names, kinds and
+ * ranges, and specFromParams alone holds their defaults, so grid values
+ * and `ultrasim` flags (paramFromFlag) parse the same way.
  *
  * Expansion is canonical: axes iterate in sorted key order (the last
  * key fastest), an optional `seeds` replication is the innermost
@@ -80,9 +84,32 @@ std::uint64_t derivePointSeed(std::uint64_t base, std::size_t index);
 std::vector<Point> expandGridFile(const std::string &text,
                                   std::string &err);
 
-/** Map a point's parameters onto a run spec.  Unknown names and any
- *  value validate() rejects set @p err. */
+/** Map a point's parameters onto a run spec, filling in the defaults.
+ *  Unknown names, values the parameter table rejects and a network that
+ *  cannot be built set @p err: every entry point (`ultrasim net`,
+ *  `trace --replay`, grid points) comes through here, so a bad value
+ *  gets a message instead of reaching an assertion. */
 NetPointSpec specFromParams(const ParamMap &params, std::string &err);
+
+/** The `ultrasim` surfaces that take net parameters as flags: `net`
+ *  takes every one but the grid-only "latency", `trace --replay` only
+ *  those that shape the network. */
+enum class FlagSurface { Net, Replay };
+
+/**
+ * Add the flag --@p name with value @p text ("" for a bare flag) to
+ * @p params, with the kind and range the parameter table gives it: a
+ * boolean takes no value, an integer only decimal digits.  False, with
+ * @p err naming the flag, when @p name is no flag of @p surface or
+ * @p text does not fit.  Values that only fail together (ports not a
+ * power of k, an unknown policy) are specFromParams's to reject.
+ */
+bool paramFromFlag(FlagSurface surface, const std::string &name,
+                   const std::string &text, ParamMap &params,
+                   std::string &err);
+
+/** The names paramFromFlag accepts on @p surface, sorted. */
+std::vector<std::string> flagNames(FlagSurface surface);
 
 /** The `ultrasim net` argument vector reproducing @p params (without
  *  any output flags): ["net", "--ports", "16", ...]. */
@@ -108,19 +135,6 @@ std::string mergeSweepJson(const std::vector<std::string> &records);
 
 /** True when @p doc parses as a sweep.v1 document. */
 bool isSweepDocument(const std::string &text);
-
-/**
- * Render BENCH_fig7.json from the merged records carrying @p tag
- * (schema-compatible with bench/fig7_transit_time.cc).  Returns ""
- * and sets @p err when no point with the tag is model-applicable.
- */
-std::string emitFig7Json(const std::string &mergedSweep,
-                         const std::string &tag, std::string &err);
-
-/** Render BENCH_hotspot.json (schema-compatible with
- *  bench/hotspot_combining.cc) from records carrying @p tag. */
-std::string emitHotspotJson(const std::string &mergedSweep,
-                            const std::string &tag, std::string &err);
 
 } // namespace ultra::sweep
 

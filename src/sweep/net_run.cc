@@ -11,29 +11,6 @@
 namespace ultra::sweep
 {
 
-std::string
-validate(const NetPointSpec &spec)
-{
-    if (!spec.net.valid()) {
-        return "invalid network configuration (ports must be a power "
-               "of k, queues >= one message)";
-    }
-    const auto fraction = [](const char *name, double x) {
-        // Written so that NaN fails too.
-        if (x >= 0.0 && x <= 1.0)
-            return std::string();
-        std::ostringstream os;
-        os << name << " must be in [0, 1], got " << x;
-        return os.str();
-    };
-    std::string err = fraction("rate", spec.traffic.rate);
-    if (err.empty())
-        err = fraction("hot", spec.traffic.hotFraction);
-    if (err.empty() && spec.cycles < 1)
-        err = "cycles must be at least 1";
-    return err;
-}
-
 NetExperiment::NetExperiment(const NetPointSpec &spec) : spec_(spec)
 {
     mem::MemoryConfig mcfg;

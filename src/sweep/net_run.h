@@ -54,7 +54,8 @@ namespace ultra::sweep
 
 /** One fully-resolved net-mode experiment point: everything that
  *  affects the simulated outcome, nothing that is host-side
- *  observability.  Defaults mirror the `ultrasim net` flag defaults. */
+ *  observability.  sweep::specFromParams fills it in, defaults
+ *  included. */
 struct NetPointSpec
 {
     net::NetSimConfig net;
@@ -64,16 +65,6 @@ struct NetPointSpec
     bool wantLatency = false;
     double driftTolerance = analytic::kDefaultDriftTolerance;
 };
-
-/**
- * Why @p spec cannot run, or "" when it can: a valid network, rate and
- * hot fraction in [0, 1], at least one measured cycle.  Every entry
- * point (`ultrasim net`, grid points) checks this before
- * building an experiment, so a bad value gets a message instead of
- * reaching an assertion.  Integral parameters are range-checked where
- * they are parsed, before they are narrowed into the spec's fields.
- */
-std::string validate(const NetPointSpec &spec);
 
 /** Headline metrics of a finished run, for sweep records and reports;
  *  everything here is derived from simulated state, so the values are

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,9 @@
 #endif
 #ifndef ULTRASWEEP_BIN
 #error "build must define ULTRASWEEP_BIN (see tests/CMakeLists.txt)"
+#endif
+#ifndef ULTRACHECK_BIN
+#error "build must define ULTRACHECK_BIN (see tests/CMakeLists.txt)"
 #endif
 
 namespace
@@ -59,6 +63,31 @@ readFile(const std::string &path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/** Run @p cmd, expecting exit 2 and a message naming @p flag (never a
+ *  panic). */
+void
+expectRejected(const std::string &cmd, const std::string &flag)
+{
+    const std::string err =
+        tmpPath("rejected_" + std::to_string(::getpid()) + ".err");
+    EXPECT_EQ(runCommand(cmd + " > /dev/null 2> " + err), 2) << cmd;
+    const std::string text = readFile(err);
+    EXPECT_NE(text.find(flag), std::string::npos) << cmd << ": " << text;
+    EXPECT_EQ(text.find("panic"), std::string::npos) << cmd << ": " << text;
+    std::remove(err.c_str());
+}
+
+/** A one-point grid, written to @p name, that simulates in
+ *  milliseconds. */
+std::string
+tinyGrid(const std::string &name)
+{
+    const std::string grid = tmpPath(name);
+    std::ofstream(grid) << "{\"schema\": \"sweep.grid.v1\", \"base\": "
+                           "{\"ports\": 16, \"cycles\": 50}}";
+    return grid;
 }
 
 TEST(CliTest, NetStatsJsonIsValidAndComplete)
@@ -127,6 +156,10 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"net --hot 2", "--hot"},
         {"net --ports 16 --k 2 --cycles 0", "cycles"},
         {"net --ports 4294967312 --k 2", "--ports"},
+        {"net --ports 16 --cycles 50 --closed 0", "--closed"},
+        {"net --policy bogus", "policy"},
+        // A boolean flag takes no value.
+        {"net --uniform 5", "--uniform"},
         {"app --pes abc", "--pes"},
         {"app --app tred2 --pes 0", "--pes"},
         {"app --app tred2 --pes 5000", "--pes"},
@@ -229,6 +262,23 @@ TEST(CliTest, FailedOutputWritesExitOne)
     // A full device fails at write or close, not at open.
     EXPECT_EQ(runTool("trace --record /dev/full --pes 2 --n 4"), 1);
     EXPECT_EQ(runTool("trace --record " + bad + " --pes 2 --n 4"), 1);
+
+    // ultrasweep's merged output obeys the same rule.
+    const std::string grid = tinyGrid("full_sweep_grid.json");
+    const std::string dir = tmpPath("full_sweep.points.d");
+    const std::string err = tmpPath("full_sweep.err");
+    for (const std::string &out : {std::string("/dev/full"), bad}) {
+        EXPECT_EQ(runCommand(std::string(ULTRASWEEP_BIN) + " --grid " +
+                             grid + " --out " + out + " --points-dir " +
+                             dir + " > /dev/null 2> " + err),
+                  1)
+            << out;
+        EXPECT_NE(readFile(err).find("--out " + out), std::string::npos)
+            << readFile(err);
+    }
+    runCommand("rm -rf " + dir);
+    std::remove(grid.c_str());
+    std::remove(err.c_str());
 }
 
 TEST(CliTest, ProfJsonLeavesSimulationOutputByteIdentical)
@@ -417,6 +467,18 @@ TEST(CliTest, UltrascopeAnalyzesTrace)
     std::remove(junk.c_str());
 }
 
+TEST(CliTest, UltrascopeNumericFlagsAreStrict)
+{
+    // Garbage never becomes a count of 0, a 2 s fallback or a 0 ms
+    // timeout; the flags are checked before any file or socket.
+    const std::string scope = std::string(ULTRASCOPE_BIN) + " ";
+    expectRejected(scope + "T.json --top abc", "--top");
+    expectRejected(scope + "T.json --slowest 3x", "--slowest");
+    expectRejected(scope + "--attach 0 --watch abc", "--watch");
+    expectRejected(scope + "--attach 0 --watch 0", "--watch");
+    expectRejected(scope + "--attach 0 --timeout abc", "--timeout");
+}
+
 TEST(CliTest, BadSubcommandFails)
 {
     EXPECT_NE(runTool("frobnicate"), 0);
@@ -435,7 +497,7 @@ TEST(CliTest, BadSubcommandFails)
 
 TEST(CliTest, NetSeedFlagIsDeterministic)
 {
-    // --seed rides the net allowlist: same seed, same bytes; a
+    // --seed is a net parameter: same seed, same bytes; a
     // different seed must actually steer the traffic generator.
     const std::string a = tmpPath("seed_a.json");
     const std::string b = tmpPath("seed_b.json");
@@ -488,6 +550,37 @@ TEST(CliTest, UltrasweepRejectsBadInvocations)
               2);
     std::remove(junk.c_str());
     std::remove(err.c_str());
+
+    // Numbers are strict: garbage and values that would be clamped
+    // exit 2 naming the flag, as does a value on a boolean flag.
+    const std::string grid = tinyGrid("strict_sweep_grid.json");
+    const std::string sweep =
+        std::string(ULTRASWEEP_BIN) + " --grid " + grid + " ";
+    expectRejected(sweep + "--workers abc", "--workers");
+    expectRejected(sweep + "--workers 0", "--workers");
+    expectRejected(sweep + "--retries 0", "--retries");
+    expectRejected(sweep + "--timeout-s 1x", "--timeout-s");
+    expectRejected(sweep + "--list 1", "--list");
+    std::remove(grid.c_str());
+}
+
+TEST(CliTest, UltracheckRejectsBadInvocations)
+{
+    // A typo'd flag or a malformed number must not run the default
+    // suites, nor turn into a budget of 0 states reported as
+    // violations.
+    const std::string check = std::string(ULTRACHECK_BIN) + " ";
+    expectRejected(check + "--sute fa", "--sute");
+    expectRejected(check + "--max-states abc", "--max-states");
+    expectRejected(check + "--max-states 0", "--max-states");
+    expectRejected(check + "--random-walks 5x", "--random-walks");
+    expectRejected(check + "--pes 5", "--pes");
+    expectRejected(check + "--suite bogus", "--suite");
+    expectRejected(check + "--demo-bug 1", "--demo-bug");
+    // The smallest well-formed run still verifies.
+    EXPECT_EQ(runCommand(check + "--suite fa --pes 2 --random-walks 5 "
+                                 "> /dev/null 2>&1"),
+              0);
 }
 
 TEST(CliTest, UltrascopeSweepModeRendersAndRejects)

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,7 @@ TEST(GridTest, RejectsOutOfRangeValuesAtLoad)
         {R"({"ports": 1e30})", "ports"},
         {R"({"k": 4294967296})", "'k'"},
         {R"({"seed": 1e30})", "seed"},
+        {R"({"closed": 0})", "closed"},
         {R"({"ports": 24})", "invalid network"},
     };
     for (const auto &c : cases) {
@@ -217,6 +219,116 @@ TEST(GridTest, RejectsOutOfRangeValuesAtLoad)
     params["cycles"] = sweep::ParamValue::number(0);
     sweep::specFromParams(params, err);
     EXPECT_NE(err.find("cycles"), std::string::npos) << err;
+}
+
+/** Whether `ultrasim net --NAME TEXT` resolves, through the same
+ *  calls the tool makes. */
+bool
+cliAccepts(const std::string &name, const std::string &text)
+{
+    sweep::ParamMap params;
+    std::string err;
+    if (!sweep::paramFromFlag(sweep::FlagSurface::Net, name, text, params,
+                              err)) {
+        EXPECT_NE(err.find("--" + name), std::string::npos) << err;
+        return false;
+    }
+    sweep::specFromParams(params, err);
+    return err.empty();
+}
+
+/** Whether a grid whose base is {"NAME": JSON} loads. */
+bool
+gridAccepts(const std::string &name, const std::string &json)
+{
+    std::string err;
+    sweep::expandGridFile(R"({"schema": "sweep.grid.v1", "base": {")" +
+                              name + "\": " + json + "}}",
+                          err);
+    return err.empty();
+}
+
+TEST(GridTest, CliAndGridAgreeOnEveryParameter)
+{
+    // Per flag: garbage, out of range and the range's boundaries, each
+    // as CLI text and as grid JSON.  Both paths must give the expected
+    // verdict, so they agree.
+    const struct
+    {
+        const char *name;
+        const char *cli;
+        const char *json;
+        bool accept;
+    } cases[] = {
+        {"burroughs", "5", "5", false},
+        {"burroughs", "", "true", true},
+        {"closed", "abc", "\"abc\"", false},
+        {"closed", "0", "0", false},
+        {"closed", "4294967296", "4294967296", false},
+        {"closed", "1", "1", true},
+        {"closed", "4294967295", "4294967295", true},
+        {"cycles", "12x", "\"12x\"", false},
+        {"cycles", "0", "0", false},
+        {"cycles", "9007199254740993", "9007199254740994", false},
+        {"cycles", "1", "1", true},
+        {"d", "-1", "-1", false},
+        {"d", "4294967296", "4294967296", false},
+        {"d", "0", "0", false}, // in range, but no network has d = 0
+        {"d", "2", "2", true},
+        {"hot", "0.5x", "\"0.5x\"", false},
+        {"hot", "-0.5", "-0.5", false},
+        {"hot", "1.5", "1.5", false},
+        {"hot", "0", "0", true},
+        {"hot", "1", "1", true},
+        {"ideal", "yes", "\"yes\"", false},
+        {"ideal", "", "true", true},
+        {"k", "two", "\"two\"", false},
+        {"k", "4294967296", "4294967296", false},
+        {"k", "4294967295", "4294967295", false}, // 256 ports: no power
+        {"k", "4", "4", true},
+        {"m", "2.5", "2.5", false},
+        {"m", "4294967296", "4294967296", false},
+        {"m", "1", "1", true},
+        {"policy", "bogus", "\"bogus\"", false},
+        {"policy", "", "\"\"", false},
+        {"policy", "none", "\"none\"", true},
+        {"policy", "homo", "\"homo\"", true},
+        {"ports", "16x", "\"16x\"", false},
+        {"ports", "4294967296", "4294967296", false},
+        {"ports", "24", "24", false},
+        {"ports", "16", "16", true},
+        {"queue", "q", "\"q\"", false},
+        {"queue", "4294967296", "4294967296", false},
+        {"queue", "0", "0", true},
+        {"queue", "4294967295", "4294967295", true},
+        {"rate", "x", "\"x\"", false},
+        {"rate", "7", "7", false},
+        {"rate", "-1", "-1", false},
+        {"rate", "0", "0", true},
+        {"rate", "1", "1", true},
+        {"seed", "1e3", "\"1e3\"", false},
+        {"seed", "9007199254740993", "9007199254740994", false},
+        {"seed", "0", "0", true},
+        {"seed", "9007199254740992", "9007199254740992", true},
+        {"uniform", "5", "5", false},
+        {"uniform", "", "true", true},
+    };
+    std::set<std::string> covered;
+    for (const auto &c : cases) {
+        EXPECT_EQ(cliAccepts(c.name, c.cli), c.accept)
+            << "--" << c.name << " '" << c.cli << "'";
+        EXPECT_EQ(gridAccepts(c.name, c.json), c.accept)
+            << c.name << ": " << c.json;
+        covered.insert(c.name);
+    }
+    // The rows cover every flag, and only flags: "latency" is a
+    // grid-only switch.
+    const std::vector<std::string> flags =
+        sweep::flagNames(sweep::FlagSurface::Net);
+    EXPECT_EQ(std::vector<std::string>(covered.begin(), covered.end()),
+              flags);
+    EXPECT_FALSE(cliAccepts("latency", ""));
+    EXPECT_TRUE(gridAccepts("latency", "true"));
 }
 
 TEST(GridTest, SpecFromParamsMirrorsCliDefaults)

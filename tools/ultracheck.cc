@@ -27,68 +27,35 @@
  *   --demo-bug       run the intentionally broken load-then-store
  *                    counter and show the verifier catching it
  *
- * Exit status: 0 when every configuration verifies, 1 otherwise.
+ * Exit status: 0 when every configuration verifies, 1 otherwise, 2 for
+ * a bad invocation: flags parse through the strict parser every tool
+ * shares (src/common/cli.h), so an unknown flag or a malformed or
+ * out-of-range number exits 2 naming the flag.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/models.h"
 #include "check/serial.h"
+#include "common/cli.h"
 
 namespace
 {
 
 using namespace ultra::check;
 
-/** Minimal flag parser: --name value and boolean --name. */
-class Args
+void
+usage()
 {
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0) {
-                std::fprintf(stderr, "unexpected argument '%s'\n",
-                             argv[i]);
-                std::exit(2);
-            }
-            key = key.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                values_[key] = argv[++i];
-            } else {
-                values_[key] = "";
-            }
-        }
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    std::uint64_t
-    getInt(const std::string &key, std::uint64_t fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end()
-                   ? fallback
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
-    }
-
-    std::string
-    getString(const std::string &key, const std::string &fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
+    std::fprintf(stderr,
+                 "usage: ultracheck [--suite fa|queue|rw|barrier|all]\n"
+                 "                  [--pes N] [--max-states N]\n"
+                 "                  [--no-reduction] [--random-walks K]\n"
+                 "                  [--seed S] [--demo-bug]\n");
+}
 
 struct RunConfig
 {
@@ -197,37 +164,30 @@ runBarrier(unsigned max_pes, const RunConfig &cfg)
 int
 main(int argc, char **argv)
 {
-    const Args args(argc, argv, 1);
-    if (args.has("help")) {
-        std::printf("usage: ultracheck "
-                    "[--suite fa|queue|rw|barrier|all]\n"
-                    "                  [--pes N] [--max-states N]\n"
-                    "                  [--no-reduction] [--random-walks K]\n"
-                    "                  [--seed S] [--demo-bug]\n");
+    const ultra::cli::Flags args("ultracheck", usage, argc, argv, 1);
+    args.rejectUnknown({"suite", "pes", "max-states", "no-reduction",
+                        "random-walks", "seed", "demo-bug", "help"});
+    if (args.flag("help")) {
+        usage();
         return 0;
     }
 
     const std::string suite = args.getString("suite", "all");
     if (suite != "fa" && suite != "queue" && suite != "rw" &&
         suite != "barrier" && suite != "all") {
-        std::fprintf(stderr, "unknown --suite '%s'\n", suite.c_str());
-        return 2;
+        args.fail("unknown --suite '" + suite + "'");
     }
-
     const unsigned max_pes =
-        static_cast<unsigned>(args.getInt("pes", 3));
-    if (max_pes < 2 || max_pes > 4) {
-        std::fprintf(stderr, "--pes must be 2..4 (got %u)\n", max_pes);
-        return 2;
-    }
+        static_cast<unsigned>(args.getInt("pes", 3, 2, 4));
 
     RunConfig cfg;
-    cfg.opts.maxStates = args.getInt("max-states", cfg.opts.maxStates);
-    cfg.opts.sleepSets = !args.has("no-reduction");
-    cfg.randomWalkCount = args.getInt("random-walks", 0);
-    cfg.seed = args.getInt("seed", 1);
+    cfg.opts.maxStates =
+        args.getInt("max-states", cfg.opts.maxStates, 1, UINT64_MAX);
+    cfg.opts.sleepSets = !args.flag("no-reduction");
+    cfg.randomWalkCount = args.getInt("random-walks", 0, 0, UINT64_MAX);
+    cfg.seed = args.getInt("seed", 1, 0, UINT64_MAX);
 
-    if (args.has("demo-bug")) {
+    if (args.flag("demo-bug")) {
         std::printf("demonstration: load-then-store counter "
                     "(NOT serializable)\n");
         const bool caught =

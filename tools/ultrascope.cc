@@ -43,6 +43,9 @@
  *                        arrives
  *   --timeout SEC        per-wait receive timeout (default 30)
  *
+ * --watch and --timeout take seconds in [0.001, 86400], --top and
+ * --slowest a count; any other value exits 2 naming the flag.
+ *
  * Exit codes: 0 ok, 2 unreadable trace / usage / connect failure,
  * 1 a scripted command got an error reply, 3 timeout waiting for the
  * server.
@@ -57,6 +60,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/json_lite.h"
 #include "inspect/server.h"
 
@@ -525,6 +529,34 @@ commandLineFor(const std::string &text)
     return "{\"cmd\": \"" + text + "\"}";
 }
 
+/** Exit 2: "ultrascope: --FLAG expects WHAT, got 'TEXT'". */
+[[noreturn]] void
+badFlag(const std::string &flag, const std::string &text,
+        const std::string &what)
+{
+    std::fprintf(stderr, "ultrascope: %s\n",
+                 ultra::cli::badValue(flag.substr(2), text, what).c_str());
+    std::exit(2);
+}
+
+/** The seconds of --watch or --timeout, in [0.001, 86400]. */
+double
+seconds(const std::string &flag, const std::string &text)
+{
+    if (const auto sec = ultra::cli::parseNumber(text, 0.001, 86400.0))
+        return *sec;
+    badFlag(flag, text, ultra::cli::numberRange(0.001, 86400.0));
+}
+
+/** The count of --top or --slowest. */
+std::size_t
+count(const std::string &flag, const std::string &text)
+{
+    if (const auto n = ultra::cli::parseInt(text, 0, SIZE_MAX))
+        return *n;
+    badFlag(flag, text, ultra::cli::intRange(0, SIZE_MAX));
+}
+
 int
 attachMain(int argc, char **argv)
 {
@@ -552,14 +584,11 @@ attachMain(int argc, char **argv)
             actions.push_back({true, value()});
         } else if (arg == "--watch") {
             watch = true;
-            watch_sec = std::strtod(value().c_str(), nullptr);
-            if (watch_sec <= 0)
-                watch_sec = 2.0;
+            watch_sec = seconds(arg, value());
         } else if (arg == "--heatmap-out") {
             heatmap_prefix = value();
         } else if (arg == "--timeout") {
-            timeout_ms = static_cast<int>(
-                1000.0 * std::strtod(value().c_str(), nullptr));
+            timeout_ms = static_cast<int>(1000.0 * seconds(arg, value()));
         } else {
             attachUsage();
             return 2;
@@ -704,9 +733,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--top" && i + 1 < argc) {
-            top = std::strtoull(argv[++i], nullptr, 10);
+            top = count(arg, argv[++i]);
         } else if (arg == "--slowest" && i + 1 < argc) {
-            slowest = std::strtoull(argv[++i], nullptr, 10);
+            slowest = count(arg, argv[++i]);
         } else if (path.empty() && arg.rfind("--", 0) != 0) {
             path = arg;
         } else {

@@ -56,10 +56,11 @@
  *                  attaches and resumes; attach with
  *                  `ultrascope --attach ADDR`.
  *
- * Unknown flags are rejected (exit 2) -- a typo must never silently
- * become a default-configured experiment.  So are numeric values with
- * trailing garbage or out of range (exit 2, naming the flag), and a
- * failed output-file write exits 1.
+ * Flags parse strictly (src/common/cli.h): a bad flag or value exits 2
+ * naming the flag, and a failed output-file write exits 1.  The network
+ * and `net` options are the net parameters of a sweep grid, declared
+ * once in src/sweep/grid.cc and resolved by sweep::specFromParams just
+ * as a grid point is.
  *
  * `net` options:
  *   --rate R       offered load, messages/PE/cycle, in [0, 1]
@@ -67,9 +68,9 @@
  *   --hot F        fraction of traffic to one hot F&A cell, in [0, 1]
  *                  (default 0)
  *   --cycles C     measured cycles, at least 1 (default 10000)
- *   --closed W     closed loop with window W instead of open loop
- *   --seed S       traffic RNG seed (default 1); lets a sweep point be
- *                  reproduced as a standalone run
+ *   --closed W     closed loop with window W >= 1 instead of open loop
+ *   --seed S       traffic RNG seed, at most 2^53 (default 1); lets a
+ *                  sweep point be reproduced as a standalone run
  *
  * `app` options:
  *   --app NAME     tred2 | weather | multigrid | montecarlo | sssp | accounts
@@ -94,18 +95,14 @@
  *   ultrasim pack --ports 4096
  */
 
+#include <algorithm>
 #include <bit>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <initializer_list>
-#include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -118,6 +115,7 @@
 #include "apps/shortest_path.h"
 #include "apps/tred2.h"
 #include "apps/weather.h"
+#include "common/cli.h"
 #include "common/table.h"
 #include "core/machine.h"
 #include "inspect/inspector.h"
@@ -132,7 +130,7 @@
 #include "obs/registry.h"
 #include "obs/sampler.h"
 #include "prof/profiler.h"
-#include "sweep/net_run.h"
+#include "sweep/grid.h"
 
 namespace
 {
@@ -141,122 +139,8 @@ using namespace ultra;
 
 void usage();
 
-/** Minimal flag parser: --name value and boolean --name. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0) {
-                std::fprintf(stderr, "unexpected argument '%s'\n",
-                             argv[i]);
-                usage();
-                std::exit(2);
-            }
-            key = key.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                values_[key] = argv[++i];
-            } else {
-                values_[key] = "";
-            }
-        }
-    }
-
-    /**
-     * Reject (exit 2 + usage) any parsed flag not in @p allowed: a typo
-     * must never silently run a default-configured experiment.
-     */
-    void
-    rejectUnknown(const char *cmd,
-                  std::initializer_list<const char *> allowed) const
-    {
-        for (const auto &kv : values_) {
-            bool known = false;
-            for (const char *name : allowed)
-                known = known || kv.first == name;
-            if (!known) {
-                std::fprintf(stderr,
-                             "ultrasim %s: unknown flag '--%s'\n", cmd,
-                             kv.first.c_str());
-                usage();
-                std::exit(2);
-            }
-        }
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    /** The value of --@p key as an integer in [0, @p max]; exit 2 on
-     *  an empty value, trailing garbage or a value out of range. */
-    std::uint64_t
-    getInt(const std::string &key, std::uint64_t fallback,
-           std::uint64_t max = UINT32_MAX) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        const std::string &v = it->second;
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t x = std::strtoull(v.c_str(), &end, 10);
-        if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-            *end != '\0' || errno == ERANGE || x > max) {
-            badValue(key, v,
-                     ("an integer in [0, " + std::to_string(max) + "]")
-                         .c_str());
-        }
-        return x;
-    }
-
-    /** The value of --@p key as a finite number; exit 2 like getInt. */
-    double
-    getDouble(const std::string &key, double fallback) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        const std::string &v = it->second;
-        char *end = nullptr;
-        errno = 0;
-        const double x = std::strtod(v.c_str(), &end);
-        if (v.empty() || std::isspace(static_cast<unsigned char>(v[0])) ||
-            *end != '\0' || errno == ERANGE || !std::isfinite(x)) {
-            badValue(key, v, "a number");
-        }
-        return x;
-    }
-
-    /** getDouble restricted to [0, 1] (rates and fractions). */
-    double
-    getFraction(const std::string &key, double fallback) const
-    {
-        const double x = getDouble(key, fallback);
-        if (x < 0.0 || x > 1.0)
-            badValue(key, values_.at(key), "a value in [0, 1]");
-        return x;
-    }
-
-    std::string
-    getString(const std::string &key, const std::string &fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-  private:
-    [[noreturn]] static void
-    badValue(const std::string &key, const std::string &value,
-             const char *what)
-    {
-        std::fprintf(stderr, "ultrasim: --%s expects %s, got '%s'\n",
-                     key.c_str(), what, value.c_str());
-        std::exit(2);
-    }
-
-    std::map<std::string, std::string> values_;
-};
+using cli::Flags;
+using cli::writeTextFile;
 
 /** The shared observability options (--stats-json, --latency-json...). */
 struct ObsOptions
@@ -273,12 +157,12 @@ struct ObsOptions
     double driftTolerance = analytic::kDefaultDriftTolerance;
 
     static ObsOptions
-    from(const Args &args)
+    from(const Flags &args)
     {
         ObsOptions o;
         o.statsJson = args.getString("stats-json", "");
-        o.statsPretty = args.has("stats-pretty");
-        o.sampleEvery = args.getInt("sample-every", 0, UINT64_MAX);
+        o.statsPretty = args.flag("stats-pretty");
+        o.sampleEvery = args.getInt("sample-every", 0, 0, UINT64_MAX);
         o.sampleOut = args.getString("sample-out", "");
         o.traceEvents = args.getString("trace-events", "");
         o.latencyJson = args.getString("latency-json", "");
@@ -287,7 +171,7 @@ struct ObsOptions
         o.checkDrift = args.has("check-drift");
         // A bare --check-drift keeps the default tolerance.
         if (!args.getString("check-drift", "").empty())
-            o.driftTolerance = args.getDouble("check-drift", 0.0);
+            o.driftTolerance = args.getDouble("check-drift", 0, 0, HUGE_VAL);
         if (o.driftTolerance <= 0.0)
             o.driftTolerance = analytic::kDefaultDriftTolerance;
         return o;
@@ -324,55 +208,31 @@ spliceJson(const std::string &object, const std::string &key,
            object.substr(end + 1);
 }
 
-/** Write @p content to @p path; false (with a message) on failure. */
-bool
-writeTextFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    bool ok = f != nullptr &&
-              std::fwrite(content.data(), 1, content.size(), f) ==
-                  content.size();
-    if (f != nullptr)
-        ok = std::fclose(f) == 0 && ok;
-    if (!ok)
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return ok;
-}
-
-net::NetSimConfig
-netConfigFrom(const Args &args)
-{
-    net::NetSimConfig cfg;
-    cfg.numPorts = static_cast<std::uint32_t>(args.getInt("ports", 256));
-    cfg.k = static_cast<unsigned>(args.getInt("k", 2));
-    cfg.m = static_cast<unsigned>(args.getInt("m", cfg.k));
-    cfg.d = static_cast<unsigned>(args.getInt("d", 1));
-    cfg.queueCapacityPackets =
-        static_cast<std::uint32_t>(args.getInt("queue", 15));
-    cfg.mmPendingCapacityPackets = cfg.queueCapacityPackets;
-    cfg.sizing = args.has("uniform") ? net::PacketSizing::Uniform
-                                     : net::PacketSizing::ByContent;
-    cfg.burroughsKill = args.has("burroughs");
-    cfg.idealParacomputer = args.has("ideal");
-    const std::string policy = args.getString("policy", "full");
-    cfg.combinePolicy = policy == "none" ? net::CombinePolicy::None
-                        : policy == "homo"
-                            ? net::CombinePolicy::Homogeneous
-                            : net::CombinePolicy::Full;
-    if (!cfg.valid()) {
-        std::fprintf(stderr, "invalid network configuration (ports "
-                             "must be a power of k, queues >= one "
-                             "message)\n");
-        std::exit(2);
-    }
-    return cfg;
-}
-
 /** Flags shared by `net` and `app` (observability). */
 #define ULTRASIM_OBS_FLAGS                                              \
     "stats-json", "stats-pretty", "sample-every", "sample-out",         \
         "trace-events", "latency-json", "prof-json", "heatmap-csv",     \
         "check-drift", "inspect"
+
+/** Resolve every flag but @p own as net parameters, exactly as a grid
+ *  point is resolved; a bad flag exits 2 naming it. */
+sweep::NetPointSpec
+specFromFlags(const Flags &args, sweep::FlagSurface surface,
+              std::initializer_list<const char *> own)
+{
+    sweep::ParamMap params;
+    std::string err;
+    for (const auto &[name, text] : args.values()) {
+        if (std::find(own.begin(), own.end(), name) == own.end() &&
+            !sweep::paramFromFlag(surface, name, text, params, err)) {
+            args.fail(err);
+        }
+    }
+    const sweep::NetPointSpec spec = sweep::specFromParams(params, err);
+    if (!err.empty())
+        args.fail(err);
+    return spec;
+}
 
 /**
  * Create the inspection server + engine for --inspect ADDR (exit 2 on
@@ -380,25 +240,19 @@ netConfigFrom(const Args &args)
  * a fast run cannot finish before the client attaches.
  */
 std::unique_ptr<inspect::Inspector>
-makeInspector(const Args &args,
+makeInspector(const Flags &args,
               std::unique_ptr<inspect::InspectServer> &server,
               const inspect::Targets &targets)
 {
     if (!args.has("inspect"))
         return nullptr;
     const std::string addr = args.getString("inspect", "");
-    if (addr.empty()) {
-        std::fprintf(stderr,
-                     "--inspect needs a port or unix-socket path\n");
-        std::exit(2);
-    }
+    if (addr.empty())
+        args.fail("--inspect needs a port or unix-socket path");
     std::string err;
     server = inspect::InspectServer::listen(addr, err);
-    if (server == nullptr) {
-        std::fprintf(stderr, "--inspect %s: %s\n", addr.c_str(),
-                     err.c_str());
-        std::exit(2);
-    }
+    if (server == nullptr)
+        args.fail("--inspect " + addr + ": " + err);
     std::fprintf(stderr,
                  "inspect: listening on %s (paused until a client "
                  "attaches and resumes)\n",
@@ -407,41 +261,20 @@ makeInspector(const Args &args,
 }
 
 int
-cmdNet(const Args &args)
+cmdNet(const Flags &args)
 {
-    args.rejectUnknown(
-        "net", {"ports", "k", "m", "d", "queue", "policy", "burroughs",
-                "ideal", "uniform", "rate", "hot", "cycles", "closed",
-                "seed", ULTRASIM_OBS_FLAGS});
     const ObsOptions obs = ObsOptions::from(args);
 
     // The experiment itself -- construction order, warmup/reset/
     // measure loop, model cross-check -- lives in sweep::NetExperiment
     // so `ultrasim net` and the ultrasweep workers produce identical
     // bytes by sharing the code, not by replicating it.  This function
-    // only maps flags onto the spec and wires the byte-neutral
-    // observability hooks.
-    sweep::NetPointSpec spec;
-    spec.net = netConfigFrom(args);
-    spec.traffic.activePes = spec.net.numPorts;
-    spec.traffic.rate = args.getFraction("rate", 0.1);
-    spec.traffic.hotFraction = args.getFraction("hot", 0.0);
-    spec.traffic.hotAddr = 13;
-    spec.traffic.addrSpaceWords = std::uint64_t{spec.net.numPorts} << 8;
-    if (args.has("closed")) {
-        spec.traffic.closedLoop = true;
-        spec.traffic.window =
-            static_cast<unsigned>(args.getInt("closed", 1));
-    }
-    spec.traffic.seed = args.getInt("seed", 1, UINT64_MAX);
-    spec.pni.maxOutstanding = spec.traffic.closedLoop ? 0 : 8;
-    spec.cycles = args.getInt("cycles", 10000, UINT64_MAX);
+    // only resolves the flags as a grid point is resolved and wires
+    // the byte-neutral observability hooks.
+    sweep::NetPointSpec spec =
+        specFromFlags(args, sweep::FlagSurface::Net, {ULTRASIM_OBS_FLAGS});
     spec.wantLatency = obs.latencyWanted();
     spec.driftTolerance = obs.driftTolerance;
-    if (const std::string err = sweep::validate(spec); !err.empty()) {
-        std::fprintf(stderr, "ultrasim net: %s\n", err.c_str());
-        return 2;
-    }
 
     sweep::NetExperiment exp(spec);
     net::Network &network = exp.network();
@@ -661,39 +494,31 @@ struct AppRun
 };
 
 /**
- * Read --app, --pes, --contexts and --n for subcommand @p cmd and size
- * the machine: the next power of two at or above max(16, --pes) ports.
- * A value the workload cannot run with prints "ultrasim CMD: ..." and
- * yields nothing, so the caller exits 2 before any simulation.
+ * Read --app, --pes, --contexts and --n and size the machine: the next
+ * power of two at or above max(16, --pes) ports.  A value the workload
+ * cannot run with exits 2 before any simulation.
  */
-std::optional<AppRun>
-appRunFrom(const Args &args, const char *cmd)
+AppRun
+appRunFrom(const Flags &args)
 {
-    const auto fail = [cmd](const std::string &msg) {
-        std::fprintf(stderr, "ultrasim %s: %s\n", cmd, msg.c_str());
-        return std::nullopt;
-    };
     AppRun run;
     run.app = args.getString("app", "tred2");
     const AppSize *size = nullptr;
     for (const AppSize &s : kAppSizes)
         size = run.app == s.app ? &s : size;
     if (size == nullptr)
-        return fail("unknown app '" + run.app + "'");
-    run.pes = static_cast<std::uint32_t>(args.getInt("pes", 16, 4096));
-    if (run.pes < 1)
-        return fail("--pes expects an integer in [1, 4096], got 0");
+        args.fail("unknown app '" + run.app + "'");
+    run.pes = static_cast<std::uint32_t>(args.getInt("pes", 16, 1, 4096));
     run.contexts = static_cast<std::uint32_t>(args.getInt("contexts", 1));
     if (run.app == "tred2" &&
         (run.contexts < 1 || run.pes % run.contexts != 0)) {
-        return fail("--contexts must divide --pes, got " +
-                    std::to_string(run.contexts));
+        args.fail("--contexts must divide --pes, got " +
+                  std::to_string(run.contexts));
     }
     run.n = args.getInt("n", size->defaultN);
     if (run.n < size->minN) {
-        return fail("--n expects at least " +
-                    std::to_string(size->minN) + " for " + run.app +
-                    ", got " + std::to_string(run.n));
+        args.fail("--n expects at least " + std::to_string(size->minN) +
+                  " for " + run.app + ", got " + std::to_string(run.n));
     }
     run.machine = core::MachineConfig::small(
         std::bit_ceil(std::max<std::uint32_t>(16, run.pes)), 2);
@@ -706,20 +531,16 @@ appRunFrom(const Args &args, const char *cmd)
            << std::setprecision(0) << words << " shared words for "
            << run.app << "; the " << run.machine.net.numPorts
            << "-port machine has " << total;
-        return fail(os.str());
+        args.fail(os.str());
     }
     return run;
 }
 
 int
-cmdApp(const Args &args)
+cmdApp(const Flags &args)
 {
-    args.rejectUnknown("app", {"app", "pes", "n", "contexts",
-                               ULTRASIM_OBS_FLAGS});
-    const std::optional<AppRun> run = appRunFrom(args, "app");
-    if (!run)
-        return 2;
-    const auto &[app, pes, contexts, n, mcfg] = *run;
+    args.rejectUnknown({"app", "pes", "n", "contexts", ULTRASIM_OBS_FLAGS});
+    const auto [app, pes, contexts, n, mcfg] = appRunFrom(args);
 
     Cycle cycles = 0;
     pe::PeStats totals;
@@ -867,15 +688,13 @@ cmdApp(const Args &args)
 }
 
 int
-cmdModel(const Args &args)
+cmdModel(const Flags &args)
 {
-    args.rejectUnknown("model",
-                       {"ports", "k", "m", "d", "best", "rate",
-                        "budget"});
-    if (args.has("best")) {
+    args.rejectUnknown({"ports", "k", "m", "d", "best", "rate", "budget"});
+    if (args.flag("best")) {
         // Cheapest configuration meeting a latency budget at a load.
-        const double p = args.getFraction("rate", 0.2);
-        const double budget = args.getDouble("budget", 20.0);
+        const double p = args.getDouble("rate", 0.2, 0.0, 1.0);
+        const double budget = args.getDouble("budget", 20, 0, HUGE_VAL);
         const std::uint64_t n = args.getInt("ports", 4096);
         const auto best = analytic::cheapestConfiguration(n, p, budget);
         if (best.d == 0) {
@@ -896,10 +715,8 @@ cmdModel(const Args &args)
     cfg.k = static_cast<unsigned>(args.getInt("k", 4));
     cfg.m = static_cast<unsigned>(args.getInt("m", cfg.k));
     cfg.d = static_cast<unsigned>(args.getInt("d", 1));
-    if (!cfg.valid()) {
-        std::fprintf(stderr, "invalid model configuration\n");
-        return 2;
-    }
+    if (!cfg.valid())
+        args.fail("invalid model configuration");
     std::printf("T(p) for n=%llu k=%u m=%u d=%u "
                 "(capacity %.3f msgs/PE/cycle, cost C=%.3f)\n",
                 static_cast<unsigned long long>(cfg.n), cfg.k, cfg.m,
@@ -919,23 +736,17 @@ cmdModel(const Args &args)
 }
 
 int
-cmdTrace(const Args &args)
+cmdTrace(const Flags &args)
 {
-    args.rejectUnknown("trace",
-                       {"record", "replay", "app", "pes", "n", "ports",
-                        "k", "m", "d", "queue", "policy", "burroughs",
-                        "ideal", "uniform"});
+    const net::NetSimConfig ncfg =
+        specFromFlags(args, sweep::FlagSurface::Replay,
+                      {"record", "replay", "app", "pes", "n"})
+            .net;
     if (args.has("record")) {
         const std::string path = args.getString("record", "trace.csv");
-        const std::optional<AppRun> run = appRunFrom(args, "trace");
-        if (!run)
-            return 2;
-        const auto &[app, pes, contexts, n, mcfg] = *run;
-        if (app != "tred2" && app != "weather") {
-            std::fprintf(stderr, "trace --record supports tred2 and "
-                                 "weather\n");
-            return 2;
-        }
+        const auto [app, pes, contexts, n, mcfg] = appRunFrom(args);
+        if (app != "tred2" && app != "weather")
+            args.fail("--record supports tred2 and weather");
         core::Machine machine(mcfg);
         net::TraceRecorder recorder(machine.pni());
         if (app == "tred2") {
@@ -964,11 +775,8 @@ cmdTrace(const Args &args)
         const std::string path = args.getString("replay", "trace.csv");
         std::string err;
         const net::Trace trace = net::loadTrace(path, err);
-        if (!err.empty()) {
-            std::fprintf(stderr, "ultrasim trace: %s\n", err.c_str());
-            return 2;
-        }
-        const net::NetSimConfig ncfg = netConfigFrom(args);
+        if (!err.empty())
+            args.fail(err);
         mem::MemoryConfig mcfg;
         mcfg.numModules = ncfg.numPorts;
         mcfg.wordsPerModule = 1 << 14;
@@ -979,18 +787,15 @@ cmdTrace(const Args &args)
             const net::TraceEntry &e = trace.entries[i];
             if (e.pe < ncfg.numPorts && e.vaddr < words)
                 continue;
-            std::fprintf(stderr, "ultrasim trace: %s:%zu: ", path.c_str(),
-                         i + 1);
-            if (e.pe >= ncfg.numPorts) {
-                std::fprintf(stderr, "PE %u is outside the %u-port network\n",
-                             e.pe, ncfg.numPorts);
-            } else {
-                std::fprintf(stderr,
-                             "address %llu is outside the %llu-word memory\n",
-                             static_cast<unsigned long long>(e.vaddr),
-                             static_cast<unsigned long long>(words));
-            }
-            return 2;
+            args.fail(path + ":" + std::to_string(i + 1) + ": " +
+                      (e.pe >= ncfg.numPorts
+                           ? "PE " + std::to_string(e.pe) +
+                                 " is outside the " +
+                                 std::to_string(ncfg.numPorts) +
+                                 "-port network"
+                           : "address " + std::to_string(e.vaddr) +
+                                 " is outside the " +
+                                 std::to_string(words) + "-word memory"));
         }
         mem::MemorySystem memory(mcfg);
         net::Network network(ncfg, memory);
@@ -1004,22 +809,18 @@ cmdTrace(const Args &args)
                     static_cast<unsigned long long>(result.finishedAt));
         return 0;
     }
-    std::fprintf(stderr, "trace needs --record FILE or --replay FILE\n");
-    return 2;
+    args.fail("needs --record FILE or --replay FILE");
 }
 
 int
-cmdPack(const Args &args)
+cmdPack(const Flags &args)
 {
-    args.rejectUnknown("pack", {"ports"});
+    args.rejectUnknown({"ports"});
     const std::uint64_t ports = args.getInt("ports", 4096);
     const unsigned k = analytic::ChipBudget{}.switchDegree;
     if (!isPowerOfTwo(ports) || ports < k) {
-        std::fprintf(stderr,
-                     "ultrasim pack: --ports must be a power of two >= "
-                     "%u, got %llu\n",
-                     k, static_cast<unsigned long long>(ports));
-        return 2;
+        args.fail("--ports must be a power of two >= " + std::to_string(k) +
+                  ", got " + std::to_string(ports));
     }
     const auto pkg = analytic::packageMachine(ports);
     std::printf("PEs: %llu\nchips: %llu PE + %llu MM + %llu network "
@@ -1062,7 +863,7 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string cmd = argv[1];
-    const Args args(argc, argv, 2);
+    const Flags args("ultrasim " + cmd, usage, argc, argv, 2);
     if (cmd == "net")
         return cmdNet(args);
     if (cmd == "app")

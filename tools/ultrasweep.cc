@@ -20,27 +20,26 @@
  *   --grid FILE       the sweep.grid.v1 parameter grid (required)
  *   --out FILE        merged sweep.v1 output (default sweep.json)
  *   --points-dir DIR  per-point scratch dir (default OUT.points.d)
- *   --workers N       worker processes (default min(points, cores))
- *   --retries N       attempts per point (default 3)
+ *   --workers N       worker processes, 1..1024 (default
+ *                     min(points, cores))
+ *   --retries N       attempts per point, at least 1 (default 3)
  *   --timeout-s S     per-attempt wall budget, 0 = none (default 0)
  *   --list            print the expanded points and exit
- *   --emit-fig7 FILE  also render BENCH_fig7.json from points tagged
- *                     --fig7-tag (default "fig7")
- *   --emit-hotspot FILE  likewise BENCH_hotspot.json from points
- *                     tagged --hotspot-tag (default "hotspot")
  *
- * Unknown flags and malformed grids are rejected with exit 2 + usage
- * (the ultrasim allowlist convention); a point that fails every
- * attempt exits 1.  ULTRASWEEP_CRASH_POINT=<index> makes that point's
- * first attempt kill itself -- the retry-path test hook.
+ * The merged file is the only output; `ultrascope --sweep` renders it.
+ *
+ * A bad flag or value (src/common/cli.h) or a malformed grid exits 2
+ * with usage; a point that fails every attempt, or a failed write of
+ * the merged file, exits 1.  ULTRASWEEP_CRASH_POINT=<index> makes that
+ * point's first attempt kill itself -- the retry-path test hook.
  */
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,6 +47,7 @@
 #include <signal.h>
 #include <sys/stat.h>
 
+#include "common/cli.h"
 #include "obs/registry.h"
 #include "sweep/grid.h"
 #include "sweep/net_run.h"
@@ -58,6 +58,9 @@ namespace
 
 using namespace ultra;
 
+/** More concurrent workers than this is a typo, not a sweep. */
+constexpr std::uint64_t kMaxWorkers = 1024;
+
 void
 usage()
 {
@@ -66,74 +69,8 @@ usage()
                  "[--points-dir DIR]\n"
                  "                 [--workers N] [--retries N] "
                  "[--timeout-s S] [--list]\n"
-                 "                 [--emit-fig7 FILE [--fig7-tag T]]\n"
-                 "                 [--emit-hotspot FILE "
-                 "[--hotspot-tag T]]\n"
                  "see the comment at the top of tools/ultrasweep.cc\n");
 }
-
-/** Minimal flag parser: --name value and boolean --name (the ultrasim
- *  Args shape, with the same exit-2-on-unknown contract). */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0) {
-                std::fprintf(stderr, "unexpected argument '%s'\n",
-                             argv[i]);
-                usage();
-                std::exit(2);
-            }
-            key = key.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                values_[key] = argv[++i];
-            } else {
-                values_[key] = "";
-            }
-        }
-    }
-
-    void
-    rejectUnknown(std::initializer_list<const char *> allowed) const
-    {
-        for (const auto &kv : values_) {
-            bool known = false;
-            for (const char *name : allowed)
-                known = known || kv.first == name;
-            if (!known) {
-                std::fprintf(stderr,
-                             "ultrasweep: unknown flag '--%s'\n",
-                             kv.first.c_str());
-                usage();
-                std::exit(2);
-            }
-        }
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    std::uint64_t
-    getInt(const std::string &key, std::uint64_t fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end()
-                   ? fallback
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
-    }
-
-    std::string
-    getString(const std::string &key, const std::string &fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
 
 bool
 readFile(const std::string &path, std::string &out)
@@ -144,17 +81,6 @@ readFile(const std::string &path, std::string &out)
     std::ostringstream ss;
     ss << in.rdbuf();
     out = ss.str();
-    return true;
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
     return true;
 }
 
@@ -192,13 +118,13 @@ runPoint(const sweep::Point &point, unsigned attempt,
     // `ultrasim net --stats-json` run would write for this point.
     const obs::DumpOptions dump{.sortKeys = true, .pretty = false};
     const std::string stats = exp.statsJson(dump);
-    if (!writeFile(pointPath(pointsDir, point.index, "stats.json"),
+    if (!cli::writeTextFile(pointPath(pointsDir, point.index, "stats.json"),
                    stats)) {
         return 1;
     }
     const std::string record =
         sweep::pointRecordJson(point, stats, exp.summary());
-    if (!writeFile(pointPath(pointsDir, point.index, "json"), record))
+    if (!cli::writeTextFile(pointPath(pointsDir, point.index, "json"), record))
         return 1;
     return 0;
 }
@@ -208,33 +134,39 @@ runPoint(const sweep::Point &point, unsigned attempt,
 int
 main(int argc, char **argv)
 {
-    const Args args(argc, argv, 1);
+    const cli::Flags args("ultrasweep", usage, argc, argv, 1);
     args.rejectUnknown({"grid", "out", "points-dir", "workers",
-                        "retries", "timeout-s", "list", "emit-fig7",
-                        "fig7-tag", "emit-hotspot", "hotspot-tag"});
+                        "retries", "timeout-s", "list"});
     const std::string gridPath = args.getString("grid", "");
-    if (gridPath.empty()) {
-        std::fprintf(stderr, "ultrasweep: --grid FILE is required\n");
-        usage();
-        return 2;
-    }
+    if (gridPath.empty())
+        args.fail("--grid FILE is required");
     std::string gridText;
-    if (!readFile(gridPath, gridText)) {
-        std::fprintf(stderr, "ultrasweep: cannot read %s\n",
-                     gridPath.c_str());
-        return 2;
-    }
+    if (!readFile(gridPath, gridText))
+        args.fail("cannot read " + gridPath);
     std::string err;
     const std::vector<sweep::Point> points =
         sweep::expandGridFile(gridText, err);
-    if (!err.empty()) {
-        std::fprintf(stderr, "ultrasweep: %s: %s\n", gridPath.c_str(),
-                     err.c_str());
-        usage();
-        return 2;
-    }
+    if (!err.empty())
+        args.fail(gridPath + ": " + err);
 
-    if (args.has("list")) {
+    // Read every flag before any work, so a bad one fails fast.
+    const bool list = args.flag("list");
+    const std::string out = args.getString("out", "sweep.json");
+    const std::string pointsDir =
+        args.getString("points-dir", out + ".points.d");
+    sweep::PoolOptions popts;
+    const std::size_t defaultWorkers = std::min<std::size_t>(
+        points.size(), sweep::detectHostCores());
+    popts.workers = static_cast<unsigned>(
+        args.getInt("workers", defaultWorkers, 1, kMaxWorkers));
+    popts.maxAttempts =
+        static_cast<unsigned>(args.getInt("retries", 3, 1, UINT32_MAX));
+    popts.timeoutNs =
+        args.getInt("timeout-s", 0, 0, UINT64_MAX / 1000000000ull) *
+        1000000000ull;
+    popts.backoffNs = 100000000ull; // 100 ms, doubled per retry
+
+    if (list) {
         for (const sweep::Point &pt : points) {
             std::printf("%5zu  %-12s ", pt.index,
                         pt.tag.empty() ? "-" : pt.tag.c_str());
@@ -247,20 +179,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::string out = args.getString("out", "sweep.json");
-    const std::string pointsDir =
-        args.getString("points-dir", out + ".points.d");
-    ::mkdir(pointsDir.c_str(), 0777);
-
-    sweep::PoolOptions popts;
-    const std::size_t defaultWorkers = std::min<std::size_t>(
-        points.size(), sweep::detectHostCores());
-    popts.workers = static_cast<unsigned>(
-        args.getInt("workers", defaultWorkers));
-    popts.maxAttempts =
-        static_cast<unsigned>(args.getInt("retries", 3));
-    popts.timeoutNs = args.getInt("timeout-s", 0) * 1000000000ull;
-    popts.backoffNs = 100000000ull; // 100 ms, doubled per retry
+    if (::mkdir(pointsDir.c_str(), 0777) != 0 && errno != EEXIST) {
+        std::fprintf(stderr, "ultrasweep: cannot create %s: %s\n",
+                     pointsDir.c_str(), std::strerror(errno));
+        return 1;
+    }
 
     const sweep::PoolOutcome outcome = sweep::runForkPool(
         points.size(),
@@ -289,33 +212,10 @@ main(int argc, char **argv)
         records.push_back(std::move(rec));
     }
     const std::string merged = sweep::mergeSweepJson(records);
-    if (!writeFile(out, merged)) {
-        std::fprintf(stderr, "ultrasweep: cannot write %s\n",
+    if (!cli::writeTextFile(out, merged)) {
+        std::fprintf(stderr, "ultrasweep: --out %s: sweep not saved\n",
                      out.c_str());
         return 1;
-    }
-
-    if (args.has("emit-fig7")) {
-        const std::string rendered = sweep::emitFig7Json(
-            merged, args.getString("fig7-tag", "fig7"), err);
-        if (!err.empty() ||
-            !writeFile(args.getString("emit-fig7", ""), rendered)) {
-            std::fprintf(stderr, "ultrasweep: --emit-fig7: %s\n",
-                         err.empty() ? "cannot write file"
-                                     : err.c_str());
-            return 1;
-        }
-    }
-    if (args.has("emit-hotspot")) {
-        const std::string rendered = sweep::emitHotspotJson(
-            merged, args.getString("hotspot-tag", "hotspot"), err);
-        if (!err.empty() ||
-            !writeFile(args.getString("emit-hotspot", ""), rendered)) {
-            std::fprintf(stderr, "ultrasweep: --emit-hotspot: %s\n",
-                         err.empty() ? "cannot write file"
-                                     : err.c_str());
-            return 1;
-        }
     }
 
     std::printf("ultrasweep: %zu points, %u workers, %zu retried, "
