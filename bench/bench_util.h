@@ -1,65 +1,23 @@
 /**
  * @file
- * Shared assembly helpers for the reproduction benches: a network +
- * memory + PNI + traffic-generator rig, and consistent table output.
+ * Shared helpers for the reproduction benches: the synthetic-traffic
+ * rig (net::TrafficRig, re-exported) and consistent table output.
  */
 
 #ifndef ULTRA_BENCH_BENCH_UTIL_H
 #define ULTRA_BENCH_BENCH_UTIL_H
 
-#include <memory>
 #include <string>
 
 #include "common/table.h"
-#include "common/types.h"
-#include "mem/address_hash.h"
-#include "mem/memory_system.h"
-#include "net/network.h"
-#include "net/pni.h"
 #include "net/traffic.h"
 
 namespace ultra::bench
 {
 
-/** A complete synthetic-traffic experiment rig. */
-struct TrafficRig
-{
-    TrafficRig(const net::NetSimConfig &net_cfg,
-               const net::TrafficConfig &traffic_cfg,
-               bool hash_addresses = true,
-               net::PniConfig pni_cfg = {})
-        : memory(memConfigFor(net_cfg)), network(net_cfg, memory),
-          hash(log2Exact(memory.totalWords()), hash_addresses),
-          pni(pni_cfg, network, hash),
-          traffic(traffic_cfg, pni, network)
-    {}
-
-    static mem::MemoryConfig
-    memConfigFor(const net::NetSimConfig &cfg)
-    {
-        mem::MemoryConfig mc;
-        mc.numModules = cfg.numPorts;
-        mc.wordsPerModule = 1 << 14;
-        mc.accessTime = cfg.mmAccessTime;
-        return mc;
-    }
-
-    /** Warm up, reset stats, then measure for @p cycles. */
-    void
-    measure(Cycle warmup, Cycle cycles)
-    {
-        traffic.run(warmup);
-        network.resetStats();
-        pni.resetStats();
-        traffic.run(cycles);
-    }
-
-    mem::MemorySystem memory;
-    net::Network network;
-    mem::AddressHash hash;
-    net::PniArray pni;
-    net::TrafficGenerator traffic;
-};
+/** The rig lives with the traffic generator (net/traffic.h), where
+ *  `ultrasim net` builds on it too; benches name it bench::TrafficRig. */
+using net::TrafficRig;
 
 /** "12.3" or "inf". */
 inline std::string

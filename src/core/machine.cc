@@ -54,15 +54,11 @@ memoryConfigFor(const MachineConfig &cfg)
     return mc;
 }
 
-/** Simulated cycles between prof counter rows on an event trace:
- *  frequent enough to see phase-cost drift in the viewer, rare enough
- *  to stay invisible in the run's wall clock. */
-constexpr Cycle kProfCounterPeriod = 64;
-
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg)
-    : cfg_(cfg), memory_(memoryConfigFor(cfg)),
+    : Observed(network_, "pe.idle_cycles"), cfg_(cfg),
+      memory_(memoryConfigFor(cfg)),
       hash_(log2Exact(memory_.totalWords()), cfg.hashAddresses),
       network_(cfg.net, memory_), pni_(cfg.pni, network_, hash_)
 {
@@ -84,15 +80,16 @@ Machine::Machine(const MachineConfig &cfg)
 void
 Machine::registerMachineStats()
 {
-    network_.registerStats(registry_, "net");
-    pni_.registerStats(registry_, "pni");
-    memory_.registerStats(registry_, "mem");
+    obs::Registry &reg = registry();
+    network_.registerStats(reg, "net");
+    pni_.registerStats(reg, "pni");
+    memory_.registerStats(reg, "mem");
 
-    registry_.addScalar("machine.pes_engaged",
-                        [this] {
-                            return static_cast<double>(launched_.size());
-                        },
-                        "PEs with a launched program");
+    reg.addScalar("machine.pes_engaged",
+                  [this] {
+                      return static_cast<double>(launched_.size());
+                  },
+                  "PEs with a launched program");
     auto peTotal = [this](std::uint64_t pe::PeStats::*field) {
         return [this, field] {
             std::uint64_t total = 0;
@@ -101,24 +98,24 @@ Machine::registerMachineStats()
             return static_cast<double>(total);
         };
     };
-    registry_.addScalar("pe.instructions",
-                        peTotal(&pe::PeStats::instructions),
-                        "instructions executed (all engaged PEs)");
-    registry_.addScalar("pe.shared_refs",
-                        peTotal(&pe::PeStats::sharedRefs),
-                        "central-memory references");
-    registry_.addScalar("pe.shared_loads",
-                        peTotal(&pe::PeStats::sharedLoads),
-                        "central-memory loads");
-    registry_.addScalar("pe.private_refs",
-                        peTotal(&pe::PeStats::privateRefs),
-                        "cache-hit data references");
-    registry_.addScalar("pe.busy_cycles",
-                        peTotal(&pe::PeStats::busyCycles),
-                        "pipeline cycles executing instructions");
-    registry_.addScalar("pe.idle_cycles",
-                        peTotal(&pe::PeStats::idleCycles),
-                        "per-context cycles waiting on memory");
+    reg.addScalar("pe.instructions",
+                  peTotal(&pe::PeStats::instructions),
+                  "instructions executed (all engaged PEs)");
+    reg.addScalar("pe.shared_refs",
+                  peTotal(&pe::PeStats::sharedRefs),
+                  "central-memory references");
+    reg.addScalar("pe.shared_loads",
+                  peTotal(&pe::PeStats::sharedLoads),
+                  "central-memory loads");
+    reg.addScalar("pe.private_refs",
+                  peTotal(&pe::PeStats::privateRefs),
+                  "cache-hit data references");
+    reg.addScalar("pe.busy_cycles",
+                  peTotal(&pe::PeStats::busyCycles),
+                  "pipeline cycles executing instructions");
+    reg.addScalar("pe.idle_cycles",
+                  peTotal(&pe::PeStats::idleCycles),
+                  "per-context cycles waiting on memory");
 }
 
 void
@@ -164,18 +161,6 @@ Machine::launchAll(std::uint32_t count, const ProgramFn &program)
         launch(pe, program);
 }
 
-void
-Machine::flushObservers()
-{
-    for (PEId pe : launched_)
-        pes_[pe]->flushWaits(now());
-    if (samplePeriod_ != 0 && sampler_.numColumns() > 0 &&
-        lastSampleAt_ != now()) {
-        sampler_.sample(now());
-        lastSampleAt_ = now();
-    }
-}
-
 bool
 Machine::run(Cycle max_cycles)
 {
@@ -183,21 +168,7 @@ Machine::run(Cycle max_cycles)
     // programs often engage a handful of PEs on a large machine.
     std::vector<PEId> step_order = launched_;
     std::sort(step_order.begin(), step_order.end());
-    prof::Profiler *const prof = prof_.get();
-    if (prof != nullptr)
-        prof->runBegin();
-    // Lap clock for phase attribution: each boundary stamps once and
-    // charges the span since the previous stamp, so the phase times
-    // tile the loop's wall clock with no double counting.  The network
-    // laps its own sub-phases internally; we only re-stamp after it.
-    std::uint64_t mark = prof != nullptr ? prof::Profiler::nowNs() : 0;
-    const auto lap = [&](prof::Phase p) {
-        if (prof == nullptr)
-            return;
-        const std::uint64_t next = prof::Profiler::nowNs();
-        prof->phaseAdd(p, next - mark);
-        mark = next;
-    };
+    beginRun();
     const Cycle deadline = now() + max_cycles;
     bool finished_all = false;
     while (now() < deadline) {
@@ -205,9 +176,7 @@ Machine::run(Cycle max_cycles)
         // is done and no PE has stepped yet, so a hook (the
         // live-inspection pause fence) observes only consistent state
         // and may block here indefinitely.
-        if (cycleHook_)
-            cycleHook_(now());
-        lap(prof::Phase::Hook);
+        cycleStart(now());
         // The canonical cycle order (DESIGN.md "The cycle loop"): PEs
         // step, PNIs issue in PE-id order, the network and memory
         // advance, observers sample.
@@ -225,85 +194,24 @@ Machine::run(Cycle max_cycles)
         pni_.tick();
         lap(prof::Phase::Pni);
         network_.tick();
-        if (prof != nullptr)
-            mark = prof::Profiler::nowNs();
-        if (samplePeriod_ != 0 && now() % samplePeriod_ == 0) {
-            sampler_.sample(now());
-            lastSampleAt_ = now();
-        }
-        lap(prof::Phase::Sampler);
-        if (prof != nullptr && eventTrace_ != nullptr &&
-            now() % kProfCounterPeriod == 0)
-            prof->flushCounters(*eventTrace_, now());
+        networkTicked(now());
     }
-    flushObservers();
-    lap(prof::Phase::Sampler);
-    if (prof != nullptr)
-        prof->runEnd(now());
+    for (PEId pe : launched_)
+        pes_[pe]->flushWaits(now());
+    endRun(now());
     return finished_all;
-}
-
-void
-Machine::enableSampling(Cycle every)
-{
-    samplePeriod_ = every;
-    if (every == 0 || sampler_.numColumns() > 0)
-        return;
-    for (unsigned s = 0; s < network_.topology().stages(); ++s) {
-        const std::string stage = "net.stage" + std::to_string(s) + ".";
-        sampler_.addRegistryColumn(registry_, stage + "tomm_pkts");
-        sampler_.addRegistryColumn(registry_, stage + "wb_entries");
-        sampler_.addRegistryColumn(registry_, stage + "combines");
-    }
-    sampler_.addRegistryColumn(registry_, "pni.outstanding");
-    sampler_.addRegistryColumn(registry_, "pe.idle_cycles");
-}
-
-std::string
-Machine::statsJson() const
-{
-    return registry_.jsonDump(now());
-}
-
-std::string
-Machine::statsJson(const obs::DumpOptions &opts) const
-{
-    return registry_.jsonDump(now(), opts);
-}
-
-void
-Machine::enableLatency()
-{
-    if (latency_)
-        return;
-    obs::LatencyShape shape;
-    shape.stages = network_.topology().stages();
-    shape.switchesPerStage = network_.topology().switchesPerStage();
-    shape.mmAccessTime = cfg_.net.mmAccessTime;
-    latency_ = std::make_unique<obs::LatencyObservatory>(shape);
-    network_.setLatencyObservatory(latency_.get());
-    latency_->registerStats(registry_, "lat");
-}
-
-void
-Machine::enableProfiling()
-{
-    if (prof_)
-        return;
-    prof_ = std::make_unique<prof::Profiler>();
-    network_.setProfiler(prof_.get());
 }
 
 std::string
 Machine::latencyJson() const
 {
-    if (!latency_)
+    if (!latencyEnabled())
         return "{}";
     Histogram pe_wait{2, 128};
     for (const auto &pe : pes_)
         pe_wait.merge(pe->waitHist());
     std::ostringstream os;
-    const std::string summary = latency_->summaryJson();
+    const std::string summary = latency()->summaryJson();
     // Splice the merged PE-wait distribution into the summary object.
     os << summary.substr(0, summary.rfind('}')) << ", \"pe_wait\": ";
     obs::writeJsonHistogram(os, pe_wait);
@@ -314,8 +222,7 @@ Machine::latencyJson() const
 void
 Machine::attachEventTrace(obs::EventTrace *trace)
 {
-    eventTrace_ = trace;
-    network_.setEventTrace(trace);
+    Observed::attachEventTrace(trace);
     const std::uint32_t pe_track = trace ? trace->track("pe") : 0;
     for (auto &pe : pes_)
         pe->setEventTrace(trace, pe_track);
@@ -367,7 +274,8 @@ Machine::statsReport() const
 {
     // Every number below reads through the registry, so this report,
     // statsJson() and any sampled series all agree by construction.
-    auto v = [this](const char *path) { return registry_.value(path); };
+    const obs::Registry &reg = registry();
+    auto v = [&reg](const char *path) { return reg.value(path); };
     auto u = [&](const char *path) {
         return static_cast<std::uint64_t>(v(path));
     };
@@ -417,21 +325,20 @@ Machine::statsReport() const
         os << "  combines by stage:";
         for (unsigned s = 0; s < network_.topology().stages(); ++s) {
             os << " s" << s << " "
-               << static_cast<std::uint64_t>(registry_.value(
+               << static_cast<std::uint64_t>(reg.value(
                       "net.stage" + std::to_string(s) + ".combines"));
         }
         os << "\n";
     }
-    const Accumulator &rt = registry_.accumulator("net.round_trip");
+    const Accumulator &rt = reg.accumulator("net.round_trip");
     if (rt.count() > 0) {
-        const Histogram &rth =
-            registry_.histogram("net.round_trip_hist");
+        const Histogram &rth = reg.histogram("net.round_trip_hist");
         os << "  round trip mean " << TextTable::fmt(rt.mean(), 1)
            << " cycles, p50 " << rth.percentile(0.5) << ", p95 "
            << rth.percentile(0.95) << ", p99 " << rth.percentile(0.99)
            << "\n";
     }
-    const Accumulator &access = registry_.accumulator("pni.access_time");
+    const Accumulator &access = reg.accumulator("pni.access_time");
     if (u("pni.completed") > 0) {
         os << "PNI: " << u("pni.completed")
            << " completed, access mean "

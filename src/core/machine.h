@@ -12,6 +12,8 @@
  * shared address space (virtual addresses, hashed across the modules
  * per section 3.1.4) accessed by load / store / fetch-and-add and the
  * other fetch-and-phi special cases.
+ * Its observers are the core::Observed ones the network-only
+ * sweep::NetExperiment shares.
  */
 
 #ifndef ULTRA_CORE_MACHINE_H
@@ -24,21 +26,13 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/observed.h"
 #include "mem/address_hash.h"
 #include "mem/memory_system.h"
 #include "net/network.h"
 #include "net/pni.h"
-#include "obs/latency.h"
-#include "obs/registry.h"
-#include "obs/sampler.h"
-#include "prof/profiler.h"
 #include "pe/pe.h"
 #include "pe/task.h"
-
-namespace ultra::obs
-{
-class EventTrace;
-} // namespace ultra::obs
 
 namespace ultra::core
 {
@@ -62,8 +56,9 @@ struct MachineConfig
     static MachineConfig small(std::uint32_t ports = 64, unsigned k = 2);
 };
 
-/** The simulated parallel machine. */
-class Machine
+/** The simulated parallel machine; its sampled gauge is
+ *  "pe.idle_cycles". */
+class Machine : public Observed
 {
   public:
     /**
@@ -100,24 +95,10 @@ class Machine
      * flushed: blocked contexts' waiting time is credited (see
      * Pe::flushWaits) and the sampler emits a final row, so a timed-out
      * run's stats, samples, and traces cover every simulated cycle.
+     * The cycle hook runs before the PEs step.
      * @return true when all programs finished.
      */
     bool run(Cycle max_cycles = 50'000'000);
-
-    /**
-     * Install a hook called at the top of every run() iteration -- at
-     * the cycle boundary, after the previous cycle's network tick and
-     * before the next PE step, when no mid-tick state exists.
-     * This is the pause fence of the live inspection protocol
-     * (ultra::inspect): the hook may block (pausing the simulation) and
-     * may read any machine state, but as long as it does not *write*
-     * simulation state the run is byte-identical to an unhooked one.
-     * Pass nullptr to remove.
-     */
-    void setCycleHook(std::function<void(Cycle)> hook)
-    {
-        cycleHook_ = std::move(hook);
-    }
 
     Cycle now() const { return network_.now(); }
 
@@ -151,47 +132,7 @@ class Machine
      */
     std::string statsReport() const;
 
-    // --- observability (ultra::obs) -----------------------------------
-
-    /** The machine-wide stats registry ("net.*", "pni.*", "mem.*",
-     *  "pe.*", "machine.*"); populated during construction. */
-    obs::Registry &registry() { return registry_; }
-    const obs::Registry &registry() const { return registry_; }
-
-    /** The time-series sampler ticked by run(); empty until
-     *  enableSampling() is called. */
-    obs::Sampler &sampler() { return sampler_; }
-    const obs::Sampler &sampler() const { return sampler_; }
-
-    /**
-     * Sample key occupancy gauges (per-stage ToMM queue fill, wait
-     * buffers and combines, PNI outstanding requests, PE idle cycles)
-     * every @p every cycles during run().  Pass 0 to disable.
-     */
-    void enableSampling(Cycle every);
-
-    /** Machine-readable JSON dump of every registered statistic. */
-    std::string statsJson() const;
-
-    /** As statsJson(), with explicit key-order / layout control. */
-    std::string statsJson(const obs::DumpOptions &opts) const;
-
-    /**
-     * Attach a packet-lifecycle latency observatory to the network and
-     * register its statistics under "lat.".  Call while the network is
-     * quiescent (before run(), or after a completed one plus
-     * resetStats); idempotent.  Opt-in: an unenabled machine's stats
-     * output is byte-identical to pre-observatory builds.
-     */
-    void enableLatency();
-    bool latencyEnabled() const { return latency_ != nullptr; }
-
-    /** The observatory, or nullptr until enableLatency(). */
-    obs::LatencyObservatory *latency() { return latency_.get(); }
-    const obs::LatencyObservatory *latency() const
-    {
-        return latency_.get();
-    }
+    // --- observability (ultra::obs; the rest is core::Observed) -------
 
     /**
      * The full latency report as JSON (see --latency-json): the
@@ -201,55 +142,23 @@ class Machine
     std::string latencyJson() const;
 
     /**
-     * Attach a wall-clock self-profiler (see src/prof): per-phase lap
-     * timers around the run() loop and the network tick.  Call before
-     * run(); idempotent.  Opt-in: profiling
-     * reads the host clock but writes only to its own report channel,
-     * so an unprofiled run (and the simulation content of a profiled
-     * one) stays byte-identical.
-     */
-    void enableProfiling();
-    bool profilingEnabled() const { return prof_ != nullptr; }
-
-    /** The profiler, or nullptr until enableProfiling(). */
-    prof::Profiler *profiler() { return prof_.get(); }
-    const prof::Profiler *profiler() const { return prof_.get(); }
-
-    /**
      * Attach (or detach, with nullptr) a Chrome-trace-event recorder to
      * the network and every PE: message injects, per-stage hops,
      * combines, decombines, MM service, reply deliveries and
-     * per-context memory waits all land on it.  When a profiler is also
-     * enabled, run() rides periodic prof counter tracks on the same
-     * trace (phase seconds) so wall-clock cost lines up
-     * with simulated activity in the viewer.
+     * per-context memory waits all land on it.
      */
-    void attachEventTrace(obs::EventTrace *trace);
+    void attachEventTrace(obs::EventTrace *trace) override;
 
     const MachineConfig &config() const { return cfg_; }
 
   private:
     void registerMachineStats();
-    void flushObservers();
 
     MachineConfig cfg_;
     mem::MemorySystem memory_;
     mem::AddressHash hash_;
     net::Network network_;
     net::PniArray pni_;
-    obs::Registry registry_;
-    obs::Sampler sampler_;
-    /** Destroyed before network_ (declared later); safe because the
-     *  network emits no stamps during destruction. */
-    std::unique_ptr<obs::LatencyObservatory> latency_;
-    /** Wall-clock self-profiler; null unless enableProfiling(). */
-    std::unique_ptr<prof::Profiler> prof_;
-    /** Trace last attached via attachEventTrace() (prof counters). */
-    obs::EventTrace *eventTrace_ = nullptr;
-    Cycle samplePeriod_ = 0;
-    Cycle lastSampleAt_ = static_cast<Cycle>(-1);
-    /** Cycle-boundary yield point (live inspection pause fence). */
-    std::function<void(Cycle)> cycleHook_;
     std::vector<std::unique_ptr<pe::Pe>> pes_;
     /** Keeps each PE's program callables (and thus any coroutine-lambda
      *  closures) alive while its tasks run; one entry per context. */

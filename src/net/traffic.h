@@ -10,6 +10,9 @@
  * variable), the workload the combining network exists to absorb.
  * Closed-loop mode bounds each PE to a window of outstanding requests,
  * which is how real PEs behave and what the saturation benches use.
+ * TrafficRig assembles memory, network, PNIs and a generator into the
+ * one synthetic-traffic experiment the benches and `ultrasim net`
+ * share.
  */
 
 #ifndef ULTRA_NET_TRAFFIC_H
@@ -20,6 +23,9 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "mem/address_hash.h"
+#include "mem/memory_system.h"
+#include "net/network.h"
 #include "net/pni.h"
 
 namespace ultra::net
@@ -84,6 +90,46 @@ class TrafficGenerator
      *  independent of the order PEs are visited in. */
     std::vector<Rng> rngs_;
     std::uint64_t generated_ = 0;
+};
+
+/** A complete synthetic-traffic experiment rig. */
+struct TrafficRig
+{
+    TrafficRig(const NetSimConfig &net_cfg,
+               const TrafficConfig &traffic_cfg,
+               bool hash_addresses = true,
+               PniConfig pni_cfg = {})
+        : memory(memConfigFor(net_cfg)), network(net_cfg, memory),
+          hash(log2Exact(memory.totalWords()), hash_addresses),
+          pni(pni_cfg, network, hash),
+          traffic(traffic_cfg, pni, network)
+    {}
+
+    static mem::MemoryConfig
+    memConfigFor(const NetSimConfig &cfg)
+    {
+        mem::MemoryConfig mc;
+        mc.numModules = cfg.numPorts;
+        mc.wordsPerModule = 1 << 14;
+        mc.accessTime = cfg.mmAccessTime;
+        return mc;
+    }
+
+    /** Warm up, reset stats, then measure for @p cycles. */
+    void
+    measure(Cycle warmup, Cycle cycles)
+    {
+        traffic.run(warmup);
+        network.resetStats();
+        pni.resetStats();
+        traffic.run(cycles);
+    }
+
+    mem::MemorySystem memory;
+    Network network;
+    mem::AddressHash hash;
+    PniArray pni;
+    TrafficGenerator traffic;
 };
 
 } // namespace ultra::net

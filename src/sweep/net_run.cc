@@ -2,45 +2,25 @@
 
 #include <sstream>
 
-#include "obs/event_trace.h"
 #include "obs/json.h"
-#include "obs/latency.h"
-#include "obs/sampler.h"
-#include "prof/profiler.h"
 
 namespace ultra::sweep
 {
 
-NetExperiment::NetExperiment(const NetPointSpec &spec) : spec_(spec)
+NetExperiment::NetExperiment(const NetPointSpec &spec)
+    : Observed(rig_.network, "net.mni_pending_pkts"), spec_(spec),
+      rig_(spec_.net, spec_.traffic, true, spec_.pni)
 {
-    mem::MemoryConfig mcfg;
-    mcfg.numModules = spec_.net.numPorts;
-    mcfg.wordsPerModule = 1 << 14;
-    mcfg.accessTime = spec_.net.mmAccessTime;
-    memory_ = std::make_unique<mem::MemorySystem>(mcfg);
-    network_ = std::make_unique<net::Network>(spec_.net, *memory_);
-    hash_ = std::make_unique<mem::AddressHash>(
-        log2Exact(memory_->totalWords()), true);
-    pni_ = std::make_unique<net::PniArray>(spec_.pni, *network_, *hash_);
-    traffic_ = std::make_unique<net::TrafficGenerator>(spec_.traffic,
-                                                       *pni_, *network_);
-
-    network_->registerStats(registry_, "net");
-    pni_->registerStats(registry_, "pni");
-    memory_->registerStats(registry_, "mem");
+    obs::Registry &reg = registry();
+    rig_.network.registerStats(reg, "net");
+    rig_.pni.registerStats(reg, "pni");
+    rig_.memory.registerStats(reg, "mem");
 
     // Attach while the network is still quiescent; the aggregates
     // therefore cover the warmup as well (unlike the registry stats,
     // which are reset after it).
-    if (spec_.wantLatency) {
-        obs::LatencyShape shape;
-        shape.stages = network_->topology().stages();
-        shape.switchesPerStage = network_->topology().switchesPerStage();
-        shape.mmAccessTime = spec_.net.mmAccessTime;
-        latency_ = std::make_unique<obs::LatencyObservatory>(shape);
-        network_->setLatencyObservatory(latency_.get());
-        latency_->registerStats(registry_, "lat");
-    }
+    if (spec_.wantLatency)
+        enableLatency();
 
     acfg_.n = spec_.net.numPorts;
     acfg_.k = spec_.net.k;
@@ -55,90 +35,54 @@ NetExperiment::NetExperiment(const NetPointSpec &spec) : spec_(spec)
         spec_.traffic.hotFraction == 0.0 && !spec_.traffic.closedLoop;
 }
 
-NetExperiment::~NetExperiment() = default;
+void
+NetExperiment::runCycles(Cycle count)
+{
+    for (Cycle c = 0; c < count; ++c) {
+        // The pause fence: between ticks nothing is mid-flight, so an
+        // inspector may block, dump and watch here.
+        cycleStart(rig_.network.now());
+        rig_.traffic.tick();
+        lap(prof::Phase::Inject);
+        rig_.pni.tick();
+        lap(prof::Phase::Pni);
+        rig_.network.tick();
+        networkTicked(rig_.network.now());
+    }
+}
 
 void
-NetExperiment::run(const Hooks &hooks)
+NetExperiment::run()
 {
-    prof::Profiler *const pr = hooks.prof;
-    network_->setProfiler(pr);
-    if (hooks.trace != nullptr)
-        network_->setEventTrace(hooks.trace);
-
-    if (pr != nullptr)
-        pr->runBegin();
-    // Lap clock for phase attribution; the network laps its own
-    // sub-phases, so the tick only re-stamps after it.
-    std::uint64_t mark = pr != nullptr ? prof::Profiler::nowNs() : 0;
-    const auto lap = [&](prof::Phase p) {
-        if (pr == nullptr)
-            return;
-        const std::uint64_t next = prof::Profiler::nowNs();
-        pr->phaseAdd(p, next - mark);
-        mark = next;
-    };
-    // Sampling covers the warmup too, so the series shows queues
-    // ramping from cold.
-    auto runSampled = [&](Cycle count) {
-        for (Cycle c = 0; c < count; ++c) {
-            // The pause fence: between ticks nothing is mid-flight, so
-            // an inspector may block, dump and watch here.
-            if (hooks.atCycle)
-                hooks.atCycle(network_->now());
-            lap(prof::Phase::Hook);
-            traffic_->tick();
-            lap(prof::Phase::Inject);
-            pni_->tick();
-            lap(prof::Phase::Pni);
-            network_->tick();
-            if (pr != nullptr)
-                mark = prof::Profiler::nowNs();
-            if (hooks.sampler != nullptr && hooks.sampleEvery != 0 &&
-                network_->now() % hooks.sampleEvery == 0) {
-                hooks.sampler->sample(network_->now());
-            }
-            lap(prof::Phase::Sampler);
-            if (pr != nullptr && hooks.trace != nullptr &&
-                network_->now() % 64 == 0) {
-                pr->flushCounters(*hooks.trace, network_->now());
-            }
-        }
-    };
-    runSampled(spec_.cycles / 5); // warm up
-    network_->resetStats();
-    pni_->resetStats();
-    statsResetAt_ = network_->now();
-    runSampled(spec_.cycles);
-    if (pr != nullptr)
-        pr->runEnd(network_->now());
+    beginRun();
+    runCycles(spec_.cycles / 5); // warm up
+    rig_.network.resetStats();
+    rig_.pni.resetStats();
+    statsResetAt_ = rig_.network.now();
+    runCycles(spec_.cycles);
+    endRun(rig_.network.now());
 
     // Compare the measured post-warmup mean one-way transit against
     // the model's prediction at the measured accepted load.
     // Non-applicable configurations still publish their numbers with
     // model.applicable = 0.
-    const auto &stats = network_->stats();
+    const auto &stats = rig_.network.stats();
     const double offered = static_cast<double>(stats.injected) /
                            static_cast<double>(spec_.cycles) /
                            spec_.net.numPorts;
     model_ = std::make_unique<obs::ModelCrossCheck>(
         acfg_, offered, stats.oneWayTransit.mean(), applicable_,
         spec_.driftTolerance);
-    model_->registerStats(registry_, "model");
+    model_->registerStats(registry(), "model");
     modelOk_ = model_->check();
     ran_ = true;
-}
-
-std::string
-NetExperiment::statsJson(const obs::DumpOptions &opts) const
-{
-    return registry_.jsonDump(network_->now(), opts);
 }
 
 NetRunSummary
 NetExperiment::summary() const
 {
     NetRunSummary s;
-    const auto &stats = network_->stats();
+    const auto &stats = rig_.network.stats();
     const double cycles = static_cast<double>(spec_.cycles);
     s.injected = stats.injected;
     s.delivered = stats.delivered;
@@ -158,7 +102,7 @@ NetExperiment::summary() const
     s.rtP50 = stats.roundTripHist.percentile(0.5);
     s.rtP95 = stats.roundTripHist.percentile(0.95);
     s.rtP99 = stats.roundTripHist.percentile(0.99);
-    s.accessMean = pni_->stats().accessTime.mean();
+    s.accessMean = rig_.pni.stats().accessTime.mean();
     s.mmQueueWaitMean = stats.mmQueueWait.mean();
     if (ran_) {
         const obs::ModelReport &mr = model_->report();
@@ -168,13 +112,13 @@ NetExperiment::summary() const
         s.measuredTransit = mr.measuredTransit;
         s.drift = mr.drift;
     }
-    if (latency_ != nullptr) {
+    if (const obs::LatencyObservatory *latency = this->latency()) {
         s.hasLatency = true;
-        s.latDelivered = latency_->delivered();
-        s.latCombinedDelivered = latency_->combinedDelivered();
-        s.latMmCyclesSaved = latency_->mmCyclesSaved();
-        s.latViolations = latency_->violations();
-        const Histogram &h = latency_->fanInHist();
+        s.latDelivered = latency->delivered();
+        s.latCombinedDelivered = latency->combinedDelivered();
+        s.latMmCyclesSaved = latency->mmCyclesSaved();
+        s.latViolations = latency->violations();
+        const Histogram &h = latency->fanInHist();
         if (h.count() > 0) {
             s.fanInP50 = h.percentile(0.5);
             for (std::size_t b = h.numBins(); b-- > 0;) {

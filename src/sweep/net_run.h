@@ -6,48 +6,27 @@
  * same question -- "run this network configuration under this workload
  * and dump the stats" -- and the golden byte-identity contract requires
  * both to answer it with the *same bytes*.  NetExperiment holds the
- * construction order, the warmup/reset/measure sequence and the model
- * cross-check wiring once, so equivalence holds by construction rather
- * than by vigilance.
+ * warmup/reset/measure sequence and the model cross-check wiring once,
+ * so equivalence holds by construction rather than by vigilance.
  *
- * Construction order (memory, network, hash, PNI, traffic, stats
- * registration, latency observatory) and the run loop (inspector
- * fence, injection, PNI tick, network tick, sampler) are
- * verbatim the historical cmdNet sequence; the observability hooks
- * (inspector, sampler, event trace, profiler) are all optional and all
- * byte-neutral, so a hookless sweep worker and a fully-instrumented
+ * The rig is the benches' net::TrafficRig, and the observers are the
+ * core::Observed ones Machine uses too; all are optional and
+ * byte-neutral, so an unobserved sweep worker and a fully-instrumented
  * interactive run produce identical --stats-json output.
  */
 
 #ifndef ULTRA_SWEEP_NET_RUN_H
 #define ULTRA_SWEEP_NET_RUN_H
 
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "analytic/config.h"
 #include "analytic/drift.h"
 #include "common/types.h"
-#include "mem/address_hash.h"
-#include "mem/memory_system.h"
-#include "net/network.h"
-#include "net/pni.h"
+#include "core/observed.h"
 #include "net/traffic.h"
 #include "obs/model_check.h"
-#include "obs/registry.h"
-
-namespace ultra::obs
-{
-class EventTrace;
-class LatencyObservatory;
-class Sampler;
-} // namespace ultra::obs
-
-namespace ultra::prof
-{
-class Profiler;
-} // namespace ultra::prof
 
 namespace ultra::sweep
 {
@@ -105,36 +84,18 @@ struct NetRunSummary
     std::string json() const;
 };
 
-/** One net-mode experiment, construction through stats dump. */
-class NetExperiment
+/** One net-mode experiment, construction through stats dump.  Its
+ *  sampled gauge is "net.mni_pending_pkts"; sampling covers the warmup
+ *  too, so the series shows queues ramping from cold. */
+class NetExperiment : public core::Observed
 {
   public:
-    /** Byte-neutral observability hooks; every field optional. */
-    struct Hooks
-    {
-        /** Inspector pause fence, called between ticks. */
-        std::function<void(Cycle)> atCycle;
-        obs::Sampler *sampler = nullptr;
-        Cycle sampleEvery = 0;
-        obs::EventTrace *trace = nullptr;
-        prof::Profiler *prof = nullptr;
-    };
-
-    /** Construct the rig: memory, network, PNIs and traffic. */
+    /** Construct the rig and register its stats; attach the latency
+     *  observatory when @p spec asks for it. */
     explicit NetExperiment(const NetPointSpec &spec);
-    ~NetExperiment();
 
-    NetExperiment(const NetExperiment &) = delete;
-    NetExperiment &operator=(const NetExperiment &) = delete;
-
-    // -- pre-run accessors (inspector targets, sampler setup) -------
-    net::Network &network() { return *network_; }
-    mem::MemorySystem &memory() { return *memory_; }
-    mem::AddressHash &addressHash() { return *hash_; }
-    net::PniArray &pni() { return *pni_; }
-    obs::Registry &registry() { return registry_; }
-    obs::LatencyObservatory *latency() { return latency_.get(); }
-    const NetPointSpec &spec() const { return spec_; }
+    /** The memory, network, hash, PNIs and traffic under test. */
+    net::TrafficRig &rig() { return rig_; }
 
     /** Whether the Kruskal-Snir model's assumptions hold here. */
     bool modelApplicable() const { return applicable_; }
@@ -144,23 +105,19 @@ class NetExperiment
     Cycle statsResetAt() const { return statsResetAt_; }
 
     /** Warmup (cycles/5), stats reset, measured run, model check. */
-    void run(const Hooks &hooks);
+    void run();
 
     // -- post-run results -------------------------------------------
     const obs::ModelCrossCheck &model() const { return *model_; }
     bool modelOk() const { return modelOk_; }
-    std::string statsJson(const obs::DumpOptions &opts) const;
     NetRunSummary summary() const;
 
   private:
+    /** @p count cycles of injection, PNI issue and network tick. */
+    void runCycles(Cycle count);
+
     NetPointSpec spec_;
-    std::unique_ptr<mem::MemorySystem> memory_;
-    std::unique_ptr<net::Network> network_;
-    std::unique_ptr<mem::AddressHash> hash_;
-    std::unique_ptr<net::PniArray> pni_;
-    std::unique_ptr<net::TrafficGenerator> traffic_;
-    obs::Registry registry_;
-    std::unique_ptr<obs::LatencyObservatory> latency_;
+    net::TrafficRig rig_;
     analytic::NetworkConfig acfg_;
     bool applicable_ = false;
     Cycle statsResetAt_ = 0;

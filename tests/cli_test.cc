@@ -169,6 +169,26 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"app --app sssp --n 1", "--n"},
         {"app --app tred2 --pes 16 --contexts 3", "--contexts"},
         {"model --best --rate 1.5", "--rate"},
+        {"model --best --ports 5 --rate 0.1", "--ports"},
+        {"model --best --ports 1", "--ports"},
+        // An observer flag that would do nothing exits 2 as well:
+        // --check-drift is net-only and needs a positive tolerance,
+        // and each flag below needs its partner.
+        {"app --app tred2 --pes 2 --n 4 --check-drift 0.01",
+         "--check-drift"},
+        {"net --ports 16 --cycles 50 --check-drift 0", "--check-drift"},
+        {"net --ports 16 --cycles 50 --sample-out /dev/null",
+         "--sample-out"},
+        {"app --app tred2 --pes 2 --n 4 --sample-out /dev/null",
+         "--sample-out"},
+        {"net --ports 16 --cycles 50 --sample-every 10", "--sample-every"},
+        {"app --app tred2 --pes 2 --n 4 --sample-every 10",
+         "--sample-every"},
+        {"net --ports 16 --cycles 50 --sample-every 0 --sample-out "
+         "/dev/null",
+         "--sample-every"},
+        {"net --ports 16 --cycles 50 --stats-pretty", "--stats-pretty"},
+        {"app --app tred2 --pes 2 --n 4 --stats-pretty", "--stats-pretty"},
         // `trace --record` runs the same checks as `app`.
         {"trace --record /dev/null --app tred2 --n 1", "--n"},
         {"trace --record /dev/null --pes 0", "--pes"},
@@ -283,30 +303,51 @@ TEST(CliTest, FailedOutputWritesExitOne)
 
 TEST(CliTest, ProfJsonLeavesSimulationOutputByteIdentical)
 {
-    // The profiler's write-only-to-its-own-channel contract: the same
-    // workload with and without --prof-json dumps byte-identical
-    // stats, for the network and for a whole machine.
-    const std::string base = tmpPath("prof_off.json");
-    const std::string probed = tmpPath("prof_on.json");
-    const std::string prof = tmpPath("prof_report.json");
+    // The observers' write-only-to-their-own-channel contract: the same
+    // workload with and without each byte-neutral observer (sampler,
+    // event trace, profiler, and all of them at once) dumps
+    // byte-identical stats, for the network and for a whole machine.
+    // The sampler's last row is the run's final cycle on both.
+    const std::string base = tmpPath("observed_off.json");
+    const std::string probed = tmpPath("observed_on.json");
+    const std::string samples = tmpPath("observed_samples.csv");
+    const std::string trace = tmpPath("observed_trace.json");
+    const std::string prof = tmpPath("observed_prof.json");
+    const std::string sampling = " --sample-every 10 --sample-out " + samples;
+    const std::string tracing = " --trace-events " + trace;
+    const std::string profiling = " --prof-json " + prof;
     for (const char *common :
-         {"net --ports 64 --k 2 --rate 0.15 --hot 0.05 --cycles 1500 ",
+         {"net --ports 64 --k 2 --rate 0.15 --hot 0.05 --cycles 1503 ",
           "app --app tred2 --n 12 --pes 8 "}) {
         ASSERT_EQ(runTool(std::string(common) + "--stats-json " + base),
                   0);
-        ASSERT_EQ(runTool(std::string(common) + "--stats-json " +
-                          probed + " --prof-json " + prof),
-                  0);
         const std::string base_text = readFile(base);
         ASSERT_FALSE(base_text.empty());
-        EXPECT_EQ(base_text, readFile(probed))
-            << "--prof-json must not perturb simulation output: "
+        for (const std::string &observers :
+             {sampling, tracing, profiling,
+              sampling + tracing + profiling}) {
+            ASSERT_EQ(runTool(std::string(common) + "--stats-json " +
+                              probed + observers),
+                      0);
+            EXPECT_EQ(base_text, readFile(probed))
+                << "observers must not perturb simulation output: "
+                << common << observers;
+        }
+        EXPECT_FALSE(readFile(trace).empty()) << common;
+        EXPECT_FALSE(readFile(prof).empty()) << common;
+
+        const std::string csv = readFile(samples);
+        const std::size_t last = csv.rfind('\n', csv.size() - 2);
+        ASSERT_NE(last, std::string::npos) << common;
+        const double final_cycle =
+            jsonlite::parse(base_text)["cycle"].number;
+        EXPECT_GT(final_cycle, 0.0) << common;
+        EXPECT_EQ(std::stod(csv.substr(last + 1)), final_cycle)
+            << "the last sample row must be the run's final cycle: "
             << common;
-        EXPECT_FALSE(readFile(prof).empty());
     }
-    std::remove(base.c_str());
-    std::remove(probed.c_str());
-    std::remove(prof.c_str());
+    for (const std::string &path : {base, probed, samples, trace, prof})
+        std::remove(path.c_str());
 }
 
 TEST(CliTest, ProfJsonCoversMeasuredWallOnTable1)

@@ -33,8 +33,10 @@
  *   --stats-json FILE      dump every registered statistic as JSON
  *                          (keys in sorted order, stable across runs)
  *   --stats-pretty         one statistic per line in --stats-json
- *   --sample-every S       snapshot occupancy gauges every S cycles
- *   --sample-out FILE      write the sampled time series as CSV
+ *   --sample-every S       snapshot occupancy gauges every S >= 1
+ *                          cycles, plus the run's final cycle
+ *   --sample-out FILE      write the sampled time series as CSV (it
+ *                          and --sample-every need each other)
  *   --trace-events FILE    Chrome trace-event JSON (load in Perfetto)
  *   --latency-json FILE    packet-lifecycle latency report (per-stage
  *                          waits, combining effectiveness, model drift)
@@ -44,7 +46,8 @@
  *                          read with `ultrascope --prof FILE`)
  *   --heatmap-csv FILE     stage x switch congestion heatmap
  *   --check-drift [TOL]    net only: fail (exit 3) when the measured
- *                          transit drifts more than TOL (default 0.15)
+ *                          transit drifts more than TOL > 0 (default
+ *                          0.15)
  *                          from the Kruskal-Snir prediction; exit 2
  *                          when the config violates model assumptions
  *
@@ -120,16 +123,11 @@
 #include "core/machine.h"
 #include "inspect/inspector.h"
 #include "inspect/server.h"
-#include "mem/address_hash.h"
-#include "net/pni.h"
 #include "net/trace.h"
 #include "net/traffic.h"
 #include "obs/event_trace.h"
 #include "obs/latency.h"
 #include "obs/model_check.h"
-#include "obs/registry.h"
-#include "obs/sampler.h"
-#include "prof/profiler.h"
 #include "sweep/grid.h"
 
 namespace
@@ -156,45 +154,86 @@ struct ObsOptions
     bool checkDrift = false;
     double driftTolerance = analytic::kDefaultDriftTolerance;
 
+    /** Read the options; a flag that would do nothing without its
+     *  partner (or a zero drift tolerance) exits 2 naming it. */
     static ObsOptions
     from(const Flags &args)
     {
         ObsOptions o;
         o.statsJson = args.getString("stats-json", "");
         o.statsPretty = args.flag("stats-pretty");
-        o.sampleEvery = args.getInt("sample-every", 0, 0, UINT64_MAX);
+        o.sampleEvery = args.getInt("sample-every", 0, 1, UINT64_MAX);
         o.sampleOut = args.getString("sample-out", "");
         o.traceEvents = args.getString("trace-events", "");
         o.latencyJson = args.getString("latency-json", "");
         o.profJson = args.getString("prof-json", "");
         o.heatmapCsv = args.getString("heatmap-csv", "");
+        for (const auto &[flag, partner] :
+             {std::pair{"stats-pretty", "stats-json"},
+              {"sample-every", "sample-out"},
+              {"sample-out", "sample-every"}}) {
+            if (args.has(flag) && !args.has(partner))
+                args.fail(std::string("--") + flag + " needs --" + partner);
+        }
         o.checkDrift = args.has("check-drift");
         // A bare --check-drift keeps the default tolerance.
-        if (!args.getString("check-drift", "").empty())
+        const std::string tol = args.getString("check-drift", "");
+        if (!tol.empty()) {
             o.driftTolerance = args.getDouble("check-drift", 0, 0, HUGE_VAL);
-        if (o.driftTolerance <= 0.0)
-            o.driftTolerance = analytic::kDefaultDriftTolerance;
+            if (o.driftTolerance == 0.0)
+                args.fail(cli::badValue("check-drift", tol,
+                                        "a positive number"));
+        }
         return o;
     }
-
-    bool sampling() const { return sampleEvery != 0; }
-
-    /** Any option that needs the latency observatory attached. */
-    bool
-    latencyWanted() const
-    {
-        return !latencyJson.empty() || !heatmapCsv.empty() || checkDrift;
-    }
-
-    /** CLI stats dumps are sorted so repeated runs diff cleanly; the
-     *  library default (insertion order, pretty) is golden-pinned and
-     *  unchanged. */
-    obs::DumpOptions
-    dumpOptions() const
-    {
-        return {.sortKeys = true, .pretty = statsPretty};
-    }
 };
+
+/** Attach every observer @p obs asks for to @p run, before it runs;
+ *  @p trace records --trace-events. */
+void
+attachObservers(const ObsOptions &obs, core::Observed &run,
+                obs::EventTrace &trace)
+{
+    if (!obs.traceEvents.empty())
+        run.attachEventTrace(&trace);
+    if (!obs.latencyJson.empty() || !obs.heatmapCsv.empty() || obs.checkDrift)
+        run.enableLatency();
+    if (!obs.profJson.empty())
+        run.enableProfiling();
+    run.enableSampling(obs.sampleEvery);
+}
+
+/**
+ * Write every output file @p obs names from the finished @p run;
+ * @p latency_report is the --latency-json document.  False when a
+ * write fails.  The stats dump is sorted so repeated runs diff cleanly
+ * (the library default, insertion order, is golden-pinned).
+ */
+bool
+writeObserverFiles(const ObsOptions &obs, const core::Observed &run,
+                   const obs::EventTrace &trace,
+                   const std::string &latency_report)
+{
+    bool written = true;
+    if (!obs.statsJson.empty()) {
+        written &= writeTextFile(
+            obs.statsJson,
+            run.statsJson({.sortKeys = true, .pretty = obs.statsPretty}));
+    }
+    if (!obs.sampleOut.empty())
+        written &= run.sampler().save(obs.sampleOut);
+    if (!obs.traceEvents.empty())
+        written &= trace.save(obs.traceEvents);
+    if (!obs.latencyJson.empty())
+        written &= writeTextFile(obs.latencyJson, latency_report + "\n");
+    if (!obs.heatmapCsv.empty())
+        written &= writeTextFile(obs.heatmapCsv, run.latency()->heatmapCsv());
+    if (run.profilingEnabled()) {
+        written &= writeTextFile(obs.profJson,
+                                 run.profiler()->reportJson() + "\n");
+    }
+    return written;
+}
 
 /** Splice `, "key": value` before the closing brace of @p object. */
 std::string
@@ -212,7 +251,7 @@ spliceJson(const std::string &object, const std::string &key,
 #define ULTRASIM_OBS_FLAGS                                              \
     "stats-json", "stats-pretty", "sample-every", "sample-out",         \
         "trace-events", "latency-json", "prof-json", "heatmap-csv",     \
-        "check-drift", "inspect"
+        "inspect"
 
 /** Resolve every flag but @p own as net parameters, exactly as a grid
  *  point is resolved; a bad flag exits 2 naming it. */
@@ -236,13 +275,15 @@ specFromFlags(const Flags &args, sweep::FlagSurface surface,
 
 /**
  * Create the inspection server + engine for --inspect ADDR (exit 2 on
- * a bad address).  The run starts paused until a client resumes it, so
- * a fast run cannot finish before the client attaches.
+ * a bad address) over @p targets (the run's network, memory and hash)
+ * plus @p run's observers, and install it as @p run's pause fence.
+ * The run starts paused until a client resumes it, so a fast run
+ * cannot finish before the client attaches.
  */
 std::unique_ptr<inspect::Inspector>
 makeInspector(const Flags &args,
               std::unique_ptr<inspect::InspectServer> &server,
-              const inspect::Targets &targets)
+              core::Observed &run, inspect::Targets targets)
 {
     if (!args.has("inspect"))
         return nullptr;
@@ -257,7 +298,15 @@ makeInspector(const Flags &args,
                  "inspect: listening on %s (paused until a client "
                  "attaches and resumes)\n",
                  server->where().c_str());
-    return std::make_unique<inspect::Inspector>(*server, targets, true);
+    targets.registry = &run.registry();
+    targets.latency = run.latency();
+    targets.prof = run.profiler();
+    auto inspector =
+        std::make_unique<inspect::Inspector>(*server, targets, true);
+    run.setCycleHook([fence = inspector.get()](Cycle now) {
+        fence->atCycleBoundary(now);
+    });
+    return inspector;
 }
 
 int
@@ -265,56 +314,27 @@ cmdNet(const Flags &args)
 {
     const ObsOptions obs = ObsOptions::from(args);
 
-    // The experiment itself -- construction order, warmup/reset/
-    // measure loop, model cross-check -- lives in sweep::NetExperiment
+    // The experiment itself -- the rig, warmup/reset/measure loop,
+    // model cross-check and observers -- lives in sweep::NetExperiment
     // so `ultrasim net` and the ultrasweep workers produce identical
     // bytes by sharing the code, not by replicating it.  This function
     // only resolves the flags as a grid point is resolved and wires
-    // the byte-neutral observability hooks.
-    sweep::NetPointSpec spec =
-        specFromFlags(args, sweep::FlagSurface::Net, {ULTRASIM_OBS_FLAGS});
-    spec.wantLatency = obs.latencyWanted();
+    // the byte-neutral observers as `app` does.
+    sweep::NetPointSpec spec = specFromFlags(
+        args, sweep::FlagSurface::Net, {ULTRASIM_OBS_FLAGS, "check-drift"});
     spec.driftTolerance = obs.driftTolerance;
 
     sweep::NetExperiment exp(spec);
-    net::Network &network = exp.network();
+    net::TrafficRig &rig = exp.rig();
+    net::Network &network = rig.network;
     const Cycle cycles = spec.cycles;
 
     obs::EventTrace trace;
-    obs::Sampler sampler;
-    if (obs.sampling()) {
-        for (unsigned s = 0; s < network.topology().stages(); ++s) {
-            const std::string stage =
-                "net.stage" + std::to_string(s) + ".";
-            sampler.addRegistryColumn(exp.registry(),
-                                      stage + "tomm_pkts");
-            sampler.addRegistryColumn(exp.registry(),
-                                      stage + "wb_entries");
-            sampler.addRegistryColumn(exp.registry(),
-                                      stage + "combines");
-        }
-        sampler.addRegistryColumn(exp.registry(), "pni.outstanding");
-        sampler.addRegistryColumn(exp.registry(),
-                                  "net.mni_pending_pkts");
-    }
-
-    // Wall-clock self-profiler (opt-in): times injection, PNI issue
-    // and the network's sub-phases; the simulated run is byte-identical
-    // with or without it.
-    std::unique_ptr<prof::Profiler> prof;
-    if (!obs.profJson.empty())
-        prof = std::make_unique<prof::Profiler>();
-
+    attachObservers(obs, exp, trace);
     std::unique_ptr<inspect::InspectServer> iserver;
-    inspect::Targets itargets;
-    itargets.network = &network;
-    itargets.memory = &exp.memory();
-    itargets.hash = &exp.addressHash();
-    itargets.registry = &exp.registry();
-    itargets.latency = exp.latency();
-    itargets.prof = prof.get();
-    std::unique_ptr<inspect::Inspector> inspector =
-        makeInspector(args, iserver, itargets);
+    std::unique_ptr<inspect::Inspector> inspector = makeInspector(
+        args, iserver, exp,
+        {.network = &network, .memory = &rig.memory, .hash = &rig.hash});
     if (inspector && exp.modelApplicable()) {
         inspector->setDriftProbe([&exp, &network,
                                   acfg = exp.modelConfig(),
@@ -331,54 +351,22 @@ cmdNet(const Flags &args)
                                           s.oneWayTransit.mean());
         });
     }
-
-    sweep::NetExperiment::Hooks hooks;
-    if (inspector) {
-        hooks.atCycle = [&inspector](Cycle now) {
-            inspector->atCycleBoundary(now);
-        };
-    }
-    if (obs.sampling()) {
-        hooks.sampler = &sampler;
-        hooks.sampleEvery = obs.sampleEvery;
-    }
-    if (!obs.traceEvents.empty())
-        hooks.trace = &trace;
-    hooks.prof = prof.get();
-    exp.run(hooks);
+    exp.run();
 
     const auto &stats = network.stats();
     const obs::ModelCrossCheck &model = exp.model();
-    const bool model_ok = exp.modelOk();
-    obs::LatencyObservatory *const latency = exp.latency();
+    const obs::LatencyObservatory *const latency = exp.latency();
 
     // The run is over: let an attached client take final dumps (the
     // model.* stats are registered by now), then write the files.
     if (inspector)
         inspector->finishRun(network.now(), true);
 
-    bool written = true;
-    if (!obs.statsJson.empty()) {
-        written &= writeTextFile(obs.statsJson,
-                                 exp.statsJson(obs.dumpOptions()));
-    }
-    if (!obs.sampleOut.empty())
-        written &= sampler.save(obs.sampleOut);
-    if (!obs.traceEvents.empty())
-        written &= trace.save(obs.traceEvents);
-    if (latency != nullptr) {
-        if (!obs.latencyJson.empty()) {
-            written &= writeTextFile(
-                obs.latencyJson,
-                spliceJson(latency->summaryJson(), "model",
-                           model.json()) +
-                    "\n");
-        }
-        if (!obs.heatmapCsv.empty())
-            written &= writeTextFile(obs.heatmapCsv, latency->heatmapCsv());
-    }
-    if (prof)
-        written &= writeTextFile(obs.profJson, prof->reportJson() + "\n");
+    const bool written = writeObserverFiles(
+        obs, exp, trace,
+        latency != nullptr
+            ? spliceJson(latency->summaryJson(), "model", model.json())
+            : "");
     std::printf("ports %u, k=%u m=%u d=%u, policy %s%s\n",
                 spec.net.numPorts, spec.net.k, spec.net.m, spec.net.d,
                 args.getString("policy", "full").c_str(),
@@ -408,7 +396,7 @@ cmdNet(const Flags &args)
                 static_cast<unsigned long long>(
                     stats.roundTripHist.percentile(0.99)));
     std::printf("access time:     %.2f cycles (incl. issue wait)\n",
-                exp.pni().stats().accessTime.mean());
+                rig.pni.stats().accessTime.mean());
     std::printf("MM queue wait:   %.2f cycles\n",
                 stats.mmQueueWait.mean());
     if (latency) {
@@ -441,7 +429,7 @@ cmdNet(const Flags &args)
                          "--queue 0, open-loop uniform traffic)\n");
             return 2;
         }
-        if (!model_ok)
+        if (!exp.modelOk())
             return 3;
     }
     return 0;
@@ -541,36 +529,19 @@ cmdApp(const Flags &args)
 {
     args.rejectUnknown({"app", "pes", "n", "contexts", ULTRASIM_OBS_FLAGS});
     const auto [app, pes, contexts, n, mcfg] = appRunFrom(args);
+    const ObsOptions obs = ObsOptions::from(args);
 
     Cycle cycles = 0;
     pe::PeStats totals;
-    double access = 0.0;
     core::Machine machine(mcfg);
-    const ObsOptions obs = ObsOptions::from(args);
     obs::EventTrace trace;
-    if (!obs.traceEvents.empty())
-        machine.attachEventTrace(&trace);
-    if (obs.latencyWanted())
-        machine.enableLatency();
-    if (!obs.profJson.empty())
-        machine.enableProfiling();
-    if (obs.sampling())
-        machine.enableSampling(obs.sampleEvery);
+    attachObservers(obs, machine, trace);
     std::unique_ptr<inspect::InspectServer> iserver;
-    inspect::Targets itargets;
-    itargets.network = &machine.network();
-    itargets.memory = &machine.memory();
-    itargets.hash = &machine.addressHash();
-    itargets.registry = &machine.registry();
-    itargets.latency = machine.latency();
-    itargets.prof = machine.profiler();
-    std::unique_ptr<inspect::Inspector> inspector =
-        makeInspector(args, iserver, itargets);
-    if (inspector) {
-        machine.setCycleHook([&inspector](Cycle now) {
-            inspector->atCycleBoundary(now);
-        });
-    }
+    std::unique_ptr<inspect::Inspector> inspector = makeInspector(
+        args, iserver, machine,
+        {.network = &machine.network(),
+         .memory = &machine.memory(),
+         .hash = &machine.addressHash()});
     if (app == "tred2") {
         const auto result = apps::tred2Parallel(
             machine, pes, apps::randomSymmetric(n, 1), n, contexts);
@@ -643,7 +614,6 @@ cmdApp(const Flags &args)
     }
     if (inspector)
         inspector->finishRun(machine.now(), true);
-    access = machine.pni().stats().accessTime.mean();
 
     std::printf("simulated time:  %llu cycles\n",
                 static_cast<unsigned long long>(cycles));
@@ -655,36 +625,16 @@ cmdApp(const Flags &args)
                     static_cast<double>(totals.instructions),
                 static_cast<double>(totals.sharedRefs) /
                     static_cast<double>(totals.instructions));
-    std::printf("CM access time:  %.2f cycles\n", access);
+    std::printf("CM access time:  %.2f cycles\n",
+                machine.pni().stats().accessTime.mean());
     std::printf("combined:        %llu requests\n",
                 static_cast<unsigned long long>(
                     machine.network().stats().combined));
     std::printf("\n%s", machine.statsReport().c_str());
 
-    bool written = true;
-    if (!obs.statsJson.empty()) {
-        written &= writeTextFile(obs.statsJson,
-                                 machine.statsJson(obs.dumpOptions()));
-    }
-    if (!obs.sampleOut.empty())
-        written &= machine.sampler().save(obs.sampleOut);
-    if (!obs.traceEvents.empty())
-        written &= trace.save(obs.traceEvents);
-    if (machine.latencyEnabled()) {
-        if (!obs.latencyJson.empty()) {
-            written &= writeTextFile(obs.latencyJson,
-                                     machine.latencyJson() + "\n");
-        }
-        if (!obs.heatmapCsv.empty()) {
-            written &= writeTextFile(obs.heatmapCsv,
-                                     machine.latency()->heatmapCsv());
-        }
-    }
-    if (machine.profilingEnabled()) {
-        written &= writeTextFile(obs.profJson,
-                                 machine.profiler()->reportJson() + "\n");
-    }
-    return written ? 0 : 1;
+    return writeObserverFiles(obs, machine, trace, machine.latencyJson())
+               ? 0
+               : 1;
 }
 
 int
@@ -696,6 +646,10 @@ cmdModel(const Flags &args)
         const double p = args.getDouble("rate", 0.2, 0.0, 1.0);
         const double budget = args.getDouble("budget", 20, 0, HUGE_VAL);
         const std::uint64_t n = args.getInt("ports", 4096);
+        if (n < 2 || !isPowerOfTwo(n)) {
+            args.fail("--ports must be a power of two >= 2, got " +
+                      std::to_string(n));
+        }
         const auto best = analytic::cheapestConfiguration(n, p, budget);
         if (best.d == 0) {
             std::printf("no configuration meets T <= %.1f at p = %.2f "
@@ -777,12 +731,11 @@ cmdTrace(const Flags &args)
         const net::Trace trace = net::loadTrace(path, err);
         if (!err.empty())
             args.fail(err);
-        mem::MemoryConfig mcfg;
-        mcfg.numModules = ncfg.numPorts;
-        mcfg.wordsPerModule = 1 << 14;
         // Entry i is line i + 1; a PE or address the replay network
         // lacks stops here instead of at an assertion.
-        const Addr words = Addr{ncfg.numPorts} * mcfg.wordsPerModule;
+        const Addr words =
+            Addr{ncfg.numPorts} *
+            net::TrafficRig::memConfigFor(ncfg).wordsPerModule;
         for (std::size_t i = 0; i < trace.entries.size(); ++i) {
             const net::TraceEntry &e = trace.entries[i];
             if (e.pe < ncfg.numPorts && e.vaddr < words)
@@ -797,11 +750,9 @@ cmdTrace(const Flags &args)
                                  " is outside the " +
                                  std::to_string(words) + "-word memory"));
         }
-        mem::MemorySystem memory(mcfg);
-        net::Network network(ncfg, memory);
-        mem::AddressHash hash(log2Exact(memory.totalWords()), true);
-        net::PniArray pni(net::PniConfig{}, network, hash);
-        const auto result = net::replayTrace(trace, pni, network);
+        // The trace drives the rig's PNIs; its generator stays idle.
+        net::TrafficRig rig(ncfg, {.activePes = 0});
+        const auto result = net::replayTrace(trace, rig.pni, rig.network);
         std::printf("replayed %llu requests: mean access %.2f cycles, "
                     "one-way %.2f, finished at %llu\n",
                     static_cast<unsigned long long>(result.requests),

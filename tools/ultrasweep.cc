@@ -113,7 +113,7 @@ runPoint(const sweep::Point &point, unsigned attempt,
         return 2;
     }
     sweep::NetExperiment exp(spec);
-    exp.run({});
+    exp.run();
     // The stats file carries exactly the bytes a standalone
     // `ultrasim net --stats-json` run would write for this point.
     const obs::DumpOptions dump{.sortKeys = true, .pretty = false};
