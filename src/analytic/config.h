@@ -52,12 +52,6 @@ struct NetworkConfig
     /** Total cost in units of (2x2-switch equivalents) = C * n lg n. */
     double cost() const;
 
-    /** Chip-bandwidth constant B = k / m. */
-    double bandwidthConstant() const
-    {
-        return static_cast<double>(k) / static_cast<double>(m);
-    }
-
     /**
      * Per-PE message capacity: a PE can inject at most 1/m messages per
      * cycle into each copy, so d/m total ("global bandwidth... is indeed

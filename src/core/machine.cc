@@ -50,7 +50,6 @@ memoryConfigFor(const MachineConfig &cfg)
     mem::MemoryConfig mc;
     mc.numModules = cfg.net.numPorts;
     mc.wordsPerModule = cfg.wordsPerModule;
-    mc.accessTime = cfg.net.mmAccessTime;
     return mc;
 }
 

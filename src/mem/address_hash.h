@@ -40,7 +40,6 @@ class AddressHash
     Addr toVirtual(Addr paddr) const;
 
     bool enabled() const { return enabled_; }
-    unsigned addrBits() const { return addrBits_; }
 
   private:
     /** One round of an invertible xorshift-multiply mix. */

@@ -38,8 +38,6 @@ struct MemoryConfig
     std::uint32_t numModules = 64;
     /** Words of storage per module. */
     std::size_t wordsPerModule = 1 << 16;
-    /** Cycles one module needs to service one request. */
-    Cycle accessTime = 2;
 };
 
 /**
@@ -88,13 +86,6 @@ class MemorySystem
     const std::vector<std::uint64_t> &moduleLoad() const
     {
         return moduleLoad_;
-    }
-
-    /** Per-module count of fetch-and-phi executions (ops with an MNI
-     *  adder cycle: everything but plain Load / Store). */
-    const std::vector<std::uint64_t> &moduleFaOps() const
-    {
-        return faOps_;
     }
 
     /** Requests executed across all modules. */

@@ -805,72 +805,6 @@ Network::drain(Cycle max_cycles)
     return inFlight() == 0;
 }
 
-
-std::string
-Network::dumpState() const
-{
-    std::ostringstream os;
-    os << "cycle " << now_ << ", live messages " << inFlight() << "\n";
-    auto show_queue = [&](const char *what, unsigned c, unsigned s,
-                          std::uint32_t idx, unsigned port,
-                          const OutQueue &queue, Cycle link_free) {
-        if (queue.empty() && queue.reservedPackets() == 0)
-            return;
-        os << "  copy" << c << " stage" << s << " sw" << idx << " "
-           << what << port << ": " << queue.sizeMessages() << " msgs, "
-           << queue.usedPackets() << "+" << queue.reservedPackets()
-           << " pkts";
-        if (link_free > now_)
-            os << ", link busy until " << link_free;
-        if (!queue.empty()) {
-            const Message *head = queue.head();
-            os << ", head " << mem::opName(head->op)
-               << (head->isReply ? " reply" : " req") << " paddr "
-               << head->paddr << " pkts " << head->packets << " age "
-               << (now_ - head->injectedAt);
-        }
-        os << "\n";
-    };
-    for (unsigned c = 0; c < copies_.size(); ++c) {
-        const Copy &copy = copies_[c];
-        for (unsigned s = 0; s < copy.stage.size(); ++s) {
-            for (std::uint32_t idx = 0; idx < copy.stage[s].size();
-                 ++idx) {
-                const Node &node = copy.stage[s][idx];
-                for (unsigned p = 0; p < cfg_.k; ++p) {
-                    show_queue("fwd", c, s, idx, p, node.fwd[p].queue,
-                               node.fwd[p].linkFreeAt);
-                    show_queue("rev", c, s, idx, p, node.rev[p].queue,
-                               node.rev[p].linkFreeAt);
-                }
-                if (!node.wb.empty()) {
-                    os << "  copy" << c << " stage" << s << " sw"
-                       << idx << " waitbuf: " << node.wb.size()
-                       << " entries\n";
-                }
-                if (!node.fwdInbox.empty() || !node.revInbox.empty()) {
-                    os << "  copy" << c << " stage" << s << " sw"
-                       << idx << " inbox: " << node.fwdInbox.size()
-                       << " fwd, " << node.revInbox.size()
-                       << " rev\n";
-                }
-            }
-        }
-        for (MMId mm = 0; mm < copy.mni.size(); ++mm) {
-            const MniState &mni = copy.mni[mm];
-            if (mni.pending.empty() && mni.inbox.empty())
-                continue;
-            os << "  copy" << c << " mni" << mm << ": "
-               << mni.pending.sizeMessages() << " msgs, "
-               << mni.pending.usedPackets() << "+"
-               << mni.pending.reservedPackets()
-               << " pkts, service free at " << mni.serviceFreeAt
-               << ", inbox " << mni.inbox.size() << "\n";
-        }
-    }
-    return os.str();
-}
-
 namespace
 {
 

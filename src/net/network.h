@@ -222,13 +222,6 @@ class Network
     std::uint64_t mniPendingPackets() const;
 
     /**
-     * Diagnostic dump of every nonempty queue, wait buffer and MNI
-     * (location, occupancy, head message and its age) -- for debugging
-     * stuck or congested configurations.
-     */
-    std::string dumpState() const;
-
-    /**
      * One switch's ToMM/ToPE queues and wait-buffer entries as a JSON
      * object (for the live inspection protocol, ultra::inspect).  Reads
      * only committed state -- call it between ticks.  Returns "" when

@@ -151,8 +151,6 @@ class OutQueue
         panic("cancelClaim: no such claim");
     }
 
-    std::size_t pendingClaims() const { return claims_.size(); }
-
     /** Claim space unconditionally (init paths and fission slack). */
     void
     reserve(std::uint32_t pkts)

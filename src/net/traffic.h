@@ -111,7 +111,6 @@ struct TrafficRig
         mem::MemoryConfig mc;
         mc.numModules = cfg.numPorts;
         mc.wordsPerModule = 1 << 14;
-        mc.accessTime = cfg.mmAccessTime;
         return mc;
     }
 

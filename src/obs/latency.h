@@ -171,20 +171,10 @@ class LatencyObservatory
         return opened_ - delivered_ - killed_;
     }
 
-    const Accumulator &pniWait() const { return pniWait_; }
     const Accumulator &endToEnd() const { return endToEnd_; }
-    const Histogram &endToEndHist() const { return endToEndHist_; }
     const Accumulator &mmWait() const { return mmWait_; }
     const Accumulator &wbWait() const { return wbWait_; }
     const Histogram &fanInHist() const { return fanInHist_; }
-    const Histogram &fwdWaitHist(unsigned s) const
-    {
-        return fwdWaitHist_[s];
-    }
-    const Histogram &revWaitHist(unsigned s) const
-    {
-        return revWaitHist_[s];
-    }
 
     /** One stage x switch congestion-heatmap cell. */
     struct HeatCell

@@ -192,7 +192,6 @@ class Pe
 
     /** Give this PE a local cache (call before launching a program). */
     void attachCache(const cache::CacheConfig &cfg);
-    bool hasCache() const { return cache_ != nullptr; }
     cache::Cache &cache();
 
     /** Read @p vaddr through the cache; *out receives the value. */

@@ -107,10 +107,6 @@ class Profiler
 
     // -- accessors (tests, report writers) --------------------------
     std::uint64_t cycles() const { return cycles_; }
-    std::uint64_t phaseNs(Phase p) const
-    {
-        return phaseNs_[static_cast<unsigned>(p)];
-    }
     std::uint64_t totalPhaseNs() const;
 
   private:

@@ -550,8 +550,7 @@ argvForParams(const ParamMap &params)
 }
 
 std::string
-pointRecordJson(const Point &point, const std::string &statsDump,
-                const NetRunSummary &summary)
+pointRecordJson(const Point &point, const std::string &statsDump)
 {
     std::ostringstream os;
     os << "{\"argv\": [";
@@ -577,8 +576,7 @@ pointRecordJson(const Point &point, const std::string &statsDump,
            (stats.back() == '\n' || stats.back() == '\r')) {
         stats.pop_back();
     }
-    os << "}, \"stats\": " << stats
-       << ", \"summary\": " << summary.json() << ", \"tag\": \""
+    os << "}, \"stats\": " << stats << ", \"tag\": \""
        << jsonEscape(point.tag) << "\"}";
     return os.str();
 }

@@ -28,6 +28,10 @@
  * pure function of (seed_base, global point index) -- never of worker
  * scheduling -- which is what makes a sweep's merged output
  * byte-identical at any worker count.
+ *
+ * Result schema ("sweep.v1"): {"point_count", "points", "schema"},
+ * each point a pointRecordJson record whose metrics are its embedded
+ * stats dump ("net.delivered", "model.drift", ...) and nothing else.
  */
 
 #ifndef ULTRA_SWEEP_GRID_H
@@ -119,14 +123,14 @@ std::vector<std::string> argvForParams(const ParamMap &params);
  * One sweep.v1 point record (a single line):
  *
  *   {"argv": [...], "index": N, "params": {...}, "stats": <dump>,
- *    "summary": {...}, "tag": "..."}
+ *    "tag": "..."}
  *
- * @p statsDump is embedded verbatim, so the record's bytes equal the
- * standalone --stats-json bytes wherever they overlap.
+ * @p statsDump is embedded verbatim and is the record's only copy of
+ * the point's metrics: its bytes equal the standalone --stats-json
+ * bytes.
  */
 std::string pointRecordJson(const Point &point,
-                            const std::string &statsDump,
-                            const NetRunSummary &summary);
+                            const std::string &statsDump);
 
 /** Merge point records (already in index order) into a sweep.v1
  *  document.  Pure concatenation: merged bytes depend only on the

@@ -12,14 +12,15 @@
  * The rig is the benches' net::TrafficRig, and the observers are the
  * core::Observed ones Machine uses too; all are optional and
  * byte-neutral, so an unobserved sweep worker and a fully-instrumented
- * interactive run produce identical --stats-json output.
+ * interactive run produce identical --stats-json output.  That dump is
+ * the run's one result: a sweep record embeds it as its metrics, and
+ * the model cross-check publishes into it as "model.*".
  */
 
 #ifndef ULTRA_SWEEP_NET_RUN_H
 #define ULTRA_SWEEP_NET_RUN_H
 
 #include <memory>
-#include <string>
 
 #include "analytic/config.h"
 #include "analytic/drift.h"
@@ -43,45 +44,6 @@ struct NetPointSpec
     Cycle cycles = 10000;
     bool wantLatency = false;
     double driftTolerance = analytic::kDefaultDriftTolerance;
-};
-
-/** Headline metrics of a finished run, for sweep records and reports;
- *  everything here is derived from simulated state, so the values are
- *  deterministic per point. */
-struct NetRunSummary
-{
-    std::uint64_t injected = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t combined = 0;
-    std::uint64_t killed = 0;
-    std::uint64_t mmServed = 0;
-    double offered = 0.0;      //!< injected / cycles / ports
-    double opsPerCycle = 0.0;  //!< delivered / cycles
-    double combinedFraction = 0.0;
-    double oneWayMean = 0.0;
-    double oneWayMax = 0.0;
-    double roundTripMean = 0.0;
-    std::uint64_t rtP50 = 0;
-    std::uint64_t rtP95 = 0;
-    std::uint64_t rtP99 = 0;
-    double accessMean = 0.0;
-    double mmQueueWaitMean = 0.0;
-    bool modelApplicable = false;
-    bool modelOk = true;
-    double predictedTransit = 0.0;
-    double measuredTransit = 0.0;
-    double drift = 0.0;
-    // Latency-observatory analytics; valid when wantLatency was set.
-    bool hasLatency = false;
-    std::uint64_t latDelivered = 0;
-    std::uint64_t latCombinedDelivered = 0;
-    std::uint64_t latMmCyclesSaved = 0;
-    std::uint64_t latViolations = 0;
-    std::uint64_t fanInP50 = 1;
-    std::uint64_t fanInMax = 1;
-
-    /** The summary as a sorted-key JSON object (one line). */
-    std::string json() const;
 };
 
 /** One net-mode experiment, construction through stats dump.  Its
@@ -110,7 +72,6 @@ class NetExperiment : public core::Observed
     // -- post-run results -------------------------------------------
     const obs::ModelCrossCheck &model() const { return *model_; }
     bool modelOk() const { return modelOk_; }
-    NetRunSummary summary() const;
 
   private:
     /** @p count cycles of injection, PNI issue and network tick. */
@@ -123,7 +84,6 @@ class NetExperiment : public core::Observed
     Cycle statsResetAt_ = 0;
     std::unique_ptr<obs::ModelCrossCheck> model_;
     bool modelOk_ = true;
-    bool ran_ = false;
 };
 
 } // namespace ultra::sweep

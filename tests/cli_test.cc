@@ -171,6 +171,12 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"model --best --rate 1.5", "--rate"},
         {"model --best --ports 5 --rate 0.1", "--ports"},
         {"model --best --ports 1", "--ports"},
+        {"model --ports 5", "--ports expects a power of --k"},
+        {"model --ports 1", "--ports expects a power of --k"},
+        {"model --k 3", "--k expects a power of two >= 2"},
+        {"model --k 1", "--k expects a power of two >= 2"},
+        {"model --m 0", "--m"},
+        {"model --d 0", "--d"},
         // An observer flag that would do nothing exits 2 as well:
         // --check-drift is net-only and needs a positive tolerance,
         // and each flag below needs its partner.
@@ -194,6 +200,16 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"trace --record /dev/null --pes 0", "--pes"},
         {"trace --record /dev/null --app weather --n 0", "--n"},
         {"trace --record /dev/null --app tred2 --n 300", "--n"},
+        // `--record` takes only the app flags, `--replay` only the
+        // network ones, and never both at once.
+        {"trace --record /dev/null --app tred2 --pes 16 --n 16 --k 4",
+         "--k"},
+        {"trace --record /dev/null --app tred2 --pes 16 --n 16 --ideal",
+         "--ideal"},
+        {"trace --record /dev/null --replay /dev/null", "--replay"},
+        {"trace --replay /dev/null --app weather", "--app"},
+        {"trace --replay /dev/null --pes 3", "--pes"},
+        {"trace --replay /dev/null --n 99", "--n"},
         {"pack --ports 0", "--ports must be a power of two >= 4"},
         {"pack --ports 12", "--ports must be a power of two >= 4"},
     };
@@ -645,6 +661,27 @@ TEST(CliTest, UltrascopeSweepModeRendersAndRejects)
     const std::string text = readFile(report);
     EXPECT_NE(text.find("mini"), std::string::npos) << text;
     EXPECT_NE(text.find("2 points"), std::string::npos) << text;
+    // Each row's delivered, one-way and rt-mean columns are its point's
+    // stats-dump values.
+    const jsonlite::JsonValue doc = jsonlite::parse(readFile(out));
+    std::istringstream lines(text);
+    std::string line;
+    std::getline(lines, line); // "<path>: 2 points"
+    std::getline(lines, line); // column header
+    for (const jsonlite::JsonValue &pt : doc["points"].array) {
+        ASSERT_TRUE(std::getline(lines, line)) << text;
+        std::istringstream row(line);
+        std::string col[12];
+        for (std::string &c : col)
+            row >> c;
+        const jsonlite::JsonValue &stats = pt["stats"]["stats"];
+        char want[64];
+        std::snprintf(want, sizeof want, "%.0f %.2f %.2f",
+                      stats["net.delivered"].number,
+                      stats["net.one_way_transit"]["mean"].number,
+                      stats["net.round_trip"]["mean"].number);
+        EXPECT_EQ(col[8] + " " + col[9] + " " + col[10], want) << line;
+    }
 
     // ...while non-sweep input and a missing operand are exit 2.
     EXPECT_EQ(runCommand(std::string(ULTRASCOPE_BIN) + " --sweep " +

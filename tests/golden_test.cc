@@ -127,7 +127,6 @@ netTable1Scaled()
     mem::MemoryConfig mcfg;
     mcfg.numModules = ncfg.numPorts;
     mcfg.wordsPerModule = 1 << 12;
-    mcfg.accessTime = ncfg.mmAccessTime;
     mem::MemorySystem memory(mcfg);
     net::Network network(ncfg, memory);
     mem::AddressHash hash(log2Exact(memory.totalWords()), true);
@@ -191,7 +190,6 @@ netBurroughsHotspot()
     mem::MemoryConfig mcfg;
     mcfg.numModules = ncfg.numPorts;
     mcfg.wordsPerModule = 1 << 10;
-    mcfg.accessTime = ncfg.mmAccessTime;
     mem::MemorySystem memory(mcfg);
     net::Network network(ncfg, memory);
     mem::AddressHash hash(log2Exact(memory.totalWords()), true);

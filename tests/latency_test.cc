@@ -58,7 +58,6 @@ struct LatRig
         mem::MemoryConfig mc;
         mc.numModules = ncfg.numPorts;
         mc.wordsPerModule = 1 << 12;
-        mc.accessTime = ncfg.mmAccessTime;
         return mc;
     }
 

@@ -174,22 +174,6 @@ TEST(MultiprogramTest, FencesAreIsolatedPerContext)
     EXPECT_TRUE(b_fenced_early);
 }
 
-TEST(MultiprogramTest, DumpStateShowsBusyNetwork)
-{
-    Machine machine(testConfig());
-    const Addr a = machine.allocShared(1);
-    machine.launch(0, [&](Pe &pe) -> Task {
-        pe.postStore(a, 1);
-        co_await pe.fence();
-    });
-    // Step a couple of cycles by running with a tiny budget... the
-    // machine API runs to completion, so instead inspect after: an
-    // idle network dumps only the header.
-    ASSERT_TRUE(machine.run());
-    const std::string dump = machine.network().dumpState();
-    EXPECT_NE(dump.find("live messages 0"), std::string::npos);
-}
-
 // --------------------------------------------------------- cached PE ops
 
 TEST(CachedOpsTest, LoadMissFetchesBlockThenHits)

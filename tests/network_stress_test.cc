@@ -438,7 +438,6 @@ observeRun(const NetSimConfig &ncfg, const TrafficConfig &tcfg,
     mem::MemoryConfig mc;
     mc.numModules = ncfg.numPorts;
     mc.wordsPerModule = 1 << 10;
-    mc.accessTime = ncfg.mmAccessTime;
     mem::MemorySystem memory(mc);
     Network network(ncfg, memory);
     mem::AddressHash hash(log2Exact(memory.totalWords()), true);

@@ -46,7 +46,6 @@ struct Harness
         mem::MemoryConfig mc;
         mc.numModules = cfg.numPorts;
         mc.wordsPerModule = 1024;
-        mc.accessTime = cfg.mmAccessTime;
         return mc;
     }
 

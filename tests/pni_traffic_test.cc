@@ -40,7 +40,6 @@ struct Rig
         mem::MemoryConfig mc;
         mc.numModules = cfg.numPorts;
         mc.wordsPerModule = 1024;
-        mc.accessTime = cfg.mmAccessTime;
         return mc;
     }
 

@@ -419,6 +419,13 @@ TEST(UltrasweepTest, PointStatsMatchStandaloneUltrasim)
     ASSERT_EQ(runSweep(out, 4, dir), 0);
     const jsonlite::JsonValue doc = jsonlite::parse(readFile(out));
     ASSERT_EQ(doc["points"].array.size(), 8u);
+    // The embedded dump is a record's only copy of its metrics.
+    for (const jsonlite::JsonValue &pt : doc["points"].array) {
+        std::string keys;
+        for (const auto &kv : pt.object)
+            keys += (keys.empty() ? "" : ",") + kv.first;
+        EXPECT_EQ(keys, "argv,index,params,stats,tag");
+    }
 
     // Two representative points (uniform and hot-spot): replay each
     // recorded argv through the real ultrasim binary and demand the

@@ -25,8 +25,9 @@
  *
  * Sweep mode: `ultrascope --sweep SWEEP.json` renders an `ultrasweep`
  * merged result (schema "sweep.v1") as a per-point table -- config,
- * delivered traffic, transit means and model drift.  Exit 2 on
- * anything that is not a sweep.v1 document.
+ * delivered traffic, transit means and model drift, read from each
+ * point's embedded stats dump.  Exit 2 on anything that is not a
+ * sweep.v1 document.
  *
  * Live mode: `ultrascope --attach ADDR` connects to a running
  * `ultrasim ... --inspect ADDR` (see DESIGN.md "Live inspection").
@@ -409,10 +410,14 @@ sweepMain(const std::string &path)
                 "index", "tag", "ports", "k", "m", "d", "rate", "hot",
                 "delivered", "one-way", "rt-mean", "drift%");
     for (const jsonlite::JsonValue &pt : pts) {
-        if (!pt.isObject() || !pt.has("params") || !pt.has("summary"))
+        if (!pt.isObject() || !pt.has("params") || !pt.has("stats") ||
+            !pt["stats"].has("stats"))
             continue;
         const jsonlite::JsonValue &p = pt["params"];
-        const jsonlite::JsonValue &s = pt["summary"];
+        const jsonlite::JsonValue &s = pt["stats"]["stats"];
+        const auto mean = [&s](const char *key) {
+            return s.has(key) ? numAt(s[key], "mean") : 0.0;
+        };
         const std::string tag =
             pt.has("tag") && pt["tag"].isString() && !pt["tag"].string.empty()
                 ? pt["tag"].string
@@ -423,10 +428,10 @@ sweepMain(const std::string &path)
                     numAt(p, "k"), numAt(p, "m"),
                     p.has("d") ? numAt(p, "d") : 1.0,
                     numAt(p, "rate"), numAt(p, "hot"),
-                    numAt(s, "delivered"), numAt(s, "one_way_mean"),
-                    numAt(s, "round_trip_mean"));
-        if (numAt(s, "model_applicable") != 0.0)
-            std::printf(" %8.1f", 100.0 * numAt(s, "drift"));
+                    numAt(s, "net.delivered"),
+                    mean("net.one_way_transit"), mean("net.round_trip"));
+        if (numAt(s, "model.applicable") != 0.0)
+            std::printf(" %8.1f", 100.0 * numAt(s, "model.drift"));
         else
             std::printf(" %8s", "-");
         std::printf("\n");

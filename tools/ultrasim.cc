@@ -12,8 +12,8 @@
  *   ultrasim trace [options]   record an app's traffic / replay a file
  *
  * `trace` options:
- *   --record FILE --app NAME --pes P --n N    record a tred2 or weather
- *                                             trace, checked and sized
+ *   --record FILE --app NAME --pes P --n N    record an app's traffic,
+ *     [--contexts K]                          checked, sized and run
  *                                             as for `app`
  *   --replay FILE [network options]           replay through a config
  *                                             (a bad line exits 2)
@@ -524,16 +524,111 @@ appRunFrom(const Flags &args)
     return run;
 }
 
+/** What a finished workload reports: its cycles, PE totals and the
+ *  one-line summary `app` prints. */
+struct AppOutcome
+{
+    Cycle cycles = 0;
+    pe::PeStats totals;
+    std::string line;
+};
+
+/** Run @p run's workload on @p machine: the one app dispatch `app` and
+ *  `trace --record` share. */
+AppOutcome
+runApp(core::Machine &machine, const AppRun &run)
+{
+    const auto &[app, pes, contexts, n, mcfg] = run;
+    AppOutcome out;
+    char line[256];
+    if (app == "tred2") {
+        const auto result = apps::tred2Parallel(
+            machine, pes, apps::randomSymmetric(n, 1), n, contexts);
+        out.cycles = result.cycles;
+        out.totals = result.peTotals;
+        std::snprintf(line, sizeof line,
+                      "tred2: N=%llu, %u workers on %u PEs, "
+                      "waiting/worker %.0f cycles",
+                      static_cast<unsigned long long>(n), pes,
+                      pes / contexts, result.waitingTime);
+    } else if (app == "weather") {
+        apps::WeatherConfig wcfg;
+        wcfg.rows = n;
+        wcfg.cols = wcfg.rows;
+        wcfg.steps = 4;
+        const auto result = apps::weatherParallel(
+            machine, pes, wcfg, apps::weatherInitial(wcfg, 1));
+        out.cycles = result.cycles;
+        out.totals = result.peTotals;
+        std::snprintf(line, sizeof line,
+                      "weather: %zux%zu grid, %u steps, %u PEs",
+                      wcfg.rows, wcfg.cols, wcfg.steps, pes);
+    } else if (app == "multigrid") {
+        apps::MultigridConfig gcfg;
+        gcfg.level = static_cast<unsigned>(n);
+        const auto result = apps::multigridParallel(
+            machine, pes, gcfg, apps::multigridRhs(gcfg.level));
+        out.cycles = result.cycles;
+        out.totals = result.peTotals;
+        std::snprintf(line, sizeof line,
+                      "multigrid: level %u (%zu^2 grid), residual "
+                      "%.2e, %u PEs",
+                      gcfg.level, apps::multigridSide(gcfg.level),
+                      result.residualNorm, pes);
+    } else if (app == "montecarlo") {
+        apps::MonteCarloConfig ccfg;
+        ccfg.particles = n;
+        const auto result =
+            apps::monteCarloParallel(machine, pes, ccfg);
+        out.cycles = result.cycles;
+        out.totals = result.peTotals;
+        std::snprintf(line, sizeof line,
+                      "montecarlo: %llu particles, %u PEs",
+                      static_cast<unsigned long long>(ccfg.particles),
+                      pes);
+    } else if (app == "accounts") {
+        apps::AccountsConfig acfg;
+        acfg.numAccounts = static_cast<std::uint32_t>(n);
+        const auto result = apps::runAccounts(machine, pes, acfg);
+        out.cycles = result.cycles;
+        out.totals = machine.aggregatePeStats();
+        std::snprintf(line, sizeof line,
+                      "accounts: %u accounts, total %lld (conserved: "
+                      "%s), %u PEs",
+                      acfg.numAccounts,
+                      static_cast<long long>(result.total),
+                      result.total == static_cast<Word>(
+                                          acfg.numAccounts) *
+                                          acfg.initialBalance
+                          ? "yes"
+                          : "NO",
+                      pes);
+    } else {
+        const apps::Graph graph = apps::randomGraph(n, 4, 1);
+        const auto result = apps::shortestPathsParallel(
+            machine, pes, graph, 0, true);
+        out.cycles = result.cycles;
+        out.totals = result.peTotals;
+        std::snprintf(line, sizeof line,
+                      "sssp: %zu vertices, %zu edges, %llu "
+                      "relaxations, %u PEs",
+                      graph.numVertices, graph.numEdges(),
+                      static_cast<unsigned long long>(
+                          result.relaxations),
+                      pes);
+    }
+    out.line = line;
+    return out;
+}
+
 int
 cmdApp(const Flags &args)
 {
     args.rejectUnknown({"app", "pes", "n", "contexts", ULTRASIM_OBS_FLAGS});
-    const auto [app, pes, contexts, n, mcfg] = appRunFrom(args);
+    const AppRun run = appRunFrom(args);
     const ObsOptions obs = ObsOptions::from(args);
 
-    Cycle cycles = 0;
-    pe::PeStats totals;
-    core::Machine machine(mcfg);
+    core::Machine machine(run.machine);
     obs::EventTrace trace;
     attachObservers(obs, machine, trace);
     std::unique_ptr<inspect::InspectServer> iserver;
@@ -542,76 +637,8 @@ cmdApp(const Flags &args)
         {.network = &machine.network(),
          .memory = &machine.memory(),
          .hash = &machine.addressHash()});
-    if (app == "tred2") {
-        const auto result = apps::tred2Parallel(
-            machine, pes, apps::randomSymmetric(n, 1), n, contexts);
-        cycles = result.cycles;
-        totals = result.peTotals;
-        std::printf("tred2: N=%llu, %u workers on %u PEs, "
-                    "waiting/worker %.0f cycles\n",
-                    static_cast<unsigned long long>(n), pes,
-                    pes / contexts, result.waitingTime);
-    } else if (app == "weather") {
-        apps::WeatherConfig wcfg;
-        wcfg.rows = n;
-        wcfg.cols = wcfg.rows;
-        wcfg.steps = 4;
-        const auto result = apps::weatherParallel(
-            machine, pes, wcfg, apps::weatherInitial(wcfg, 1));
-        cycles = result.cycles;
-        totals = result.peTotals;
-        std::printf("weather: %zux%zu grid, %u steps, %u PEs\n",
-                    wcfg.rows, wcfg.cols, wcfg.steps, pes);
-    } else if (app == "multigrid") {
-        apps::MultigridConfig gcfg;
-        gcfg.level = static_cast<unsigned>(n);
-        const auto result = apps::multigridParallel(
-            machine, pes, gcfg, apps::multigridRhs(gcfg.level));
-        cycles = result.cycles;
-        totals = result.peTotals;
-        std::printf("multigrid: level %u (%zu^2 grid), residual "
-                    "%.2e, %u PEs\n",
-                    gcfg.level, apps::multigridSide(gcfg.level),
-                    result.residualNorm, pes);
-    } else if (app == "montecarlo") {
-        apps::MonteCarloConfig ccfg;
-        ccfg.particles = n;
-        const auto result =
-            apps::monteCarloParallel(machine, pes, ccfg);
-        cycles = result.cycles;
-        totals = result.peTotals;
-        std::printf("montecarlo: %llu particles, %u PEs\n",
-                    static_cast<unsigned long long>(ccfg.particles),
-                    pes);
-    } else if (app == "accounts") {
-        apps::AccountsConfig acfg;
-        acfg.numAccounts = static_cast<std::uint32_t>(n);
-        const auto result = apps::runAccounts(machine, pes, acfg);
-        cycles = result.cycles;
-        totals = machine.aggregatePeStats();
-        std::printf("accounts: %u accounts, total %lld (conserved: "
-                    "%s), %u PEs\n",
-                    acfg.numAccounts,
-                    static_cast<long long>(result.total),
-                    result.total == static_cast<Word>(
-                                        acfg.numAccounts) *
-                                        acfg.initialBalance
-                        ? "yes"
-                        : "NO",
-                    pes);
-    } else {
-        const apps::Graph graph = apps::randomGraph(n, 4, 1);
-        const auto result = apps::shortestPathsParallel(
-            machine, pes, graph, 0, true);
-        cycles = result.cycles;
-        totals = result.peTotals;
-        std::printf("sssp: %zu vertices, %zu edges, %llu "
-                    "relaxations, %u PEs\n",
-                    graph.numVertices, graph.numEdges(),
-                    static_cast<unsigned long long>(
-                        result.relaxations),
-                    pes);
-    }
+    const auto [cycles, totals, line] = runApp(machine, run);
+    std::printf("%s\n", line.c_str());
     if (inspector)
         inspector->finishRun(machine.now(), true);
 
@@ -664,13 +691,24 @@ cmdModel(const Flags &args)
                     best.capacity());
         return 0;
     }
+    // Each flag is checked against its share of
+    // analytic::NetworkConfig::valid(), so a bad one is named.
     analytic::NetworkConfig cfg;
-    cfg.n = args.getInt("ports", 4096);
     cfg.k = static_cast<unsigned>(args.getInt("k", 4));
-    cfg.m = static_cast<unsigned>(args.getInt("m", cfg.k));
-    cfg.d = static_cast<unsigned>(args.getInt("d", 1));
-    if (!cfg.valid())
-        args.fail("invalid model configuration");
+    if (cfg.k < 2 || !isPowerOfTwo(cfg.k)) {
+        args.fail(cli::badValue("k", std::to_string(cfg.k),
+                                "a power of two >= 2"));
+    }
+    cfg.m = static_cast<unsigned>(args.getInt("m", cfg.k, 1, UINT32_MAX));
+    cfg.d = static_cast<unsigned>(args.getInt("d", 1, 1, UINT32_MAX));
+    cfg.n = args.getInt("ports", 4096);
+    if (!cfg.valid()) {
+        const std::uint64_t k = cfg.k;
+        std::ostringstream os;
+        os << "a power of --k = " << k << " (" << k << ", " << k * k
+           << ", ...)";
+        args.fail(cli::badValue("ports", std::to_string(cfg.n), os.str()));
+    }
     std::printf("T(p) for n=%llu k=%u m=%u d=%u "
                 "(capacity %.3f msgs/PE/cycle, cost C=%.3f)\n",
                 static_cast<unsigned long long>(cfg.n), cfg.k, cfg.m,
@@ -692,27 +730,13 @@ cmdModel(const Flags &args)
 int
 cmdTrace(const Flags &args)
 {
-    const net::NetSimConfig ncfg =
-        specFromFlags(args, sweep::FlagSurface::Replay,
-                      {"record", "replay", "app", "pes", "n"})
-            .net;
     if (args.has("record")) {
+        args.rejectUnknown({"record", "app", "pes", "n", "contexts"});
         const std::string path = args.getString("record", "trace.csv");
-        const auto [app, pes, contexts, n, mcfg] = appRunFrom(args);
-        if (app != "tred2" && app != "weather")
-            args.fail("--record supports tred2 and weather");
-        core::Machine machine(mcfg);
+        const AppRun run = appRunFrom(args);
+        core::Machine machine(run.machine);
         net::TraceRecorder recorder(machine.pni());
-        if (app == "tred2") {
-            (void)apps::tred2Parallel(
-                machine, pes, apps::randomSymmetric(n, 1), n);
-        } else {
-            apps::WeatherConfig wcfg;
-            wcfg.rows = n;
-            wcfg.cols = wcfg.rows;
-            (void)apps::weatherParallel(
-                machine, pes, wcfg, apps::weatherInitial(wcfg, 1));
-        }
+        (void)runApp(machine, run);
         const net::Trace trace = recorder.take();
         if (!net::saveTrace(trace, path)) {
             std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -722,10 +746,12 @@ cmdTrace(const Flags &args)
                     "(intensity %.4f/PE/cycle)\n",
                     trace.entries.size(),
                     static_cast<unsigned long long>(trace.duration()),
-                    path.c_str(), trace.intensity(pes));
+                    path.c_str(), trace.intensity(run.pes));
         return 0;
     }
     if (args.has("replay")) {
+        const net::NetSimConfig ncfg =
+            specFromFlags(args, sweep::FlagSurface::Replay, {"replay"}).net;
         const std::string path = args.getString("replay", "trace.csv");
         std::string err;
         const net::Trace trace = net::loadTrace(path, err);

@@ -122,8 +122,7 @@ runPoint(const sweep::Point &point, unsigned attempt,
                    stats)) {
         return 1;
     }
-    const std::string record =
-        sweep::pointRecordJson(point, stats, exp.summary());
+    const std::string record = sweep::pointRecordJson(point, stats);
     if (!cli::writeTextFile(pointPath(pointsDir, point.index, "json"), record))
         return 1;
     return 0;
