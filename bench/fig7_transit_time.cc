@@ -5,15 +5,13 @@
  * candidate configurations -- k x k switches, multiplexing factor
  * m = k (bandwidth constant B = 1), and d network copies.
  *
- * Three outputs:
+ * Two tables:
  *   1. the analytic Kruskal-Snir curves for the paper's 4096-port
  *      machine, exactly the series plotted in Figure 7;
  *   2. a simulation cross-check on a 1024-port network: measured
  *      one-way head transit (uniform random traffic, uniform message
- *      sizing) against the analytic prediction for the same geometry;
- *   3. BENCH_fig7.json (or argv[1]): every cross-check point with its
- *      predicted/measured transit and relative model drift, so CI can
- *      watch sim-vs-model divergence over time.
+ *      sizing) against the analytic prediction for the same geometry,
+ *      with the relative model drift of each point.
  *
  * Expected shape (paper section 4.1): at reasonable intensities the
  * duplexed 4x4 network is best; 8x8 d=6 is close at equal cost and has
@@ -21,10 +19,7 @@
  * saturation load d/m.
  */
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "analytic/config.h"
@@ -117,17 +112,7 @@ simulateTransit(unsigned k, unsigned d, double p, std::uint32_t ports)
     return rig.network.stats().oneWayTransit.mean();
 }
 
-struct CheckPoint
-{
-    unsigned k;
-    unsigned d;
-    double p;
-    double predicted; //!< model T(p) + injection hop
-    double measured;
-    double drift;     //!< (measured - predicted) / predicted
-};
-
-std::vector<CheckPoint>
+void
 runSimulationCheck()
 {
     const std::uint32_t ports = 1024;
@@ -136,7 +121,6 @@ runSimulationCheck()
                 ports);
     std::printf("(measured includes the injection hop; analytic "
                 "T + 1 is the comparable value)\n");
-    std::vector<CheckPoint> points;
     TextTable table;
     table.setHeader({"config", "p", "analytic T+1", "simulated",
                      "drift"});
@@ -145,68 +129,30 @@ runSimulationCheck()
         for (double p : {0.05, 0.10, 0.15, 0.20}) {
             if (p >= acfg.capacity() * 0.92)
                 continue;
-            CheckPoint pt;
-            pt.k = cfg.k;
-            pt.d = cfg.d;
-            pt.p = p;
-            pt.predicted = analytic::predictedSimTransit(acfg, p);
-            pt.measured = simulateTransit(cfg.k, cfg.d, p, ports);
-            pt.drift = analytic::transitDrift(acfg, p, pt.measured);
-            points.push_back(pt);
+            // The model's T(p) + injection hop against the sim.
+            const double predicted =
+                analytic::predictedSimTransit(acfg, p);
+            const double measured =
+                simulateTransit(cfg.k, cfg.d, p, ports);
+            const double drift =
+                analytic::transitDrift(acfg, p, measured);
             table.addRow({"k=" + std::to_string(cfg.k) +
                               ",d=" + std::to_string(cfg.d),
                           TextTable::fmt(p, 2),
-                          TextTable::fmt(pt.predicted, 1),
-                          TextTable::fmt(pt.measured, 1),
-                          TextTable::fmt(100.0 * pt.drift, 1) + "%"});
+                          TextTable::fmt(predicted, 1),
+                          TextTable::fmt(measured, 1),
+                          TextTable::fmt(100.0 * drift, 1) + "%"});
         }
     }
     std::printf("%s\n", table.render().c_str());
-    return points;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<CheckPoint> &points)
-{
-    std::ofstream out(path);
-    if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    double worst = 0.0;
-    for (const CheckPoint &pt : points)
-        worst = std::max(worst, std::abs(pt.drift));
-    out << "{\n  \"bench\": \"fig7_transit_time\",\n"
-        << "  \"ports\": 1024,\n"
-        << "  \"tolerance\": " << analytic::kDefaultDriftTolerance
-        << ",\n"
-        << "  \"worst_abs_drift\": " << worst << ",\n"
-        << "  \"points\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const CheckPoint &pt = points[i];
-        out << "    {\"k\": " << pt.k << ", \"d\": " << pt.d
-            << ", \"p\": " << pt.p << ", \"predicted\": "
-            << pt.predicted << ", \"measured\": " << pt.measured
-            << ", \"drift\": " << pt.drift << "}"
-            << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return out.good();
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const std::string out_path =
-        argc > 1 ? argv[1] : "BENCH_fig7.json";
     printAnalyticCurves();
-    const std::vector<CheckPoint> points = runSimulationCheck();
-    if (!writeJson(out_path, points))
-        return 1;
-    std::printf("model-drift series written to %s\n",
-                out_path.c_str());
+    runSimulationCheck();
     return 0;
 }

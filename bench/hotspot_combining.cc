@@ -24,15 +24,14 @@
  * unfair under saturation -- requests deep in the congested tree wait
  * far longer than the mean).  Combined fraction approaches (N-1)/N.
  *
- * Each combining run carries a latency observatory; its combining
- * analytics (fan-in distribution, MM cycles saved, decomposition
- * violations) land in BENCH_hotspot.json (or argv[1]) for CI trending.
+ * Every run carries a latency observatory; a decomposition violation
+ * (lat.violations) in a combining run fails the bench with exit 1.
+ * The observatory's full analytics are the lat.* stats of
+ * `ultrasim net --latency`.
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "obs/latency.h"
@@ -49,14 +48,7 @@ struct HotResult
     double opsPerCycle;
     double combinedFraction;
     std::uint64_t mmServed;
-
-    // Latency-observatory combining analytics (combining runs only).
-    std::uint64_t delivered = 0;
-    std::uint64_t combinedDelivered = 0;
-    std::uint64_t mmCyclesSaved = 0;
-    std::uint64_t violations = 0;
-    std::uint64_t fanInP50 = 1;
-    std::uint64_t fanInMax = 1;
+    std::uint64_t violations; //!< latency decomposition failures
 };
 
 HotResult
@@ -111,61 +103,18 @@ runHot(std::uint32_t ports, net::CombinePolicy policy, bool burroughs)
                   static_cast<double>(stats.injected)
             : 0.0;
     out.mmServed = stats.mmServed;
-    out.delivered = latency.delivered();
-    out.combinedDelivered = latency.combinedDelivered();
-    out.mmCyclesSaved = latency.mmCyclesSaved();
     out.violations = latency.violations();
-    if (latency.fanInHist().count() > 0) {
-        out.fanInP50 = latency.fanInHist().percentile(0.5);
-        const Histogram &h = latency.fanInHist();
-        for (std::size_t b = h.numBins(); b-- > 0;) {
-            if (h.binCount(b) > 0) {
-                out.fanInMax = b * h.binWidth();
-                break;
-            }
-        }
-    }
     return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<std::pair<std::uint32_t, HotResult>> &runs)
-{
-    std::ofstream out(path);
-    if (!out.good()) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    out << "{\n  \"bench\": \"hotspot_combining\",\n"
-        << "  \"design\": \"combining\",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const auto &[ports, r] = runs[i];
-        out << "    {\"ports\": " << ports << ", \"ops_per_cycle\": "
-            << r.opsPerCycle << ", \"access_time\": " << r.meanAccess
-            << ", \"combined_fraction\": " << r.combinedFraction
-            << ", \"delivered\": " << r.delivered
-            << ", \"combined_delivered\": " << r.combinedDelivered
-            << ", \"mm_cycles_saved\": " << r.mmCyclesSaved
-            << ", \"fanin_p50\": " << r.fanInP50
-            << ", \"fanin_max\": " << r.fanInMax
-            << ", \"violations\": " << r.violations << "}"
-            << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return out.good();
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const std::string out_path =
-        argc > 1 ? argv[1] : "BENCH_hotspot.json";
     std::printf("Claim 5: hot-spot fetch-and-add (every PE hammers one "
                 "variable, window 1)\n\n");
-    std::vector<std::pair<std::uint32_t, HotResult>> combining_runs;
+    std::uint64_t violations = 0;
     TextTable table;
     table.setHeader({"N", "design", "access time (cycles)",
                      "net RTT", "F&A/cycle", "combined %",
@@ -173,7 +122,7 @@ main(int argc, char **argv)
     for (std::uint32_t ports : {16u, 64u, 256u, 1024u}) {
         const auto full =
             runHot(ports, net::CombinePolicy::Full, false);
-        combining_runs.emplace_back(ports, full);
+        violations += full.violations;
         const auto none =
             runHot(ports, net::CombinePolicy::None, false);
         const auto kill =
@@ -205,13 +154,6 @@ main(int argc, char **argv)
                 "access\"); without,\nthe hot module serializes: "
                 "throughput is pinned at 1/access-time and the access\n"
                 "time a PE sees grows linearly with N.\n");
-    std::uint64_t violations = 0;
-    for (const auto &[ports, r] : combining_runs)
-        violations += r.violations;
-    if (!writeJson(out_path, combining_runs))
-        return 1;
-    std::printf("\ncombining analytics written to %s\n",
-                out_path.c_str());
     if (violations != 0) {
         std::fprintf(stderr,
                      "latency decomposition violations: %llu\n",

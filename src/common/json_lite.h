@@ -5,7 +5,9 @@
  *
  * Parses the full JSON grammar into a tree of JsonValue nodes; any
  * syntax error throws std::runtime_error with the offending offset, so
- * a malformed dump fails the test with a useful message.  Not for
+ * a malformed dump fails the test with a useful message.  Arrays and
+ * objects nest at most Parser::kMaxDepth deep: deeper input is an
+ * error too, never a stack overflow.  Not for
  * production use -- no streaming, no surrogate-pair decoding (escapes
  * are kept verbatim past the basic ones).
  */
@@ -55,6 +57,9 @@ struct JsonValue
 class Parser
 {
   public:
+    /** Nesting limit, far above that of any document the repo writes. */
+    static constexpr unsigned kMaxDepth = 64;
+
     explicit Parser(const std::string &text) : text_(text) {}
 
     JsonValue
@@ -117,10 +122,15 @@ class Parser
         skipWs();
         JsonValue v;
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth)
+                fail("nested deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+            ++depth_;
+            v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+        }
         if (c == '"') {
             v.type = JsonValue::Type::String;
             v.string = parseString();
@@ -265,6 +275,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; //!< arrays and objects open at pos_
 };
 
 inline JsonValue

@@ -28,26 +28,6 @@ Accumulator::add(double x)
 }
 
 void
-Accumulator::merge(const Accumulator &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
 Accumulator::reset()
 {
     *this = Accumulator();
@@ -84,19 +64,6 @@ Histogram::add(std::uint64_t x)
     ++total_;
     sum_ += x;
     maxSample_ = std::max(maxSample_, x);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    ULTRA_ASSERT(binWidth_ == other.binWidth_ &&
-                     bins_.size() == other.bins_.size(),
-                 "merging histograms of different shape");
-    for (std::size_t i = 0; i < bins_.size(); ++i)
-        bins_[i] += other.bins_[i];
-    total_ += other.total_;
-    sum_ += other.sum_;
-    maxSample_ = std::max(maxSample_, other.maxSample_);
 }
 
 void

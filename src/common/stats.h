@@ -24,9 +24,6 @@ class Accumulator
     /** Record one sample. */
     void add(double x);
 
-    /** Merge another accumulator's samples into this one. */
-    void merge(const Accumulator &other);
-
     /** Drop all samples. */
     void reset();
 
@@ -62,9 +59,6 @@ class Histogram
                        std::size_t num_bins = 64);
 
     void add(std::uint64_t x);
-
-    /** Merge another histogram's samples; shapes must match. */
-    void merge(const Histogram &other);
 
     void reset();
 

@@ -6,7 +6,6 @@
 #include "common/log.h"
 #include "common/table.h"
 #include "obs/event_trace.h"
-#include "obs/json.h"
 
 namespace ultra::core
 {
@@ -201,21 +200,16 @@ Machine::run(Cycle max_cycles)
     return finished_all;
 }
 
-std::string
-Machine::latencyJson() const
+void
+Machine::enableLatency()
 {
-    if (!latencyEnabled())
-        return "{}";
-    Histogram pe_wait{2, 128};
-    for (const auto &pe : pes_)
-        pe_wait.merge(pe->waitHist());
-    std::ostringstream os;
-    const std::string summary = latency()->summaryJson();
-    // Splice the merged PE-wait distribution into the summary object.
-    os << summary.substr(0, summary.rfind('}')) << ", \"pe_wait\": ";
-    obs::writeJsonHistogram(os, pe_wait);
-    os << "}";
-    return os.str();
+    if (latencyEnabled())
+        return;
+    Observed::enableLatency();
+    for (auto &pe : pes_)
+        pe->setWaitHist(&peWaitHist_);
+    registry().addHistogram("lat.pe_wait_hist", &peWaitHist_,
+                            "per-context PE memory-wait spans, cycles");
 }
 
 void

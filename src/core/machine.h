@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/types.h"
 #include "core/observed.h"
 #include "mem/address_hash.h"
@@ -135,11 +136,11 @@ class Machine : public Observed
     // --- observability (ultra::obs; the rest is core::Observed) -------
 
     /**
-     * The full latency report as JSON (see --latency-json): the
-     * observatory summary plus the merged distribution of per-context
-     * PE memory-wait spans.  "{}" until enableLatency().
+     * As Observed::enableLatency(), and have every PE add its
+     * per-context memory-wait spans to one histogram, registered as
+     * "lat.pe_wait_hist".
      */
-    std::string latencyJson() const;
+    void enableLatency() override;
 
     /**
      * Attach (or detach, with nullptr) a Chrome-trace-event recorder to
@@ -159,6 +160,8 @@ class Machine : public Observed
     mem::AddressHash hash_;
     net::Network network_;
     net::PniArray pni_;
+    /** Every PE's memory-wait spans, cycles; fed once enableLatency(). */
+    Histogram peWaitHist_{2, 128};
     std::vector<std::unique_ptr<pe::Pe>> pes_;
     /** Keeps each PE's program callables (and thus any coroutine-lambda
      *  closures) alive while its tasks run; one entry per context. */

@@ -70,7 +70,7 @@ class Observed
      * quiescent (before the run, or after a completed one plus
      * resetStats); idempotent.
      */
-    void enableLatency();
+    virtual void enableLatency();
     bool latencyEnabled() const { return latency_ != nullptr; }
 
     /** The observatory, or nullptr until enableLatency(). */

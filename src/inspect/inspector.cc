@@ -202,12 +202,6 @@ Inspector::execute(const Command &cmd, Cycle now)
         return executeMem(cmd);
     case Command::Kind::Stats:
         return executeStats(cmd, now);
-    case Command::Kind::Latency:
-        if (targets_.latency == nullptr)
-            return errorReply("no latency observatory attached "
-                              "(run with --latency)");
-        return "{\"ok\": true, \"latency\": " +
-               targets_.latency->summaryJson() + "}";
     case Command::Kind::Prof:
         if (targets_.prof == nullptr)
             return errorReply("no profiler attached "

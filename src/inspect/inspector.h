@@ -72,7 +72,7 @@ struct Targets
     mem::MemorySystem *memory = nullptr;      //!< mem / poke
     const mem::AddressHash *hash = nullptr;   //!< vaddr translation
     const obs::Registry *registry = nullptr;  //!< stats, stat watches
-    const obs::LatencyObservatory *latency = nullptr;
+    const obs::LatencyObservatory *latency = nullptr; //!< heatmap
     const prof::Profiler *prof = nullptr;     //!< wall-clock profiler
 };
 

@@ -1,8 +1,12 @@
 #include "inspect/protocol.h"
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
+#include "common/cli.h"
 #include "common/json_lite.h"
 #include "obs/json.h"
 
@@ -12,18 +16,46 @@ namespace ultra::inspect
 namespace
 {
 
-/** Extract a non-negative integer field (false when absent). */
-bool
-getU64(const jsonlite::JsonValue &obj, const char *key,
-       std::uint64_t &out)
+/** Largest 32-bit field value, and the largest integer a JSON number
+ *  carries exactly (the cap of a 64-bit field). */
+constexpr std::uint64_t kMaxU32 = UINT32_MAX;
+constexpr std::uint64_t kMaxExact = std::uint64_t{1} << 53;
+
+/** A request field that is present but unusable; parseCommand turns it
+ *  into an error reply prefixed with the command. */
+struct BadField : std::invalid_argument
 {
-    if (!obj.has(key) || !obj[key].isNumber())
-        return false;
-    const double x = obj[key].number;
-    if (x < 0 || std::floor(x) != x)
-        return false;
-    out = static_cast<std::uint64_t>(x);
-    return true;
+    using std::invalid_argument::invalid_argument;
+};
+
+/** The integer field @p key of @p obj, or nullopt when it is absent.  A
+ *  value that is not a whole number in [@p lo, @p hi] -- so its field
+ *  cannot hold it -- throws BadField naming @p key. */
+std::optional<std::uint64_t>
+intField(const jsonlite::JsonValue &obj, const char *key,
+         std::uint64_t lo, std::uint64_t hi)
+{
+    if (!obj.has(key))
+        return std::nullopt;
+    const jsonlite::JsonValue &v = obj[key];
+    if (!v.isNumber() || !(v.number >= static_cast<double>(lo) &&
+                           v.number <= static_cast<double>(hi)) ||
+        std::floor(v.number) != v.number) {
+        throw BadField(std::string("'") + key + "' must be " +
+                       cli::intRange(lo, hi));
+    }
+    return static_cast<std::uint64_t>(v.number);
+}
+
+/** As intField, but an absent field throws too. */
+std::uint64_t
+requiredInt(const jsonlite::JsonValue &obj, const char *key,
+            std::uint64_t lo, std::uint64_t hi)
+{
+    const std::optional<std::uint64_t> v = intField(obj, key, lo, hi);
+    if (!v)
+        throw BadField(std::string("'") + key + "' required");
+    return *v;
 }
 
 } // namespace
@@ -116,72 +148,138 @@ WatchSpec::describeJson() const
 namespace
 {
 
-bool
-parseWatch(const jsonlite::JsonValue &obj, WatchSpec &out,
-           std::string &err)
+void
+parseWatch(const jsonlite::JsonValue &obj, WatchSpec &out)
 {
-    std::uint64_t u = 0;
-    if (getU64(obj, "cycle", u)) {
+    if (const auto cycle = intField(obj, "cycle", 0, kMaxExact)) {
         out.kind = WatchSpec::Kind::Cycle;
-        out.cycle = u;
-        return true;
+        out.cycle = *cycle;
+        return;
     }
     if (obj.has("drift")) {
-        if (!obj["drift"].isNumber() || obj["drift"].number <= 0) {
-            err = "watch: 'drift' must be a positive tolerance";
-            return false;
-        }
+        if (!obj["drift"].isNumber() || obj["drift"].number <= 0)
+            throw BadField("'drift' must be a positive tolerance");
         out.kind = WatchSpec::Kind::Drift;
         out.value = obj["drift"].number;
-        return true;
+        return;
     }
     const bool is_stat = obj.has("stat");
     const bool is_queue = obj.has("queue");
-    if (!is_stat && !is_queue) {
-        err = "watch needs one of 'cycle', 'drift', 'stat', 'queue'";
-        return false;
-    }
+    if (!is_stat && !is_queue)
+        throw BadField("needs one of 'cycle', 'drift', 'stat', 'queue'");
     if (!obj.has("op") || !obj["op"].isString() ||
         !parseCmpOp(obj["op"].string, out.op)) {
-        err = "watch: 'op' must be one of > >= < <= == !=";
-        return false;
+        throw BadField("'op' must be one of > >= < <= == !=");
     }
-    if (!obj.has("value") || !obj["value"].isNumber()) {
-        err = "watch: numeric 'value' required";
-        return false;
-    }
+    if (!obj.has("value") || !obj["value"].isNumber())
+        throw BadField("numeric 'value' required");
     out.value = obj["value"].number;
     if (is_stat) {
-        if (!obj["stat"].isString() || obj["stat"].string.empty()) {
-            err = "watch: 'stat' must be a registry path";
-            return false;
-        }
+        if (!obj["stat"].isString() || obj["stat"].string.empty())
+            throw BadField("'stat' must be a registry path");
         out.kind = WatchSpec::Kind::Stat;
         out.stat = obj["stat"].string;
-        return true;
+        return;
     }
-    if (!obj["queue"].isString()) {
-        err = "watch: 'queue' must be \"tomm\", \"tope\" or \"wb\"";
-        return false;
-    }
-    const std::string &dir = obj["queue"].string;
-    if (dir == "tomm") {
+    const std::string dir =
+        obj["queue"].isString() ? obj["queue"].string : "";
+    if (dir == "tomm" || dir == "tope") {
         out.kind = WatchSpec::Kind::Queue;
-        out.toMm = true;
-    } else if (dir == "tope") {
-        out.kind = WatchSpec::Kind::Queue;
-        out.toMm = false;
+        out.toMm = dir == "tomm";
     } else if (dir == "wb") {
         out.kind = WatchSpec::Kind::WaitBuffer;
     } else {
-        err = "watch: 'queue' must be \"tomm\", \"tope\" or \"wb\"";
+        throw BadField("'queue' must be \"tomm\", \"tope\" or \"wb\"");
+    }
+    out.stage =
+        static_cast<unsigned>(requiredInt(obj, "stage", 0, kMaxU32));
+}
+
+/** Fill @p out from the object @p doc of command @p cmd; a bad field
+ *  throws BadField, an unknown command returns false. */
+bool
+parseFields(const jsonlite::JsonValue &doc, const std::string &cmd,
+            Command &out)
+{
+    if (cmd == "ping") {
+        out.kind = Command::Kind::Ping;
+    } else if (cmd == "status") {
+        out.kind = Command::Kind::Status;
+    } else if (cmd == "pause") {
+        out.kind = Command::Kind::Pause;
+    } else if (cmd == "resume") {
+        out.kind = Command::Kind::Resume;
+    } else if (cmd == "step") {
+        out.kind = Command::Kind::Step;
+        out.stepTo = intField(doc, "to", 0, kMaxExact).value_or(kNeverCycle);
+        out.stepCount = out.stepTo != kNeverCycle
+                            ? 1
+                            : intField(doc, "n", 1, kMaxExact).value_or(1);
+    } else if (cmd == "switch") {
+        out.kind = Command::Kind::Switch;
+        out.copy = static_cast<unsigned>(
+            intField(doc, "copy", 0, kMaxU32).value_or(0));
+        out.stage =
+            static_cast<unsigned>(requiredInt(doc, "stage", 0, kMaxU32));
+        out.index = static_cast<std::uint32_t>(
+            requiredInt(doc, "index", 0, kMaxU32));
+    } else if (cmd == "mni") {
+        out.kind = Command::Kind::Mni;
+        out.copy = static_cast<unsigned>(
+            intField(doc, "copy", 0, kMaxU32).value_or(0));
+        out.module =
+            static_cast<MMId>(requiredInt(doc, "module", 0, kMaxU32));
+    } else if (cmd == "mem" || cmd == "poke") {
+        out.kind = cmd == "mem" ? Command::Kind::Mem
+                                : Command::Kind::Poke;
+        if (const auto vaddr = intField(doc, "vaddr", 0, kMaxExact)) {
+            out.hasVaddr = true;
+            out.vaddr = *vaddr;
+        } else if (const auto module =
+                       intField(doc, "module", 0, kMaxU32)) {
+            out.hasModule = true;
+            out.module = static_cast<MMId>(*module);
+            const auto offset = intField(doc, "offset", 0, kMaxExact);
+            if (!offset)
+                throw BadField("'offset' required with 'module'");
+            out.offset = *offset;
+        } else {
+            throw BadField("'vaddr' or 'module'+'offset' required");
+        }
+        if (out.kind == Command::Kind::Poke) {
+            if (!doc.has("value") || !doc["value"].isNumber())
+                throw BadField("numeric 'value' required");
+            // A word outside +-2^53 has no exact JSON number.
+            const double v = doc["value"].number;
+            if (!(std::fabs(v) <= static_cast<double>(kMaxExact)) ||
+                std::floor(v) != v) {
+                throw BadField("'value' must be an integer in [-" +
+                               std::to_string(kMaxExact) + ", " +
+                               std::to_string(kMaxExact) + "]");
+            }
+            out.value = static_cast<Word>(v);
+        }
+    } else if (cmd == "stats") {
+        out.kind = Command::Kind::Stats;
+        if (doc.has("prefix") && doc["prefix"].isString())
+            out.prefix = doc["prefix"].string;
+    } else if (cmd == "prof") {
+        out.kind = Command::Kind::Prof;
+    } else if (cmd == "heatmap") {
+        out.kind = Command::Kind::Heatmap;
+    } else if (cmd == "watch") {
+        out.kind = Command::Kind::Watch;
+        parseWatch(doc, out.watch);
+    } else if (cmd == "unwatch") {
+        out.kind = Command::Kind::Unwatch;
+        out.watchId = requiredInt(doc, "id", 0, kMaxExact);
+    } else if (cmd == "watchpoints") {
+        out.kind = Command::Kind::Watchpoints;
+    } else if (cmd == "detach" || cmd == "quit") {
+        out.kind = Command::Kind::Detach;
+    } else {
         return false;
     }
-    if (!getU64(obj, "stage", u)) {
-        err = "watch: 'stage' required for queue watchpoints";
-        return false;
-    }
-    out.stage = static_cast<unsigned>(u);
     return true;
 }
 
@@ -202,109 +300,13 @@ parseCommand(const std::string &line, Command &out, std::string &err)
         return false;
     }
     const std::string &cmd = doc["cmd"].string;
-    std::uint64_t u = 0;
-
-    if (cmd == "ping") {
-        out.kind = Command::Kind::Ping;
-    } else if (cmd == "status") {
-        out.kind = Command::Kind::Status;
-    } else if (cmd == "pause") {
-        out.kind = Command::Kind::Pause;
-    } else if (cmd == "resume") {
-        out.kind = Command::Kind::Resume;
-    } else if (cmd == "step") {
-        out.kind = Command::Kind::Step;
-        out.stepCount = 1;
-        out.stepTo = kNeverCycle;
-        if (doc.has("to")) {
-            if (!getU64(doc, "to", u)) {
-                err = "step: 'to' must be a non-negative integer "
-                      "cycle";
-                return false;
-            }
-            out.stepTo = u;
-        } else if (doc.has("n")) {
-            if (!getU64(doc, "n", u) || u == 0) {
-                err = "step: 'n' must be an integer >= 1";
-                return false;
-            }
-            out.stepCount = u;
-        }
-    } else if (cmd == "switch") {
-        out.kind = Command::Kind::Switch;
-        if (getU64(doc, "copy", u))
-            out.copy = static_cast<unsigned>(u);
-        if (!getU64(doc, "stage", u)) {
-            err = "switch: 'stage' required";
+    try {
+        if (!parseFields(doc, cmd, out)) {
+            err = "unknown cmd '" + cmd + "'";
             return false;
         }
-        out.stage = static_cast<unsigned>(u);
-        if (!getU64(doc, "index", u)) {
-            err = "switch: 'index' required";
-            return false;
-        }
-        out.index = static_cast<std::uint32_t>(u);
-    } else if (cmd == "mni") {
-        out.kind = Command::Kind::Mni;
-        if (getU64(doc, "copy", u))
-            out.copy = static_cast<unsigned>(u);
-        if (!getU64(doc, "module", u)) {
-            err = "mni: 'module' required";
-            return false;
-        }
-        out.module = static_cast<MMId>(u);
-    } else if (cmd == "mem" || cmd == "poke") {
-        out.kind = cmd == "mem" ? Command::Kind::Mem
-                                : Command::Kind::Poke;
-        if (getU64(doc, "vaddr", u)) {
-            out.hasVaddr = true;
-            out.vaddr = u;
-        } else if (getU64(doc, "module", u)) {
-            out.hasModule = true;
-            out.module = static_cast<MMId>(u);
-            if (!getU64(doc, "offset", u)) {
-                err = cmd + ": 'offset' required with 'module'";
-                return false;
-            }
-            out.offset = u;
-        } else {
-            err = cmd + ": 'vaddr' or 'module'+'offset' required";
-            return false;
-        }
-        if (out.kind == Command::Kind::Poke) {
-            if (!doc.has("value") || !doc["value"].isNumber()) {
-                err = "poke: numeric 'value' required";
-                return false;
-            }
-            out.value = static_cast<Word>(doc["value"].number);
-        }
-    } else if (cmd == "stats") {
-        out.kind = Command::Kind::Stats;
-        if (doc.has("prefix") && doc["prefix"].isString())
-            out.prefix = doc["prefix"].string;
-    } else if (cmd == "latency") {
-        out.kind = Command::Kind::Latency;
-    } else if (cmd == "prof") {
-        out.kind = Command::Kind::Prof;
-    } else if (cmd == "heatmap") {
-        out.kind = Command::Kind::Heatmap;
-    } else if (cmd == "watch") {
-        out.kind = Command::Kind::Watch;
-        if (!parseWatch(doc, out.watch, err))
-            return false;
-    } else if (cmd == "unwatch") {
-        out.kind = Command::Kind::Unwatch;
-        if (!getU64(doc, "id", u)) {
-            err = "unwatch: 'id' required";
-            return false;
-        }
-        out.watchId = u;
-    } else if (cmd == "watchpoints") {
-        out.kind = Command::Kind::Watchpoints;
-    } else if (cmd == "detach" || cmd == "quit") {
-        out.kind = Command::Kind::Detach;
-    } else {
-        err = "unknown cmd '" + cmd + "'";
+    } catch (const BadField &e) {
+        err = cmd + ": " + e.what();
         return false;
     }
     return true;

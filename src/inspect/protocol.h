@@ -23,13 +23,18 @@
  *   {"cmd":"mem","module":3,"offset":0}    ... by module/offset
  *   {"cmd":"poke","vaddr":64,"value":7}    write one word (steering!)
  *   {"cmd":"stats","prefix":"net."}        live registry snapshot
- *   {"cmd":"latency"}                      observatory summary JSON
+ *                                          ("lat." for the observatory)
  *   {"cmd":"prof"}                         wall-clock profiler snapshot
  *   {"cmd":"heatmap"}                      congestion heatmap CSV
  *   {"cmd":"watch", ...spec...}            arm a watchpoint (below)
  *   {"cmd":"unwatch","id":1}               disarm one watchpoint
  *   {"cmd":"watchpoints"}                  list armed watchpoints
  *   {"cmd":"detach"}                       resume, clear watchpoints
+ *
+ * Integer fields take whole numbers that fit them: copy, stage, index
+ * and module at most 2^32 - 1, cycles, addresses, offsets and ids at
+ * most 2^53, and a poked value within +-2^53.  Anything else gets an
+ * error reply naming the field, never a narrowed value.
  *
  * Watchpoint specs (all halt the simulation at the cycle boundary
  * where the predicate first holds; each fires once, then disarms):
@@ -103,7 +108,6 @@ struct Command
         Mem,
         Poke,
         Stats,
-        Latency,
         Prof,
         Heatmap,
         Watch,

@@ -1,6 +1,5 @@
 #include "latency.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/log.h"
@@ -286,96 +285,6 @@ LatencyObservatory::registerStats(Registry &registry,
         registry.addHistogram(stage + "rev_wait_hist", &revWaitHist_[s],
                               "ToPE queue wait at this stage, cycles");
     }
-}
-
-std::string
-LatencyObservatory::summaryJson() const
-{
-    std::ostringstream os;
-    os << "{\"shape\": {\"stages\": " << shape_.stages
-       << ", \"switches_per_stage\": " << shape_.switchesPerStage
-       << ", \"mm_access_time\": " << shape_.mmAccessTime << "},\n";
-    os << " \"requests\": {\"opened\": " << opened_
-       << ", \"delivered\": " << delivered_ << ", \"killed\": " << killed_
-       << ", \"in_flight\": " << liveRecords()
-       << ", \"violations\": " << violations_ << "},\n";
-    os << " \"waits\": {\"pni_wait\": ";
-    writeJsonAccumulator(os, pniWait_);
-    os << ", \"end_to_end\": ";
-    writeJsonAccumulator(os, endToEnd_);
-    os << ", \"end_to_end_hist\": ";
-    writeJsonHistogram(os, endToEndHist_);
-    os << ", \"mm_wait\": ";
-    writeJsonAccumulator(os, mmWait_);
-    os << ",\n  \"stages\": [";
-    for (unsigned s = 0; s < shape_.stages; ++s) {
-        if (s)
-            os << ",";
-        os << "\n   {\"fwd_wait\": ";
-        writeJsonHistogram(os, fwdWaitHist_[s]);
-        os << ", \"rev_wait\": ";
-        writeJsonHistogram(os, revWaitHist_[s]);
-        os << "}";
-    }
-    os << "]},\n";
-    const double combine_rate =
-        delivered_ > 0 ? static_cast<double>(combinedDelivered_) /
-                             static_cast<double>(delivered_)
-                       : 0.0;
-    os << " \"combining\": {\"combined_delivered\": "
-       << combinedDelivered_ << ", \"combine_rate\": ";
-    writeJsonNumber(os, combine_rate);
-    os << ", \"decombines\": " << decombines_
-       << ", \"mm_cycles_saved\": " << mmCyclesSaved_
-       << ", \"wb_wait\": ";
-    writeJsonAccumulator(os, wbWait_);
-    os << ", \"fanin_hist\": ";
-    writeJsonHistogram(os, fanInHist_);
-    os << "},\n";
-    // The five hottest heatmap cells, by accumulated wait.
-    struct Hot
-    {
-        bool fwd;
-        unsigned s;
-        std::uint32_t sw;
-        const HeatCell *c;
-    };
-    std::vector<Hot> hot;
-    for (unsigned dir = 0; dir < 2; ++dir) {
-        for (unsigned s = 0; s < shape_.stages; ++s) {
-            for (std::uint32_t sw = 0; sw < shape_.switchesPerStage;
-                 ++sw) {
-                const HeatCell &c = heatCell(dir == 0, s, sw);
-                if (c.waitCycles > 0)
-                    hot.push_back({dir == 0, s, sw, &c});
-            }
-        }
-    }
-    // Total order: equal-wait cells tie-break on coordinates, so the
-    // top-five list is identical across library sort implementations.
-    std::sort(hot.begin(), hot.end(), [](const Hot &a, const Hot &b) {
-        if (a.c->waitCycles != b.c->waitCycles)
-            return a.c->waitCycles > b.c->waitCycles;
-        if (a.fwd != b.fwd)
-            return a.fwd && !b.fwd;
-        if (a.s != b.s)
-            return a.s < b.s;
-        return a.sw < b.sw;
-    });
-    if (hot.size() > 5)
-        hot.resize(5);
-    os << " \"hot_cells\": [";
-    for (std::size_t i = 0; i < hot.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "\n  {\"direction\": \""
-           << (hot[i].fwd ? "fwd" : "rev") << "\", \"stage\": "
-           << hot[i].s << ", \"switch\": " << hot[i].sw
-           << ", \"visits\": " << hot[i].c->visits
-           << ", \"wait_cycles\": " << hot[i].c->waitCycles << "}";
-    }
-    os << "]}\n";
-    return os.str();
 }
 
 std::string

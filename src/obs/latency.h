@@ -195,9 +195,6 @@ class LatencyObservatory
     void registerStats(Registry &registry,
                        const std::string &prefix) const;
 
-    /** The latency report as a JSON object (see --latency-json). */
-    std::string summaryJson() const;
-
     /** The congestion heatmap as CSV:
      *  direction,stage,switch,visits,wait_cycles,mean_wait,combines. */
     std::string heatmapCsv() const;

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/log.h"
-#include "obs/json.h"
 #include "obs/registry.h"
 
 namespace ultra::obs
@@ -71,29 +70,6 @@ ModelCrossCheck::check() const
         warn(os.str());
     }
     return ok;
-}
-
-std::string
-ModelCrossCheck::json() const
-{
-    std::ostringstream os;
-    os << "{\"n\": " << report_.config.n << ", \"k\": "
-       << report_.config.k << ", \"m\": " << report_.config.m
-       << ", \"d\": " << report_.config.d << ", \"offered_load\": ";
-    writeJsonNumber(os, report_.offeredLoad);
-    os << ", \"predicted_transit\": ";
-    writeJsonNumber(os, report_.predictedTransit);
-    os << ", \"measured_transit\": ";
-    writeJsonNumber(os, report_.measuredTransit);
-    os << ", \"drift\": ";
-    writeJsonNumber(os, report_.drift);
-    os << ", \"tolerance\": ";
-    writeJsonNumber(os, report_.tolerance);
-    os << ", \"applicable\": "
-       << (report_.applicable ? "true" : "false")
-       << ", \"within_tolerance\": "
-       << (report_.withinTolerance() ? "true" : "false") << "}";
-    return os.str();
 }
 
 } // namespace ultra::obs

@@ -64,9 +64,6 @@ class ModelCrossCheck
      *  @return report().withinTolerance(). */
     bool check() const;
 
-    /** The report as a JSON object. */
-    std::string json() const;
-
   private:
     ModelReport report_;
 };

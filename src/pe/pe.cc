@@ -176,7 +176,8 @@ Pe::unblock(Context &ctx, Cycle earliest)
 {
     ctx.readyAt = std::max(earliest, ctx.blockStart);
     stats_.idleCycles += ctx.readyAt - ctx.blockStart;
-    waitHist_.add(ctx.readyAt - ctx.blockStart);
+    if (waitHist_)
+        waitHist_->add(ctx.readyAt - ctx.blockStart);
     if (trace_ && ctx.readyAt > ctx.blockStart) {
         trace_->complete(traceTrack_, id_, "wait", ctx.blockStart,
                          ctx.readyAt - ctx.blockStart);
@@ -226,7 +227,8 @@ Pe::flushWaits(Cycle now)
         if (ctx.state == State::Ready || ctx.blockStart >= now)
             continue;
         stats_.idleCycles += now - ctx.blockStart;
-        waitHist_.add(now - ctx.blockStart);
+        if (waitHist_)
+            waitHist_->add(now - ctx.blockStart);
         if (trace_) {
             trace_->complete(traceTrack_, id_, "wait", ctx.blockStart,
                              now - ctx.blockStart);

@@ -243,16 +243,9 @@ class Pe
 
     const PeStats &stats() const { return stats_; }
 
-    void
-    resetStats()
-    {
-        stats_ = PeStats{};
-        waitHist_.reset();
-    }
-
-    /** Distribution of completed per-context memory-wait spans, in
-     *  cycles (same spans unblock() credits to idleCycles). */
-    const Histogram &waitHist() const { return waitHist_; }
+    /** Add every later per-context memory-wait span, in cycles (the
+     *  spans credited to idleCycles), to @p hist; nullptr stops. */
+    void setWaitHist(Histogram *hist) { waitHist_ = hist; }
 
     /** Attach an event trace (nullptr detaches); @p track is the trace
      *  track to emit per-context "wait" spans on (tid = PE id). */
@@ -384,7 +377,7 @@ class Pe
     std::unique_ptr<cache::Cache> cache_;
 
     PeStats stats_;
-    Histogram waitHist_{2, 128};
+    Histogram *waitHist_ = nullptr;
 
     obs::EventTrace *trace_ = nullptr;
     std::uint32_t traceTrack_ = 0;

@@ -23,8 +23,8 @@ constexpr double kMax53 = 9007199254740992.0;
 
 /** Where a parameter is a flag besides a grid: Network ones shape the
  *  network (`ultrasim net` and `trace --replay`), Run ones the traffic
- *  or the run (`ultrasim net` only); Grid ones are grid-only. */
-enum class Scope { Network, Run, Grid };
+ *  or the run (`ultrasim net` only). */
+enum class Scope { Network, Run };
 
 struct KnownParam
 {
@@ -40,9 +40,9 @@ struct KnownParam
 
 /**
  * The net parameters: every `ultrasim net` flag that shapes a
- * simulated point, plus the grid's "latency".  This table is the one
- * place their names, kinds and ranges are declared; the defaults live
- * in specFromParams.
+ * simulated point or its stats dump ("latency" adds the lat.* keys).
+ * This table is the one place their names, kinds and ranges are
+ * declared; the defaults live in specFromParams.
  */
 const KnownParam kKnownParams[] = {
     {"burroughs", ParamValue::Kind::Bool, Scope::Network},
@@ -52,7 +52,7 @@ const KnownParam kKnownParams[] = {
     {"hot", ParamValue::Kind::Num, Scope::Run, 0, 1, false},
     {"ideal", ParamValue::Kind::Bool, Scope::Network},
     {"k", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
-    {"latency", ParamValue::Kind::Bool, Scope::Grid},
+    {"latency", ParamValue::Kind::Bool, Scope::Run},
     {"m", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
     {"policy", ParamValue::Kind::Str, Scope::Network},
     {"ports", ParamValue::Kind::Num, Scope::Network, 0, kMax32},
@@ -75,8 +75,7 @@ findParam(const std::string &name)
 bool
 onSurface(const KnownParam &p, FlagSurface surface)
 {
-    return p.scope == Scope::Network ||
-           (p.scope == Scope::Run && surface == FlagSurface::Net);
+    return p.scope == Scope::Network || surface == FlagSurface::Net;
 }
 
 std::string
@@ -533,9 +532,6 @@ argvForParams(const ParamMap &params)
     std::vector<std::string> argv;
     argv.push_back("net");
     for (const auto &kv : params) {
-        const KnownParam *known = findParam(kv.first);
-        if (known != nullptr && !onSurface(*known, FlagSurface::Net))
-            continue; // grid-only observability, no `ultrasim net` flag
         if (kv.second.kind == ParamValue::Kind::Bool) {
             if (kv.second.b)
                 argv.push_back("--" + kv.first);

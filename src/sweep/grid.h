@@ -14,9 +14,10 @@
  *         "seed_base": 1}]}
  *
  * (A single-grid file may also put tag/base/axes at top level.)  Every
- * parameter name is an `ultrasim net` flag, except the grid-only
- * "latency"; unknown names are rejected -- a typo must never silently
- * become a default-configured experiment.
+ * parameter name is an `ultrasim net` flag ("latency": true is
+ * `--latency`, which adds the lat.* keys to the stats dump); unknown
+ * names are rejected -- a typo must never silently become a
+ * default-configured experiment.
  *
  * One table in grid.cc declares the net parameters' names, kinds and
  * ranges, and specFromParams alone holds their defaults, so grid values
@@ -96,8 +97,8 @@ std::vector<Point> expandGridFile(const std::string &text,
 NetPointSpec specFromParams(const ParamMap &params, std::string &err);
 
 /** The `ultrasim` surfaces that take net parameters as flags: `net`
- *  takes every one but the grid-only "latency", `trace --replay` only
- *  those that shape the network. */
+ *  takes every one, `trace --replay` only those that shape the
+ *  network. */
 enum class FlagSurface { Net, Replay };
 
 /**
@@ -116,7 +117,8 @@ bool paramFromFlag(FlagSurface surface, const std::string &name,
 std::vector<std::string> flagNames(FlagSurface surface);
 
 /** The `ultrasim net` argument vector reproducing @p params (without
- *  any output flags): ["net", "--ports", "16", ...]. */
+ *  any output flags): ["net", "--ports", "16", ...].  Replayed with
+ *  --stats-json it writes the point's stats dump byte for byte. */
 std::vector<std::string> argvForParams(const ParamMap &params);
 
 /**

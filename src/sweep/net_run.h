@@ -10,11 +10,13 @@
  * so equivalence holds by construction rather than by vigilance.
  *
  * The rig is the benches' net::TrafficRig, and the observers are the
- * core::Observed ones Machine uses too; all are optional and
- * byte-neutral, so an unobserved sweep worker and a fully-instrumented
- * interactive run produce identical --stats-json output.  That dump is
- * the run's one result: a sweep record embeds it as its metrics, and
- * the model cross-check publishes into it as "model.*".
+ * core::Observed ones Machine uses too.  The latency observatory is a
+ * point parameter (--latency, grid "latency"): it adds the "lat.*"
+ * keys.  Every other observer is optional and byte-neutral, so an
+ * unobserved sweep worker and a fully-instrumented interactive run
+ * produce identical --stats-json output.  That dump is the run's one
+ * result: a sweep record embeds it as its metrics, and the model
+ * cross-check publishes into it as "model.*".
  */
 
 #ifndef ULTRA_SWEEP_NET_RUN_H
@@ -33,9 +35,9 @@ namespace ultra::sweep
 {
 
 /** One fully-resolved net-mode experiment point: everything that
- *  affects the simulated outcome, nothing that is host-side
- *  observability.  sweep::specFromParams fills it in, defaults
- *  included. */
+ *  affects the simulated outcome or its stats dump, nothing that is
+ *  host-side observability.  sweep::specFromParams fills it in,
+ *  defaults included. */
 struct NetPointSpec
 {
     net::NetSimConfig net;

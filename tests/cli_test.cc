@@ -177,6 +177,17 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"model --k 1", "--k expects a power of two >= 2"},
         {"model --m 0", "--m"},
         {"model --d 0", "--d"},
+        // Each `model` form takes only the flags it reads.
+        {"model --best --k 4 --rate 0.1", "--k"},
+        {"model --best --m 2 --rate 0.1", "--m"},
+        {"model --best --d 2 --rate 0.1", "--d"},
+        {"model --budget 5 --ports 16", "--budget"},
+        {"model --rate 0.3 --ports 16", "--rate"},
+        // --latency is a boolean net parameter and an `app` flag;
+        // `trace --replay` takes only the network flags.
+        {"net --ports 16 --cycles 50 --latency 1", "--latency"},
+        {"app --app tred2 --pes 2 --n 4 --latency yes", "--latency"},
+        {"trace --replay /dev/null --latency", "--latency"},
         // An observer flag that would do nothing exits 2 as well:
         // --check-drift is net-only and needs a positive tolerance,
         // and each flag below needs its partner.
@@ -195,6 +206,10 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
          "--sample-every"},
         {"net --ports 16 --cycles 50 --stats-pretty", "--stats-pretty"},
         {"app --app tred2 --pes 2 --n 4 --stats-pretty", "--stats-pretty"},
+        {"net --ports 16 --cycles 50 --heatmap-csv /dev/null",
+         "--heatmap-csv"},
+        {"app --app tred2 --pes 2 --n 4 --heatmap-csv /dev/null",
+         "--heatmap-csv"},
         // `trace --record` runs the same checks as `app`.
         {"trace --record /dev/null --app tred2 --n 1", "--n"},
         {"trace --record /dev/null --pes 0", "--pes"},
@@ -234,6 +249,8 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
     EXPECT_EQ(runTool("app --app weather --pes 20 --n 4"), 0);
     EXPECT_EQ(runTool("trace --record /dev/null --pes 100 --n 4"), 0);
     EXPECT_EQ(runTool("pack --ports 4"), 0);
+    EXPECT_EQ(runTool("model --best --ports 16 --rate 0.1 --budget 50"), 0);
+    EXPECT_EQ(runTool("model --ports 16 --k 2 --m 2 --d 1"), 0);
 }
 
 TEST(CliTest, TraceReplayRejectsBadFilesNamingTheLine)
@@ -275,9 +292,8 @@ TEST(CliTest, FailedOutputWritesExitOne)
 {
     // An unwritable path must fail the run, not print and exit 0.
     const std::string bad = "/nonexistent-dir/out";
-    for (const char *opt :
-         {"--stats-json", "--prof-json", "--latency-json",
-          "--heatmap-csv", "--trace-events"}) {
+    for (const char *opt : {"--stats-json", "--prof-json",
+                            "--latency --heatmap-csv", "--trace-events"}) {
         EXPECT_EQ(runTool(std::string("net --ports 16 --cycles 50 ") +
                           opt + " " + bad),
                   1)
@@ -441,26 +457,39 @@ TEST(CliTest, StatsJsonByteStableAcrossRunsAndSorted)
 
 TEST(CliTest, LatencyJsonReportsDecompositionAndModel)
 {
+    // --latency puts the observatory's lat.* keys in the stats dump,
+    // next to the model.* cross-check.
     const std::string out = tmpPath("latency.json");
     ASSERT_EQ(runTool("net --ports 64 --k 2 --rate 0.15 --hot 0.1 "
-                      "--cycles 2000 --latency-json " +
+                      "--cycles 2000 --latency --stats-json " +
                       out),
               0);
     const std::string text = readFile(out);
     ASSERT_FALSE(text.empty());
-    const jsonlite::JsonValue doc = jsonlite::parse(text);
-    ASSERT_TRUE(doc.isObject());
-    EXPECT_GT(doc["requests"]["delivered"].number, 0.0);
-    EXPECT_EQ(doc["requests"]["violations"].number, 0.0)
+    const jsonlite::JsonValue stats = jsonlite::parse(text)["stats"];
+    ASSERT_TRUE(stats.isObject());
+    EXPECT_GT(stats["lat.delivered"].number, 0.0);
+    EXPECT_EQ(stats["lat.violations"].number, 0.0)
         << "stage components must sum to end-to-end for every record";
-    EXPECT_GT(doc["combining"]["combined_delivered"].number, 0.0)
+    EXPECT_GT(stats["lat.combined_delivered"].number, 0.0)
         << "hot-spot run must combine";
-    ASSERT_TRUE(doc["waits"]["stages"].isArray());
-    EXPECT_FALSE(doc["waits"]["stages"].array.empty());
-    ASSERT_TRUE(doc.has("model"));
+    EXPECT_GT(stats["lat.stage0.fwd_wait_hist"]["count"].number, 0.0);
     // Combining run: the Kruskal-Snir check must report itself
     // non-applicable rather than fake a verdict.
-    EXPECT_FALSE(doc["model"]["applicable"].boolean);
+    EXPECT_EQ(stats["model.applicable"].number, 0.0);
+    // A network run has no PEs, so no PE-wait histogram.
+    EXPECT_FALSE(stats.has("lat.pe_wait_hist"));
+
+    // On `app` the PEs' memory-wait spans join the lat.* keys, and
+    // without --latency there are none.
+    const std::string app = "app --app tred2 --pes 8 --n 12 --stats-json ";
+    ASSERT_EQ(runTool(app + out + " --latency"), 0);
+    const jsonlite::JsonValue app_stats =
+        jsonlite::parse(readFile(out))["stats"];
+    EXPECT_EQ(app_stats["lat.violations"].number, 0.0);
+    EXPECT_GT(app_stats["lat.pe_wait_hist"]["count"].number, 0.0);
+    ASSERT_EQ(runTool(app + out), 0);
+    EXPECT_EQ(readFile(out).find("\"lat."), std::string::npos);
     std::remove(out.c_str());
 }
 
@@ -468,7 +497,7 @@ TEST(CliTest, HeatmapCsvCoversBothDirections)
 {
     const std::string out = tmpPath("heatmap.csv");
     ASSERT_EQ(runTool("net --ports 64 --k 2 --rate 0.1 --cycles 1000 "
-                      "--heatmap-csv " +
+                      "--latency --heatmap-csv " +
                       out),
               0);
     const std::string text = readFile(out);
@@ -494,6 +523,19 @@ TEST(CliTest, CheckDriftPassesOnConformingConfig)
     EXPECT_EQ(runTool("net --ports 64 --k 2 --rate 0.15 --hot 0.2 "
                       "--cycles 1000 --check-drift"),
               2);
+
+    // The gate reads the model.* keys every run has; it adds none.
+    const std::string plain = tmpPath("drift_plain.json");
+    const std::string gated = tmpPath("drift_gated.json");
+    const std::string common = "net --ports 16 --k 2 --uniform --policy "
+                               "none --queue 0 --rate 0.05 --cycles 500 "
+                               "--stats-json ";
+    ASSERT_EQ(runTool(common + plain), 0);
+    ASSERT_EQ(runTool(common + gated + " --check-drift 0.5"), 0);
+    EXPECT_FALSE(readFile(plain).empty());
+    EXPECT_EQ(readFile(plain), readFile(gated));
+    std::remove(plain.c_str());
+    std::remove(gated.c_str());
 }
 
 TEST(CliTest, UltrascopeAnalyzesTrace)
@@ -605,6 +647,10 @@ TEST(CliTest, UltrasweepRejectsBadInvocations)
     EXPECT_EQ(runCommand(std::string(ULTRASWEEP_BIN) + " --grid " +
                          junk + " > /dev/null 2>&1"),
               2);
+    // Nesting past the JSON parser's cap is a syntax error too.
+    std::ofstream(junk) << std::string(100000, '[');
+    expectRejected(std::string(ULTRASWEEP_BIN) + " --grid " + junk,
+                   "nested deeper than 64");
     std::remove(junk.c_str());
     std::remove(err.c_str());
 

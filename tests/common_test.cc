@@ -154,55 +154,6 @@ TEST(AccumulatorTest, MeanVarianceMinMax)
     EXPECT_DOUBLE_EQ(acc.max(), 9.0);
 }
 
-TEST(AccumulatorTest, MergeMatchesCombinedStream)
-{
-    Rng rng(13);
-    Accumulator all, left, right;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.uniformDouble() * 10.0;
-        all.add(x);
-        (i % 2 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-}
-
-TEST(AccumulatorTest, MergeWithEmpty)
-{
-    Accumulator a, b;
-    a.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(AccumulatorTest, MergeEmptyIntoEmpty)
-{
-    Accumulator a, b;
-    a.merge(b);
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.min(), 0.0);
-    EXPECT_EQ(a.max(), 0.0);
-}
-
-TEST(AccumulatorTest, MergePreservesExtremes)
-{
-    Accumulator a, b;
-    a.add(1.0);
-    a.add(10.0);
-    b.add(-5.0);
-    b.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_DOUBLE_EQ(a.min(), -5.0);
-    EXPECT_DOUBLE_EQ(a.max(), 10.0);
-}
-
 TEST(HistogramTest, BinningAndMean)
 {
     Histogram h(10, 8);

@@ -16,8 +16,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/json_lite.h"
 #include "core/machine.h"
@@ -175,14 +178,84 @@ TEST(InspectProtocol, ParsesWatchSpecs)
     mustReject("{\"cmd\":\"watch\",\"stat\":\"x\",\"value\":1}");
 }
 
+/** Lines every server must answer with an error naming the problem:
+ *  each pair is a request and a fragment its error must contain. */
+std::vector<std::pair<std::string, std::string>>
+malformedCorpus()
+{
+    return {
+        // Not a request at all.
+        {"", "malformed JSON"},
+        {"not json at all", "malformed JSON"},
+        {"[1,2,3]", "JSON object"},
+        {"{\"no_cmd\":true}", "JSON object"},
+        {"{\"cmd\":\"launch-missiles\"}", "unknown cmd"},
+        {"{\"cmd\":42}", "JSON object"},
+        // The observatory's numbers are {"cmd":"stats","prefix":"lat."}.
+        {"{\"cmd\":\"latency\"}", "unknown cmd 'latency'"},
+        // Truncated JSON.
+        {"{\"cmd\":\"ping\"", "malformed JSON"},
+        {"{\"cmd\":\"switch\",\"stage\":", "malformed JSON"},
+        {"{\"cmd\":\"mem\",\"vaddr\":6", "malformed JSON"},
+        {"{\"cmd\":\"pi", "malformed JSON"},
+        // Wrong types.
+        {"{\"cmd\":\"switch\",\"stage\":\"2\",\"index\":0}", "'stage'"},
+        {"{\"cmd\":\"switch\",\"copy\":true,\"stage\":0,\"index\":0}",
+         "'copy'"},
+        {"{\"cmd\":\"mni\",\"module\":[3]}", "'module'"},
+        {"{\"cmd\":\"poke\",\"vaddr\":1,\"value\":\"7\"}", "'value'"},
+        {"{\"cmd\":\"unwatch\",\"id\":null}", "'id'"},
+        {"{\"cmd\":\"step\",\"n\":{}}", "'n'"},
+        {"{\"cmd\":\"watch\",\"queue\":7,\"stage\":0,\"op\":\">\","
+         "\"value\":1}",
+         "'queue'"},
+        // Numbers that do not fit their field are never narrowed.
+        {"{\"cmd\":\"switch\",\"copy\":0,\"stage\":4294967297,"
+         "\"index\":0}",
+         "'stage'"},
+        {"{\"cmd\":\"switch\",\"stage\":0,\"index\":4294967296}",
+         "'index'"},
+        {"{\"cmd\":\"mni\",\"copy\":4294967296,\"module\":3}", "'copy'"},
+        {"{\"cmd\":\"mni\",\"module\":-1}", "'module'"},
+        {"{\"cmd\":\"mem\",\"module\":0,\"offset\":1e300}", "'offset'"},
+        {"{\"cmd\":\"mem\",\"vaddr\":1.5}", "'vaddr'"},
+        {"{\"cmd\":\"poke\",\"vaddr\":1,\"value\":1e300}", "'value'"},
+        {"{\"cmd\":\"poke\",\"vaddr\":1,\"value\":-1e19}", "'value'"},
+        {"{\"cmd\":\"poke\",\"vaddr\":1,\"value\":0.5}", "'value'"},
+        {"{\"cmd\":\"step\",\"to\":1e300}", "'to'"},
+        {"{\"cmd\":\"watch\",\"cycle\":-1}", "'cycle'"},
+        {"{\"cmd\":\"watch\",\"queue\":\"wb\",\"stage\":1e10,"
+         "\"op\":\">\",\"value\":0}",
+         "'stage'"},
+        {"{\"cmd\":\"unwatch\",\"id\":1e300}", "'id'"},
+        // Nesting past the parser's cap.
+        {std::string(100000, '['), "nested deeper than 64"},
+        {"{\"cmd\":\"ping\",\"x\":" + std::string(65, '[') +
+             std::string(65, ']') + "}",
+         "nested deeper than 64"},
+    };
+}
+
 TEST(InspectProtocol, RejectsMalformedLines)
 {
-    mustReject("");
-    mustReject("not json at all");
-    mustReject("[1,2,3]");
-    mustReject("{\"no_cmd\":true}");
-    mustReject("{\"cmd\":\"launch-missiles\"}");
-    mustReject("{\"cmd\":42}");
+    for (const auto &[line, why] : malformedCorpus()) {
+        Command cmd;
+        std::string err;
+        EXPECT_FALSE(inspect::parseCommand(line, cmd, err))
+            << line.substr(0, 80);
+        EXPECT_NE(err.find(why), std::string::npos)
+            << line.substr(0, 80) << ": " << err;
+    }
+    // The largest values that fit still parse.
+    Command sw = mustParse("{\"cmd\":\"switch\",\"copy\":4294967295,"
+                           "\"stage\":4294967295,\"index\":4294967295}");
+    EXPECT_EQ(sw.copy, 4294967295u);
+    EXPECT_EQ(sw.stage, 4294967295u);
+    EXPECT_EQ(sw.index, 4294967295u);
+    Command poke = mustParse("{\"cmd\":\"poke\",\"vaddr\":9007199254740992,"
+                             "\"value\":-9007199254740992}");
+    EXPECT_EQ(poke.vaddr, 9007199254740992u);
+    EXPECT_EQ(poke.value, -9007199254740992);
 }
 
 TEST(InspectProtocol, CmpOpsRoundTripAndEvaluate)
@@ -316,12 +389,14 @@ constexpr int kIters = 40;
  *  test thread can play the attached client. */
 struct Harness
 {
-    explicit Harness(bool profiled = false)
+    explicit Harness(bool profiled = false, bool latency = false)
     {
         machine = std::make_unique<core::Machine>(
             core::MachineConfig::small(64, 2));
         if (profiled)
             machine->enableProfiling();
+        if (latency)
+            machine->enableLatency();
         counter = machine->allocShared(1, "counter");
         const Addr c = counter;
         machine->launchAll(kPes, [c](pe::Pe &pe) -> pe::Task {
@@ -342,6 +417,7 @@ struct Harness
         targets.hash = &machine->addressHash();
         targets.registry = &machine->registry();
         targets.prof = machine->profiler();
+        targets.latency = machine->latency();
         inspector =
             std::make_unique<Inspector>(*server, targets, true);
         machine->setCycleHook([this](Cycle now) {
@@ -591,6 +667,77 @@ TEST(InspectorTest, ProfCommandWithoutProfilerIsCleanError)
     awaitEvent(*client, "finished");
     request(*client, "{\"cmd\":\"detach\"}");
     h.sim.join();
+}
+
+TEST(InspectorTest, MalformedLinesGetErrorsAndTheServerStaysUp)
+{
+    Harness h;
+    auto client = h.attach();
+    ASSERT_NE(client, nullptr);
+
+    for (const auto &[line, why] : malformedCorpus()) {
+        if (line.empty())
+            continue; // the transport skips blank lines unanswered
+        const jsonlite::JsonValue reply = request(*client, line);
+        ASSERT_TRUE(reply.isObject()) << line.substr(0, 80);
+        EXPECT_FALSE(reply["ok"].boolean) << line.substr(0, 80);
+        EXPECT_NE(reply["error"].string.find(why), std::string::npos)
+            << line.substr(0, 80) << ": " << reply["error"].string;
+    }
+    const jsonlite::JsonValue pong = request(*client, "{\"cmd\":\"ping\"}");
+    EXPECT_TRUE(pong["ok"].boolean);
+    EXPECT_EQ(pong["cycle"].number, 0.0); // still paused at the start
+
+    request(*client, "{\"cmd\":\"resume\"}");
+    awaitEvent(*client, "finished");
+    request(*client, "{\"cmd\":\"detach\"}");
+    h.sim.join();
+    EXPECT_TRUE(h.finished);
+}
+
+TEST(InspectorTest, HeatmapNeedsTheObservatory)
+{
+    for (const bool latency : {false, true}) {
+        Harness h(/*profiled=*/false, latency);
+        auto client = h.attach();
+        ASSERT_NE(client, nullptr);
+
+        request(*client, "{\"cmd\":\"step\",\"n\":200}");
+        awaitEvent(*client, "paused");
+        const jsonlite::JsonValue heat =
+            request(*client, "{\"cmd\":\"heatmap\"}");
+        ASSERT_TRUE(heat.isObject());
+        if (!latency) {
+            EXPECT_FALSE(heat["ok"].boolean);
+            EXPECT_NE(heat["error"].string.find("--latency"),
+                      std::string::npos)
+                << heat["error"].string;
+        } else {
+            ASSERT_TRUE(heat["ok"].boolean);
+            // A header and a row per direction x stage x switch of the
+            // 64-port machine (6 stages of 32), with traffic by now.
+            std::istringstream csv(heat["csv"].string);
+            std::string row;
+            std::getline(csv, row);
+            EXPECT_EQ(row.find("direction,stage,switch,visits,"), 0u);
+            std::size_t rows = 0;
+            double visits = 0;
+            while (std::getline(csv, row)) {
+                ++rows;
+                std::size_t at = 0;
+                for (int field = 0; field < 3; ++field)
+                    at = row.find(',', at) + 1;
+                visits += std::stod(row.substr(at));
+            }
+            EXPECT_EQ(rows, 2u * 6 * 32);
+            EXPECT_GT(visits, 0.0);
+        }
+        request(*client, "{\"cmd\":\"resume\"}");
+        awaitEvent(*client, "finished");
+        request(*client, "{\"cmd\":\"detach\"}");
+        h.sim.join();
+        EXPECT_TRUE(h.finished);
+    }
 }
 
 TEST(InspectorTest, StatWatchpointFiresOnRealTraffic)

@@ -10,7 +10,7 @@
  *     and app workloads;
  *   - registering lat.* / model.* stats is opt-in, so default stats
  *     output is byte-identical to an instrumentation-free build;
- *   - Histogram::merge, drift arithmetic, and the tolerance gate.
+ *   - drift arithmetic and the tolerance gate.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "analytic/drift.h"
 #include "analytic/queueing.h"
 #include "apps/tred2.h"
+#include "common/json_lite.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "core/machine.h"
@@ -196,9 +197,18 @@ TEST(LatencyTest, MachineAppWorkloadSatisfiesDecomposition)
     ASSERT_NE(machine.latency(), nullptr);
     EXPECT_GT(machine.latency()->delivered(), 100u);
     EXPECT_EQ(machine.latency()->violations(), 0u);
-    const std::string json = machine.latencyJson();
-    EXPECT_NE(json.find("\"pe_wait\""), std::string::npos);
-    EXPECT_NE(json.find("\"violations\": 0"), std::string::npos);
+    // The PEs' memory-wait spans land in the dump next to the
+    // observatory's keys: one span per unblock, and idle cycles are
+    // exactly the spans' sum.
+    const jsonlite::JsonValue stats =
+        jsonlite::parse(machine.statsJson())["stats"];
+    EXPECT_EQ(stats["lat.violations"].number, 0.0);
+    const jsonlite::JsonValue &pe_wait = stats["lat.pe_wait_hist"];
+    ASSERT_TRUE(pe_wait.isObject());
+    EXPECT_GT(pe_wait["count"].number, 0.0);
+    const double idle = stats["pe.idle_cycles"].number;
+    EXPECT_NEAR(pe_wait["mean"].number * pe_wait["count"].number, idle,
+                1e-8 * idle); // the mean is printed to 9 digits
 }
 
 TEST(LatencyTest, StatsRegistrationIsOptIn)
@@ -252,25 +262,6 @@ TEST(LatencyTest, SortedDumpIsSortedAndCompactStable)
               machine.statsJson(obs::DumpOptions{}));
 }
 
-TEST(HistogramTest, MergeAddsSamplesAndPreservesShape)
-{
-    Histogram a{2, 16};
-    Histogram b{2, 16};
-    a.add(1);
-    a.add(5);
-    b.add(5);
-    b.add(100); // overflow bin
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_DOUBLE_EQ(a.mean(), (1 + 5 + 5 + 100) / 4.0);
-    Histogram all{2, 16};
-    for (std::uint64_t x : {1u, 5u, 5u, 100u})
-        all.add(x);
-    for (std::size_t i = 0; i < all.numBins(); ++i)
-        EXPECT_EQ(a.binCount(i), all.binCount(i)) << "bin " << i;
-    EXPECT_EQ(a.percentile(0.5), all.percentile(0.5));
-}
-
 TEST(ModelCheckTest, DriftArithmetic)
 {
     analytic::NetworkConfig cfg;
@@ -320,9 +311,9 @@ TEST(ModelCheckTest, ToleranceGateAndRegistration)
     EXPECT_NE(dump.find("\"model.predicted_transit\""),
               std::string::npos);
     EXPECT_NE(dump.find("\"model.applicable\""), std::string::npos);
-    const std::string json = bad.json();
-    EXPECT_NE(json.find("\"within_tolerance\": false"),
-              std::string::npos);
+    EXPECT_EQ(registry.value("model.applicable"), 1.0);
+    EXPECT_DOUBLE_EQ(registry.value("model.drift"), bad.report().drift);
+    EXPECT_GT(registry.value("model.drift"), 0.15);
 }
 
 TEST(LatencyTest, SimTracksModelOnConformingConfig)
@@ -368,39 +359,6 @@ TEST(LatencyTest, SimTracksModelOnConformingConfig)
         << check.report().predictedTransit;
     rig.network.drain(50'000);
     EXPECT_EQ(rig.latency.violations(), 0u);
-}
-
-TEST(LatencyTest, HotCellsTieBreakOnCoordinates)
-{
-    // Regression for the hot_cells ranking: cells with *equal*
-    // accumulated wait must order by (direction, stage, switch), not by
-    // whatever the library sort leaves behind.  Seed four equal-wait
-    // cells in scrambled fold order and one strictly hotter cell.
-    obs::LatencyShape shape;
-    shape.stages = 2;
-    shape.switchesPerStage = 3;
-    obs::LatencyObservatory lat(shape);
-    lat.foldDepartWait(false, 1, 2, 7); // rev, equal block, folded first
-    lat.foldDepartWait(true, 1, 0, 7);
-    lat.foldDepartWait(true, 0, 2, 7);
-    lat.foldDepartWait(true, 0, 1, 9); // strictly hottest
-    lat.foldDepartWait(false, 0, 0, 7);
-    const std::string json = lat.summaryJson();
-    const std::size_t at = json.find("\"hot_cells\"");
-    ASSERT_NE(at, std::string::npos);
-    const std::vector<std::string> expect = {
-        "{\"direction\": \"fwd\", \"stage\": 0, \"switch\": 1",
-        "{\"direction\": \"fwd\", \"stage\": 0, \"switch\": 2",
-        "{\"direction\": \"fwd\", \"stage\": 1, \"switch\": 0",
-        "{\"direction\": \"rev\", \"stage\": 0, \"switch\": 0",
-        "{\"direction\": \"rev\", \"stage\": 1, \"switch\": 2",
-    };
-    std::size_t pos = at;
-    for (const std::string &cell : expect) {
-        const std::size_t next = json.find(cell, pos);
-        ASSERT_NE(next, std::string::npos) << cell << "\n" << json;
-        pos = next + cell.size();
-    }
 }
 
 } // namespace

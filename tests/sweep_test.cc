@@ -89,10 +89,11 @@ TEST(GridTest, ExpansionIsCanonicalCartesianProduct)
     const std::vector<sweep::Point> points =
         sweep::expandGridFile(smokeGridText(), err);
     ASSERT_TRUE(err.empty()) << err;
-    // 2 rates x 2 hot fractions x 2 seed replications.
-    ASSERT_EQ(points.size(), 8u);
+    // 2 rates x 2 hot fractions x 2 seed replications, then the
+    // one-point latency grid.
+    ASSERT_EQ(points.size(), 9u);
 
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t i = 0; i < 8; ++i) {
         EXPECT_EQ(points[i].index, i);
         EXPECT_EQ(points[i].tag, "smoke");
         // Base parameters ride along on every point.
@@ -116,7 +117,7 @@ TEST(GridTest, ExpansionIsCanonicalCartesianProduct)
 
     // Every point's seed is derivePointSeed(seed_base, global index):
     // a pure function of the point's position, never of scheduling.
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t i = 0; i < 8; ++i) {
         EXPECT_EQ(num(points[i].params, "seed"),
                   static_cast<double>(sweep::derivePointSeed(7, i)))
             << "point " << i;
@@ -124,6 +125,12 @@ TEST(GridTest, ExpansionIsCanonicalCartesianProduct)
     // Replications of the same combo differ only in seed.
     EXPECT_NE(num(points[0].params, "seed"),
               num(points[1].params, "seed"));
+
+    // Grids expand in file order; without "seeds" the seed is 1.
+    EXPECT_EQ(points[8].index, 8u);
+    EXPECT_EQ(points[8].tag, "latency");
+    EXPECT_EQ(num(points[8].params, "seed"), 1.0);
+    EXPECT_TRUE(points[8].params.at("latency").b);
 }
 
 TEST(GridTest, SeedDerivationIsPureAndCliFriendly)
@@ -157,6 +164,16 @@ TEST(GridTest, RejectsUnknownParamsAndMalformedJson)
     points = sweep::expandGridFile("{not json", err);
     EXPECT_TRUE(points.empty());
     EXPECT_FALSE(err.empty());
+
+    // Nesting past the parser's cap is a syntax error, not a stack
+    // overflow; at the cap the document parses (and fails the schema).
+    points = sweep::expandGridFile(std::string(100000, '['), err);
+    EXPECT_TRUE(points.empty());
+    EXPECT_NE(err.find("nested deeper than 64"), std::string::npos) << err;
+    points = sweep::expandGridFile(
+        std::string(64, '[') + std::string(64, ']'), err);
+    EXPECT_TRUE(points.empty());
+    EXPECT_NE(err.find("schema"), std::string::npos) << err;
 
     points = sweep::expandGridFile(
         R"({"schema": "sweep.grid.v2", "grids": []})", err);
@@ -286,6 +303,9 @@ TEST(GridTest, CliAndGridAgreeOnEveryParameter)
         {"k", "4294967296", "4294967296", false},
         {"k", "4294967295", "4294967295", false}, // 256 ports: no power
         {"k", "4", "4", true},
+        {"latency", "1", "1", false},
+        {"latency", "", "true", true},
+        {"latency", "", "false", true},
         {"m", "2.5", "2.5", false},
         {"m", "4294967296", "4294967296", false},
         {"m", "1", "1", true},
@@ -321,14 +341,11 @@ TEST(GridTest, CliAndGridAgreeOnEveryParameter)
             << c.name << ": " << c.json;
         covered.insert(c.name);
     }
-    // The rows cover every flag, and only flags: "latency" is a
-    // grid-only switch.
+    // The rows cover every flag, and only flags.
     const std::vector<std::string> flags =
         sweep::flagNames(sweep::FlagSurface::Net);
     EXPECT_EQ(std::vector<std::string>(covered.begin(), covered.end()),
               flags);
-    EXPECT_FALSE(cliAccepts("latency", ""));
-    EXPECT_TRUE(gridAccepts("latency", "true"));
 }
 
 TEST(GridTest, SpecFromParamsMirrorsCliDefaults)
@@ -401,7 +418,7 @@ TEST(UltrasweepTest, MergedOutputIsWorkerCountInvariant)
         if (first.empty()) {
             first = merged;
             const jsonlite::JsonValue doc = jsonlite::parse(merged);
-            EXPECT_EQ(doc["point_count"].number, 8.0);
+            EXPECT_EQ(doc["point_count"].number, 9.0);
         } else {
             EXPECT_EQ(merged, first)
                 << "merged bytes depend on worker count (" << workers
@@ -418,7 +435,7 @@ TEST(UltrasweepTest, PointStatsMatchStandaloneUltrasim)
     const std::string dir = out + ".points.d";
     ASSERT_EQ(runSweep(out, 4, dir), 0);
     const jsonlite::JsonValue doc = jsonlite::parse(readFile(out));
-    ASSERT_EQ(doc["points"].array.size(), 8u);
+    ASSERT_EQ(doc["points"].array.size(), 9u);
     // The embedded dump is a record's only copy of its metrics.
     for (const jsonlite::JsonValue &pt : doc["points"].array) {
         std::string keys;
@@ -427,10 +444,11 @@ TEST(UltrasweepTest, PointStatsMatchStandaloneUltrasim)
         EXPECT_EQ(keys, "argv,index,params,stats,tag");
     }
 
-    // Two representative points (uniform and hot-spot): replay each
-    // recorded argv through the real ultrasim binary and demand the
-    // standalone --stats-json bytes equal the sweep worker's.
-    for (std::size_t index : {0ul, 5ul}) {
+    // Three representative points (uniform, hot-spot and hot-spot
+    // with the latency observatory): replay each recorded argv through
+    // the real ultrasim binary and demand the standalone --stats-json
+    // bytes equal the sweep worker's.
+    for (std::size_t index : {0ul, 5ul, 8ul}) {
         const jsonlite::JsonValue &pt = doc["points"].array[index];
         ASSERT_TRUE(pt["argv"].isArray());
         std::ostringstream cmd;

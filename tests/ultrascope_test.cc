@@ -123,6 +123,22 @@ TEST(UltrascopeTest, UsageAndConnectFailuresExitTwo)
                          tmpPath("nobody.sock") +
                          " --cmd status > /dev/null 2>&1"),
               2);
+    // JSON nested past the parser's cap is a parse error in every
+    // mode, never a stack overflow.
+    const std::string deep = tmpPath("deep.json");
+    const std::string err = tmpPath("deep.err");
+    std::ofstream(deep) << std::string(100000, '[');
+    for (const char *mode : {"", "--prof ", "--sweep "}) {
+        EXPECT_EQ(runCommand(std::string(ULTRASCOPE_BIN) + " " + mode +
+                             deep + " > /dev/null 2> " + err),
+                  2)
+            << mode;
+        EXPECT_NE(readFile(err).find("nested deeper than 64"),
+                  std::string::npos)
+            << mode << readFile(err);
+    }
+    std::remove(deep.c_str());
+    std::remove(err.c_str());
 }
 
 TEST(UltrascopeTest, ScriptedAttachMatchesUnattachedRun)

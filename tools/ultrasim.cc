@@ -38,13 +38,16 @@
  *   --sample-out FILE      write the sampled time series as CSV (it
  *                          and --sample-every need each other)
  *   --trace-events FILE    Chrome trace-event JSON (load in Perfetto)
- *   --latency-json FILE    packet-lifecycle latency report (per-stage
- *                          waits, combining effectiveness, model drift)
+ *   --latency              attach the packet-lifecycle latency
+ *                          observatory: its lat.* keys (per-stage
+ *                          waits, combining effectiveness; on `app`
+ *                          also lat.pe_wait_hist) join the stats dump
  *   --prof-json FILE       wall-clock self-profile of the host run:
  *                          per-phase times and their coverage of the
  *                          run (simulation output stays byte-identical;
  *                          read with `ultrascope --prof FILE`)
- *   --heatmap-csv FILE     stage x switch congestion heatmap
+ *   --heatmap-csv FILE     stage x switch congestion heatmap (needs
+ *                          --latency)
  *   --check-drift [TOL]    net only: fail (exit 3) when the measured
  *                          transit drifts more than TOL > 0 (default
  *                          0.15)
@@ -61,9 +64,10 @@
  *
  * Flags parse strictly (src/common/cli.h): a bad flag or value exits 2
  * naming the flag, and a failed output-file write exits 1.  The network
- * and `net` options are the net parameters of a sweep grid, declared
- * once in src/sweep/grid.cc and resolved by sweep::specFromParams just
- * as a grid point is.
+ * and `net` options (--latency included) are the net parameters of a
+ * sweep grid, declared once in src/sweep/grid.cc and resolved by
+ * sweep::specFromParams just as a grid point is.  Only --latency adds
+ * keys to the stats dump; every other observer leaves it unchanged.
  *
  * `net` options:
  *   --rate R       offered load, messages/PE/cycle, in [0, 1]
@@ -86,9 +90,10 @@
  *   --contexts K   hardware multiprogramming fold, dividing P (tred2
  *                  only)
  *
- * `model` options:
+ * `model` options (each form takes only its own flags):
  *   --ports --k --m --d as above; sweeps p and prints the curve
- *   --best --rate R --budget T   cheapest config with T(R) <= budget
+ *   --best [--ports N] --rate R --budget T   cheapest config with
+ *                                            T(R) <= budget
  *
  * Examples:
  *   ultrasim net --ports 1024 --k 4 --m 4 --d 2 --uniform --rate 0.15
@@ -140,7 +145,7 @@ void usage();
 using cli::Flags;
 using cli::writeTextFile;
 
-/** The shared observability options (--stats-json, --latency-json...). */
+/** The shared observability options (--stats-json, --trace-events...). */
 struct ObsOptions
 {
     std::string statsJson;
@@ -148,7 +153,6 @@ struct ObsOptions
     Cycle sampleEvery = 0;
     std::string sampleOut;
     std::string traceEvents;
-    std::string latencyJson;
     std::string profJson;
     std::string heatmapCsv;
     bool checkDrift = false;
@@ -165,13 +169,13 @@ struct ObsOptions
         o.sampleEvery = args.getInt("sample-every", 0, 1, UINT64_MAX);
         o.sampleOut = args.getString("sample-out", "");
         o.traceEvents = args.getString("trace-events", "");
-        o.latencyJson = args.getString("latency-json", "");
         o.profJson = args.getString("prof-json", "");
         o.heatmapCsv = args.getString("heatmap-csv", "");
         for (const auto &[flag, partner] :
              {std::pair{"stats-pretty", "stats-json"},
               {"sample-every", "sample-out"},
-              {"sample-out", "sample-every"}}) {
+              {"sample-out", "sample-every"},
+              {"heatmap-csv", "latency"}}) {
             if (args.has(flag) && !args.has(partner))
                 args.fail(std::string("--") + flag + " needs --" + partner);
         }
@@ -196,23 +200,20 @@ attachObservers(const ObsOptions &obs, core::Observed &run,
 {
     if (!obs.traceEvents.empty())
         run.attachEventTrace(&trace);
-    if (!obs.latencyJson.empty() || !obs.heatmapCsv.empty() || obs.checkDrift)
-        run.enableLatency();
     if (!obs.profJson.empty())
         run.enableProfiling();
     run.enableSampling(obs.sampleEvery);
 }
 
 /**
- * Write every output file @p obs names from the finished @p run;
- * @p latency_report is the --latency-json document.  False when a
- * write fails.  The stats dump is sorted so repeated runs diff cleanly
- * (the library default, insertion order, is golden-pinned).
+ * Write every output file @p obs names from the finished @p run.
+ * False when a write fails.  The stats dump is sorted so repeated runs
+ * diff cleanly (the library default, insertion order, is
+ * golden-pinned).
  */
 bool
 writeObserverFiles(const ObsOptions &obs, const core::Observed &run,
-                   const obs::EventTrace &trace,
-                   const std::string &latency_report)
+                   const obs::EventTrace &trace)
 {
     bool written = true;
     if (!obs.statsJson.empty()) {
@@ -224,8 +225,6 @@ writeObserverFiles(const ObsOptions &obs, const core::Observed &run,
         written &= run.sampler().save(obs.sampleOut);
     if (!obs.traceEvents.empty())
         written &= trace.save(obs.traceEvents);
-    if (!obs.latencyJson.empty())
-        written &= writeTextFile(obs.latencyJson, latency_report + "\n");
     if (!obs.heatmapCsv.empty())
         written &= writeTextFile(obs.heatmapCsv, run.latency()->heatmapCsv());
     if (run.profilingEnabled()) {
@@ -235,23 +234,10 @@ writeObserverFiles(const ObsOptions &obs, const core::Observed &run,
     return written;
 }
 
-/** Splice `, "key": value` before the closing brace of @p object. */
-std::string
-spliceJson(const std::string &object, const std::string &key,
-           const std::string &value)
-{
-    const std::size_t end = object.rfind('}');
-    if (end == std::string::npos)
-        return object;
-    return object.substr(0, end) + ", \"" + key + "\": " + value + "}" +
-           object.substr(end + 1);
-}
-
 /** Flags shared by `net` and `app` (observability). */
 #define ULTRASIM_OBS_FLAGS                                              \
     "stats-json", "stats-pretty", "sample-every", "sample-out",         \
-        "trace-events", "latency-json", "prof-json", "heatmap-csv",     \
-        "inspect"
+        "trace-events", "prof-json", "heatmap-csv", "inspect"
 
 /** Resolve every flag but @p own as net parameters, exactly as a grid
  *  point is resolved; a bad flag exits 2 naming it. */
@@ -362,11 +348,7 @@ cmdNet(const Flags &args)
     if (inspector)
         inspector->finishRun(network.now(), true);
 
-    const bool written = writeObserverFiles(
-        obs, exp, trace,
-        latency != nullptr
-            ? spliceJson(latency->summaryJson(), "model", model.json())
-            : "");
+    const bool written = writeObserverFiles(obs, exp, trace);
     std::printf("ports %u, k=%u m=%u d=%u, policy %s%s\n",
                 spec.net.numPorts, spec.net.k, spec.net.m, spec.net.d,
                 args.getString("policy", "full").c_str(),
@@ -624,11 +606,14 @@ runApp(core::Machine &machine, const AppRun &run)
 int
 cmdApp(const Flags &args)
 {
-    args.rejectUnknown({"app", "pes", "n", "contexts", ULTRASIM_OBS_FLAGS});
+    args.rejectUnknown(
+        {"app", "pes", "n", "contexts", "latency", ULTRASIM_OBS_FLAGS});
     const AppRun run = appRunFrom(args);
     const ObsOptions obs = ObsOptions::from(args);
 
     core::Machine machine(run.machine);
+    if (args.flag("latency"))
+        machine.enableLatency();
     obs::EventTrace trace;
     attachObservers(obs, machine, trace);
     std::unique_ptr<inspect::InspectServer> iserver;
@@ -659,17 +644,16 @@ cmdApp(const Flags &args)
                     machine.network().stats().combined));
     std::printf("\n%s", machine.statsReport().c_str());
 
-    return writeObserverFiles(obs, machine, trace, machine.latencyJson())
-               ? 0
-               : 1;
+    return writeObserverFiles(obs, machine, trace) ? 0 : 1;
 }
 
 int
 cmdModel(const Flags &args)
 {
-    args.rejectUnknown({"ports", "k", "m", "d", "best", "rate", "budget"});
+    // Each path accepts only the flags it reads.
     if (args.flag("best")) {
         // Cheapest configuration meeting a latency budget at a load.
+        args.rejectUnknown({"best", "ports", "rate", "budget"});
         const double p = args.getDouble("rate", 0.2, 0.0, 1.0);
         const double budget = args.getDouble("budget", 20, 0, HUGE_VAL);
         const std::uint64_t n = args.getInt("ports", 4096);
@@ -693,6 +677,7 @@ cmdModel(const Flags &args)
     }
     // Each flag is checked against its share of
     // analytic::NetworkConfig::valid(), so a bad one is named.
+    args.rejectUnknown({"ports", "k", "m", "d"});
     analytic::NetworkConfig cfg;
     cfg.k = static_cast<unsigned>(args.getInt("k", 4));
     if (cfg.k < 2 || !isPowerOfTwo(cfg.k)) {
