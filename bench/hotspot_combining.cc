@@ -85,7 +85,6 @@ runHot(std::uint32_t ports, net::CombinePolicy policy, bool burroughs)
     obs::LatencyShape shape;
     shape.stages = rig.network.topology().stages();
     shape.switchesPerStage = rig.network.topology().switchesPerStage();
-    shape.mmAccessTime = ncfg.mmAccessTime;
     obs::LatencyObservatory latency(shape);
     rig.network.setLatencyObservatory(&latency);
     const Cycle cycles = 8000;

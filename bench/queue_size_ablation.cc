@@ -34,7 +34,6 @@ runCapacity(std::uint32_t capacity_packets, double rate)
     ncfg.k = 2;
     ncfg.m = 2;
     ncfg.sizing = net::PacketSizing::ByContent;
-    ncfg.dataPackets = 3;
     ncfg.queueCapacityPackets = capacity_packets;
     ncfg.mmPendingCapacityPackets = capacity_packets;
     ncfg.combinePolicy = net::CombinePolicy::None;

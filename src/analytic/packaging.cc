@@ -9,19 +9,19 @@ namespace ultra::analytic
 {
 
 MachinePackage
-packageMachine(std::uint64_t num_pe, const ChipBudget &budget)
+packageMachine(std::uint64_t num_pe)
 {
-    ULTRA_ASSERT(isPowerOfTwo(num_pe) && num_pe >= budget.switchDegree,
+    ULTRA_ASSERT(isPowerOfTwo(num_pe) && num_pe >= kSwitchDegree,
                  "machine size must be a power of two >= switch degree");
-    const unsigned k = budget.switchDegree;
+    const unsigned k = kSwitchDegree;
     const unsigned stages = logBase(num_pe, k);
 
     MachinePackage pkg;
     pkg.numPe = num_pe;
-    pkg.peChips = num_pe * budget.chipsPerPe;
-    pkg.mmChips = num_pe * budget.chipsPerMm;
+    pkg.peChips = num_pe * kChipsPerPe;
+    pkg.mmChips = num_pe * kChipsPerMm;
     pkg.numSwitches = (num_pe / k) * stages;
-    pkg.networkChips = pkg.numSwitches * budget.chipsPerSwitch;
+    pkg.networkChips = pkg.numSwitches * kChipsPerSwitch;
 
     // Board layout of section 3.6: sqrt(N) input modules and sqrt(N)
     // output modules, each carrying half of the network stages.
@@ -32,10 +32,10 @@ packageMachine(std::uint64_t num_pe, const ChipBudget &budget)
         pkg.mmBoards = root;
         const std::uint64_t switches_per_board =
             (root / k) * (stages / 2);
-        pkg.chipsPerPeBoard = root * budget.chipsPerPe +
-                              switches_per_board * budget.chipsPerSwitch;
-        pkg.chipsPerMmBoard = root * budget.chipsPerMm +
-                              switches_per_board * budget.chipsPerSwitch;
+        pkg.chipsPerPeBoard = root * kChipsPerPe +
+                              switches_per_board * kChipsPerSwitch;
+        pkg.chipsPerMmBoard = root * kChipsPerMm +
+                              switches_per_board * kChipsPerSwitch;
     }
     return pkg;
 }

@@ -19,14 +19,11 @@
 namespace ultra::analytic
 {
 
-/** Per-component chip cost assumptions (paper's 1990 estimates). */
-struct ChipBudget
-{
-    unsigned chipsPerPe = 4;     //!< PE + PNI pair
-    unsigned chipsPerMm = 9;     //!< MM + MNI pair (1 MB from 1 Mbit chips)
-    unsigned chipsPerSwitch = 2; //!< one k x k switch
-    unsigned switchDegree = 4;   //!< k of the packaged switch
-};
+// Per-component chip costs (the paper's 1990 estimates).
+inline constexpr unsigned kChipsPerPe = 4;     //!< PE + PNI pair
+inline constexpr unsigned kChipsPerMm = 9;     //!< MM + MNI pair (1 MB)
+inline constexpr unsigned kChipsPerSwitch = 2; //!< one k x k switch
+inline constexpr unsigned kSwitchDegree = 4;   //!< k of the packaged switch
 
 /** Totals for one machine size. */
 struct MachinePackage
@@ -56,14 +53,13 @@ struct MachinePackage
 };
 
 /**
- * Compute chip and board counts for an @p num_pe machine (a power of the
- * budget's switch degree) under @p budget.  Boards follow the paper's
- * sqrt(N)-module layout: each PE board carries sqrt(N) PEs plus the first
- * half of the network stages reachable from them, each MM board carries
- * sqrt(N) MMs plus the last half.
+ * Compute chip and board counts for an @p num_pe machine (a power of two
+ * at least kSwitchDegree) under the chip costs above.  Boards follow the
+ * paper's sqrt(N)-module layout: each PE board carries sqrt(N) PEs plus
+ * the first half of the network stages reachable from them, each MM
+ * board carries sqrt(N) MMs plus the last half.
  */
-MachinePackage packageMachine(std::uint64_t num_pe,
-                              const ChipBudget &budget = {});
+MachinePackage packageMachine(std::uint64_t num_pe);
 
 } // namespace ultra::analytic
 

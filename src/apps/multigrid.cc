@@ -17,6 +17,12 @@ constexpr std::uint64_t kComputePerPoint = 40;
 constexpr std::uint64_t kPrivatePerPoint = 6;
 constexpr std::uint64_t kOverlap = 2;
 
+/** Jacobi sweeps before and after each coarse-grid correction. */
+constexpr unsigned kPreSmooth = 2;
+constexpr unsigned kPostSmooth = 2;
+/** Jacobi damping factor. */
+constexpr double kOmega = 0.8;
+
 double
 gridSpacing(std::size_t n)
 {
@@ -89,7 +95,7 @@ namespace
 
 void
 jacobiSerial(std::vector<double> &u, const std::vector<double> &f,
-             std::size_t n, double omega)
+             std::size_t n)
 {
     const double h2 = gridSpacing(n) * gridSpacing(n);
     std::vector<double> next = u;
@@ -100,7 +106,7 @@ jacobiSerial(std::vector<double> &u, const std::vector<double> &f,
                         u[i * n + j - 1] + u[i * n + j + 1] +
                         h2 * f[i * n + j]);
             next[i * n + j] =
-                (1.0 - omega) * u[i * n + j] + omega * gs;
+                (1.0 - kOmega) * u[i * n + j] + kOmega * gs;
         }
     }
     u.swap(next);
@@ -178,8 +184,7 @@ prolongAddSerial(const std::vector<double> &coarse, std::size_t nc,
 }
 
 void
-vcycleSerial(const MultigridConfig &cfg, unsigned lev,
-             std::vector<std::vector<double>> &u,
+vcycleSerial(unsigned lev, std::vector<std::vector<double>> &u,
              std::vector<std::vector<double>> &f)
 {
     const std::size_t n = multigridSide(lev);
@@ -189,17 +194,17 @@ vcycleSerial(const MultigridConfig &cfg, unsigned lev,
         u[lev][1 * n + 1] = 0.25 * h2 * f[lev][1 * n + 1];
         return;
     }
-    for (unsigned s = 0; s < cfg.preSmooth; ++s)
-        jacobiSerial(u[lev], f[lev], n, cfg.omega);
+    for (unsigned s = 0; s < kPreSmooth; ++s)
+        jacobiSerial(u[lev], f[lev], n);
     std::vector<double> r;
     residualSerial(u[lev], f[lev], n, r);
     const std::size_t nc = multigridSide(lev - 1);
     restrictSerial(r, n, f[lev - 1], nc);
     u[lev - 1].assign(nc * nc, 0.0);
-    vcycleSerial(cfg, lev - 1, u, f);
+    vcycleSerial(lev - 1, u, f);
     prolongAddSerial(u[lev - 1], nc, u[lev], n);
-    for (unsigned s = 0; s < cfg.postSmooth; ++s)
-        jacobiSerial(u[lev], f[lev], n, cfg.omega);
+    for (unsigned s = 0; s < kPostSmooth; ++s)
+        jacobiSerial(u[lev], f[lev], n);
 }
 
 } // namespace
@@ -221,7 +226,7 @@ multigridSerial(const MultigridConfig &cfg,
     }
     f[cfg.level] = rhs;
     for (unsigned c = 0; c < cfg.vCycles; ++c)
-        vcycleSerial(cfg, cfg.level, u, f);
+        vcycleSerial(cfg.level, u, f);
 
     MultigridResult result;
     result.solution = u[cfg.level];
@@ -305,8 +310,7 @@ jacobiPhase(pe::Pe &pe, const MgLayout &lay, unsigned lev,
                             ublk[b * n + j + 1] +
                             h2 * fblk[(i - lo) * n + j]);
                 out[(i - lo) * n + j] =
-                    (1.0 - lay.cfg.omega) * ublk[b * n + j] +
-                    lay.cfg.omega * gs;
+                    (1.0 - kOmega) * ublk[b * n + j] + kOmega * gs;
                 co_await chargePoint(pe);
             }
         }
@@ -477,13 +481,13 @@ vcyclePhase(pe::Pe &pe, const MgLayout &lay, unsigned lev,
         co_await core::barrierWait(pe, lay.barrier, sense);
         co_return;
     }
-    for (unsigned s = 0; s < lay.cfg.preSmooth; ++s)
+    for (unsigned s = 0; s < kPreSmooth; ++s)
         co_await jacobiPhase(pe, lay, lev, t, num_pes, sense);
     co_await residualPhase(pe, lay, lev, t, num_pes, sense);
     co_await restrictPhase(pe, lay, lev, t, num_pes, sense);
     co_await vcyclePhase(pe, lay, lev - 1, t, num_pes, sense);
     co_await prolongPhase(pe, lay, lev, t, num_pes, sense);
-    for (unsigned s = 0; s < lay.cfg.postSmooth; ++s)
+    for (unsigned s = 0; s < kPostSmooth; ++s)
         co_await jacobiPhase(pe, lay, lev, t, num_pes, sense);
 }
 

@@ -27,11 +27,8 @@ namespace ultra::apps
 /** Multigrid-run parameters. */
 struct MultigridConfig
 {
-    unsigned level = 4;     //!< finest grid is (2^level + 1)^2
+    unsigned level = 4; //!< finest grid is (2^level + 1)^2
     unsigned vCycles = 2;
-    unsigned preSmooth = 2;
-    unsigned postSmooth = 2;
-    double omega = 0.8;     //!< Jacobi damping
 };
 
 /** Outcome of a multigrid run. */

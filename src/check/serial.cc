@@ -10,6 +10,11 @@ namespace ultra::check
 namespace
 {
 
+/** Schedules deeper than this are cut off and reported truncated. */
+constexpr std::uint64_t kMaxDepth = 4096;
+/** Violations collected before a search stops. */
+constexpr std::size_t kMaxViolations = 8;
+
 /**
  * Independence of the *next* steps of two distinct processes in state
  * @p s: they commute unless both touch the same shared cell and at
@@ -47,7 +52,7 @@ struct Dfs
     void
     addViolation(std::string msg)
     {
-        if (result.violations.size() < opts.maxViolations)
+        if (result.violations.size() < kMaxViolations)
             result.violations.push_back(std::move(msg));
     }
 
@@ -55,13 +60,13 @@ struct Dfs
     limited() const
     {
         return result.statesExplored >= opts.maxStates ||
-               result.violations.size() >= opts.maxViolations;
+               result.violations.size() >= kMaxViolations;
     }
 
     void
     visit(const SysState &s, std::vector<char> sleep, std::uint64_t depth)
     {
-        if (limited() || depth > opts.maxDepth) {
+        if (limited() || depth > kMaxDepth) {
             result.truncated = true;
             return;
         }
@@ -137,8 +142,7 @@ explore(const Model &m, const ExploreOptions &opts)
 }
 
 ExploreResult
-randomWalks(const Model &m, std::uint64_t walks, std::uint64_t seed,
-            const ExploreOptions &opts)
+randomWalks(const Model &m, std::uint64_t walks, std::uint64_t seed)
 {
     ExploreResult result;
     Rng rng(seed);
@@ -147,13 +151,13 @@ randomWalks(const Model &m, std::uint64_t walks, std::uint64_t seed,
     for (std::uint64_t walk = 0; walk < walks; ++walk) {
         SysState s = m.initial();
         for (std::uint64_t depth = 0;; ++depth) {
-            if (depth > opts.maxDepth) {
+            if (depth > kMaxDepth) {
                 result.truncated = true;
                 break;
             }
             ++result.statesExplored;
             if (std::string err = m.checkState(s); !err.empty()) {
-                if (result.violations.size() < opts.maxViolations)
+                if (result.violations.size() < kMaxViolations)
                     result.violations.push_back(m.name() + ": " + err);
                 break;
             }
@@ -169,7 +173,7 @@ randomWalks(const Model &m, std::uint64_t walks, std::uint64_t seed,
                 std::string err = all_done ? m.checkOutcome(s)
                                            : describeStuck(s);
                 if (!err.empty() &&
-                    result.violations.size() < opts.maxViolations) {
+                    result.violations.size() < kMaxViolations) {
                     result.violations.push_back(m.name() + ": " + err);
                 }
                 break;
@@ -179,7 +183,7 @@ randomWalks(const Model &m, std::uint64_t walks, std::uint64_t seed,
             ++s.steps;
             m.step(s, p);
         }
-        if (result.violations.size() >= opts.maxViolations)
+        if (result.violations.size() >= kMaxViolations)
             break;
     }
     return result;

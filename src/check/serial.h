@@ -110,9 +110,7 @@ class Model
 struct ExploreOptions
 {
     std::uint64_t maxStates = 200'000'000;
-    std::uint64_t maxDepth = 4096;
-    std::size_t maxViolations = 8; //!< stop collecting after this many
-    bool sleepSets = true;         //!< DPOR-style reduction on/off
+    bool sleepSets = true; //!< DPOR-style reduction on/off
 };
 
 /** Result of an exploration (exhaustive or sampled). */
@@ -121,7 +119,7 @@ struct ExploreResult
     std::uint64_t statesExplored = 0;
     std::uint64_t schedules = 0;   //!< terminal states reached
     std::uint64_t sleepPruned = 0; //!< branches skipped by reduction
-    bool truncated = false;        //!< hit maxStates/maxDepth
+    bool truncated = false;        //!< hit maxStates or the depth cap
     std::vector<std::string> violations;
 
     bool ok() const { return violations.empty() && !truncated; }
@@ -136,8 +134,7 @@ ExploreResult explore(const Model &m, const ExploreOptions &opts = {});
  * checked exactly as in explore(); coverage is sampled, not complete.
  */
 ExploreResult randomWalks(const Model &m, std::uint64_t walks,
-                          std::uint64_t seed,
-                          const ExploreOptions &opts = {});
+                          std::uint64_t seed);
 
 /**
  * Linearizability judge (Wing-Gong style): does some permutation of

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace ultra
 {
@@ -10,31 +9,11 @@ namespace ultra
 namespace
 {
 
-const char *
-prefix(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Inform: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Fatal: return "fatal";
-      case LogLevel::Panic: return "panic";
-    }
-    return "?";
-}
-
 LogSink &
 sinkRef()
 {
     static LogSink sink;
     return sink;
-}
-
-LogLevel &
-thresholdRef()
-{
-    static LogLevel threshold = detail::thresholdFromEnv();
-    return threshold;
 }
 
 } // namespace
@@ -45,54 +24,25 @@ setLogSink(LogSink sink)
     sinkRef() = std::move(sink);
 }
 
-void
-setLogThreshold(LogLevel level)
-{
-    thresholdRef() = level;
-}
-
 namespace detail
 {
-
-LogLevel
-thresholdFromEnv()
-{
-    const char *env = std::getenv("ULTRA_LOG");
-    if (env == nullptr)
-        return LogLevel::Inform;
-    if (std::strcmp(env, "debug") == 0)
-        return LogLevel::Debug;
-    if (std::strcmp(env, "warn") == 0)
-        return LogLevel::Warn;
-    return LogLevel::Inform; // "inform", "info", and anything else
-}
-
-bool
-debugEnabled()
-{
-    return thresholdRef() <= LogLevel::Debug;
-}
 
 void
 log(LogLevel level, const std::string &msg)
 {
-    // Fatal and Panic always emit; lesser levels respect the threshold.
-    if (level < LogLevel::Fatal && level < thresholdRef())
-        return;
     const LogSink &sink = sinkRef();
     if (sink) {
         sink(level, msg);
         return;
     }
-    std::fprintf(stderr, "%s: %s\n", prefix(level), msg.c_str());
+    std::fprintf(stderr, "%s: %s\n",
+                 level == LogLevel::Panic ? "panic" : "warn", msg.c_str());
 }
 
 void
-logAndDie(LogLevel level, const std::string &msg)
+logAndAbort(const std::string &msg)
 {
-    log(level, msg);
-    if (level == LogLevel::Fatal)
-        std::exit(1);
+    log(LogLevel::Panic, msg);
     std::abort();
 }
 

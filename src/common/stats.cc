@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "log.h"
 
@@ -102,25 +101,6 @@ Histogram::percentile(double q) const
         }
     }
     return maxSample_;
-}
-
-std::string
-Histogram::render() const
-{
-    std::ostringstream os;
-    const std::uint64_t peak =
-        *std::max_element(bins_.begin(), bins_.end());
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (bins_[i] == 0)
-            continue;
-        const int bar_len = peak
-            ? static_cast<int>(40.0 * static_cast<double>(bins_[i]) /
-                               static_cast<double>(peak))
-            : 0;
-        os << '[' << i * binWidth_ << ") " << std::string(bar_len, '#')
-           << ' ' << bins_[i] << '\n';
-    }
-    return os.str();
 }
 
 } // namespace ultra

@@ -11,7 +11,6 @@
 #define ULTRA_COMMON_STATS_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ultra
@@ -72,9 +71,6 @@ class Histogram
     std::uint64_t binCount(std::size_t i) const { return bins_.at(i); }
     std::size_t numBins() const { return bins_.size(); }
     std::uint64_t binWidth() const { return binWidth_; }
-
-    /** Compact ASCII rendering for debug output. */
-    std::string render() const;
 
   private:
     std::uint64_t binWidth_;

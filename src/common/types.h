@@ -5,7 +5,8 @@
  * The simulator is cycle-stepped: every component advances in units of one
  * network cycle (the switch cycle time of section 3.1.2 of the paper).
  * Processor instruction time and memory-module access time are expressed
- * as multiples of this cycle (the Table-1 configuration uses 2 for both).
+ * as multiples of this cycle: the paper simulates one timing, "PE
+ * instruction time = MM access time = 2 network cycles" (Table 1).
  */
 
 #ifndef ULTRA_COMMON_TYPES_H
@@ -31,6 +32,12 @@ using PEId = std::uint32_t;
 
 /** Index of a memory module (0 .. N-1). */
 using MMId = std::uint32_t;
+
+/** Cycles per PE instruction (Table 1). */
+inline constexpr Cycle kInstrTime = 2;
+
+/** Cycles a memory module takes to service one request (Table 1). */
+inline constexpr Cycle kMmAccessTime = 2;
 
 /** Sentinel for "no cycle" / "not yet scheduled". */
 inline constexpr Cycle kNeverCycle = std::numeric_limits<Cycle>::max();

@@ -13,20 +13,7 @@ namespace ultra::core
 MachineConfig
 MachineConfig::paperTable1()
 {
-    MachineConfig cfg;
-    cfg.net.numPorts = 4096;
-    cfg.net.k = 4;
-    cfg.net.m = 2;
-    cfg.net.d = 1;
-    cfg.net.sizing = net::PacketSizing::ByContent;
-    cfg.net.dataPackets = 3;
-    cfg.net.queueCapacityPackets = 15;
-    cfg.net.mmPendingCapacityPackets = 15;
-    cfg.net.combinePolicy = net::CombinePolicy::Full;
-    cfg.net.mmAccessTime = 2;
-    cfg.pe.instrTime = 2;
-    cfg.wordsPerModule = 1 << 12;
-    return cfg;
+    return small(4096, 4);
 }
 
 MachineConfig
@@ -57,15 +44,14 @@ memoryConfigFor(const MachineConfig &cfg)
 Machine::Machine(const MachineConfig &cfg)
     : Observed(network_, "pe.idle_cycles"), cfg_(cfg),
       memory_(memoryConfigFor(cfg)),
-      hash_(log2Exact(memory_.totalWords()), cfg.hashAddresses),
+      hash_(log2Exact(memory_.totalWords())),
       network_(cfg.net, memory_), pni_(cfg.pni, network_, hash_)
 {
     ULTRA_ASSERT(isPowerOfTwo(memory_.totalWords()),
                  "total memory must be a power of two for the hash");
     pes_.reserve(cfg_.net.numPorts);
     for (PEId pe = 0; pe < cfg_.net.numPorts; ++pe) {
-        pes_.push_back(std::make_unique<pe::Pe>(pe, cfg_.pe, pni_,
-                                                network_));
+        pes_.push_back(std::make_unique<pe::Pe>(pe, pni_, network_));
     }
     programs_.resize(cfg_.net.numPorts);
     pni_.setCompleteCallback(

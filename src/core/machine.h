@@ -43,11 +43,8 @@ struct MachineConfig
 {
     net::NetSimConfig net;   //!< ports, switches, combining, queues
     net::PniConfig pni;      //!< outstanding-request policy
-    pe::PeConfig pe;         //!< instruction timing
     /** Words of central memory per module. */
     std::size_t wordsPerModule = 1 << 16;
-    /** Hash virtual addresses across modules (section 3.1.4). */
-    bool hashAddresses = true;
 
     /** The paper's Table-1 machine: 4096 ports, six stages of 4x4
      *  switches, 15-packet queues, PE instr = MM access = 2 cycles. */

@@ -42,7 +42,6 @@ Observed::enableLatency()
     obs::LatencyShape shape;
     shape.stages = network_.topology().stages();
     shape.switchesPerStage = network_.topology().switchesPerStage();
-    shape.mmAccessTime = network_.config().mmAccessTime;
     latency_ = std::make_unique<obs::LatencyObservatory>(shape);
     network_.setLatencyObservatory(latency_.get());
     latency_->registerStats(registry_, "lat");

@@ -6,7 +6,7 @@
  * module, or one reply back.  Messages are transmitted as a train of
  * packets: under ByContent sizing (the Table-1 simulation), a message is
  * one packet when it carries no data (load request, store
- * acknowledgement) and dataPackets (three) otherwise; under Uniform
+ * acknowledgement) and kDataPackets (three) otherwise; under Uniform
  * sizing every message is exactly m packets, matching the assumptions of
  * the section-4.1 analytic model.
  *
@@ -37,10 +37,14 @@ namespace ultra::net
 
 using mem::Op;
 
+/** Packets of a data-carrying message under ByContent sizing: "one
+ *  packet without data and three with" (section 4.2). */
+inline constexpr std::uint32_t kDataPackets = 3;
+
 /** How message lengths (in packets) are assigned. */
 enum class PacketSizing : std::uint8_t {
     Uniform,   //!< every message is m packets (analytic-model assumption)
-    ByContent, //!< 1 packet without data, dataPackets with (section 4.2)
+    ByContent, //!< 1 packet without data, kDataPackets with (section 4.2)
 };
 
 /** Request-combining behaviour of the switches. */

@@ -20,7 +20,7 @@ NetSimConfig::packetsFor(Op op, bool is_reply) const
         return m;
     const bool has_data =
         is_reply ? mem::opReturnsData(op) : mem::opCarriesData(op);
-    return has_data ? dataPackets : 1;
+    return has_data ? kDataPackets : 1;
 }
 
 bool
@@ -28,7 +28,7 @@ NetSimConfig::valid() const
 {
     if (!isPowerOfTwo(numPorts) || !isPowerOfTwo(k) || k < 2)
         return false;
-    if (m == 0 || d == 0 || dataPackets == 0 || maxCombinesPerVisit == 0)
+    if (m == 0 || d == 0 || maxCombinesPerVisit == 0)
         return false;
     // numPorts must be a power of k.
     std::uint64_t reach = 1;
@@ -38,7 +38,7 @@ NetSimConfig::valid() const
         return false;
     // Finite queues must hold at least one maximal message.
     const std::uint32_t max_msg =
-        sizing == PacketSizing::Uniform ? m : dataPackets;
+        sizing == PacketSizing::Uniform ? m : kDataPackets;
     if (queueCapacityPackets != 0 && queueCapacityPackets < max_msg)
         return false;
     if (mmPendingCapacityPackets != 0 &&
@@ -233,7 +233,7 @@ Network::tryCombine(Copy &copy, unsigned s, Node &node, std::uint32_t idx,
         return false;
 
     const std::uint32_t growth_packets =
-        cfg_.sizing == PacketSizing::Uniform ? 0 : cfg_.dataPackets;
+        cfg_.sizing == PacketSizing::Uniform ? 0 : kDataPackets;
 
     // Scan the queue's contiguous key array first: the common miss
     // touches one cache line per few entries instead of a Message each.
@@ -672,23 +672,21 @@ Network::processMnis(Copy &copy)
                 if (msg->lat) {
                     lat_->noteServiceStart(
                         msg->lat, now_, 1 + msg->timesCombined,
-                        std::max<Cycle>(cfg_.mmAccessTime,
-                                        reply_packets));
+                        std::max<Cycle>(kMmAccessTime, reply_packets));
                 }
                 if (trace_) {
                     trace_->complete(mmTrack_, mm, mem::opName(msg->op),
-                                     now_, cfg_.mmAccessTime, msg->id);
+                                     now_, kMmAccessTime, msg->id);
                 }
                 msg->data =
                     memory_.execute(msg->op, msg->paddr, msg->data);
                 makeReply(msg);
                 msg->packets = reply_packets;
                 entry_node.revInbox.push_back(
-                    {msg, now_ + cfg_.mmAccessTime + 1});
+                    {msg, now_ + kMmAccessTime + 1});
                 activateNode(copy, last, sw_idx);
                 mni.serviceFreeAt =
-                    now_ + std::max<Cycle>(cfg_.mmAccessTime,
-                                           reply_packets);
+                    now_ + std::max<Cycle>(kMmAccessTime, reply_packets);
                 ++stats_.mmServed;
             }
         }

@@ -12,7 +12,8 @@
  * Combining happens where a request enters a ToMM queue already holding
  * a matching request; wait buffers record the combined-away requests and
  * replies fission on their way back (section 3.3).  Fetch-and-phi is
- * executed by the MNI at the destination module (section 3.1.3).
+ * executed by the MNI at the destination module (section 3.1.3), which
+ * serves one request per kMmAccessTime cycles (Table 1's timing).
  *
  * A "Burroughs mode" reproduces the design the paper argues against
  * (section 3.1.2 factor 3): conflicting requests are killed instead of
@@ -61,8 +62,6 @@ struct NetSimConfig
     unsigned m = 2;
     /** Number of identical network copies d. */
     unsigned d = 1;
-    /** Packets of a data-carrying message under ByContent sizing. */
-    unsigned dataPackets = 3;
     PacketSizing sizing = PacketSizing::ByContent;
     /** ToMM / ToPE queue capacity in packets (0 = unbounded). */
     std::uint32_t queueCapacityPackets = 15;
@@ -71,8 +70,6 @@ struct NetSimConfig
     CombinePolicy combinePolicy = CombinePolicy::Homogeneous;
     /** Max pairs a queued request may absorb at one switch (>=1). */
     unsigned maxCombinesPerVisit = 1;
-    /** Memory-module access latency in cycles. */
-    Cycle mmAccessTime = 2;
     /** MNI pending-queue capacity in packets (0 = unbounded). */
     std::uint32_t mmPendingCapacityPackets = 15;
     /** Kill-on-conflict switches instead of queues (baseline). */

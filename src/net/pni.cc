@@ -81,8 +81,7 @@ PniArray::tick()
                 state.outstanding.size() >= cfg_.maxOutstanding) {
                 break;
             }
-            if (cfg_.enforceUniqueLocation &&
-                std::any_of(state.outstanding.begin(),
+            if (std::any_of(state.outstanding.begin(),
                             state.outstanding.end(),
                             [&head](const QueuedReq &req) {
                                 return req.paddr == head.paddr;

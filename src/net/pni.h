@@ -5,8 +5,8 @@
  * The PNI performs virtual-to-physical translation (with the hashing of
  * section 3.1.4), assembles requests, and enforces the pipelining
  * policy: a PE may have at most a configured number of outstanding
- * requests and -- as the wait-buffer design requires -- at most one
- * outstanding reference to any single memory location.  Requests issue
+ * requests and -- always, as the wait-buffer design requires -- at most
+ * one outstanding reference to any single memory location.  Requests issue
  * in FIFO order per PE; the head request stalls until its constraints
  * clear and a network copy accepts it.
  *
@@ -35,8 +35,6 @@ struct PniConfig
 {
     /** Max outstanding requests per PE (0 = unlimited). */
     unsigned maxOutstanding = 8;
-    /** Enforce one outstanding reference per memory location. */
-    bool enforceUniqueLocation = true;
     /** Burroughs mode: cycles to wait before retrying a killed request. */
     Cycle killRetryDelay = 4;
 };

@@ -176,7 +176,7 @@ LatencyObservatory::componentSum(const LatencyRecord &rec) const
     sum += stages - 1;                             // forward wire hops
     sum += rec.reqPackets;                         // MNI pipe fill
     sum += rec.serviceStartAt - rec.mniArriveAt;   // MM queue wait
-    sum += shape_.mmAccessTime + 1;                // access + return hop
+    sum += kMmAccessTime + 1;                      // access + return hop
     for (unsigned s = 0; s < stages; ++s) {
         if (!have(rec.revArrive[s]) || !have(rec.revDepart[s]))
             return kNoStamp;

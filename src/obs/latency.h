@@ -76,7 +76,6 @@ struct LatencyShape
 {
     unsigned stages = 1;
     std::uint32_t switchesPerStage = 1;
-    Cycle mmAccessTime = 2;
 };
 
 /** Pools records, receives lifecycle stamps, folds closed records into

@@ -157,31 +157,4 @@ Registry::jsonDump(Cycle now, const DumpOptions &opts) const
     return os.str();
 }
 
-std::string
-Registry::render() const
-{
-    std::ostringstream os;
-    for (const Entry &entry : entries_) {
-        os << entry.path << " = ";
-        switch (entry.kind) {
-          case Kind::Scalar:
-            writeJsonNumber(os, entry.fn());
-            break;
-          case Kind::Accumulator:
-            os << "count " << entry.acc->count() << " mean "
-               << entry.acc->mean() << " max " << entry.acc->max();
-            break;
-          case Kind::Histogram:
-            os << "count " << entry.hist->count() << " mean "
-               << entry.hist->mean() << " p99 "
-               << entry.hist->percentile(0.99);
-            break;
-        }
-        if (!entry.desc.empty())
-            os << "  # " << entry.desc;
-        os << "\n";
-    }
-    return os.str();
-}
-
 } // namespace ultra::obs

@@ -99,9 +99,6 @@ class Registry
     std::string jsonDump(Cycle now) const { return jsonDump(now, {}); }
     std::string jsonDump(Cycle now, const DumpOptions &opts) const;
 
-    /** Plain "path = value" listing for debug output. */
-    std::string render() const;
-
   private:
     enum class Kind : std::uint8_t { Scalar, Accumulator, Histogram };
 

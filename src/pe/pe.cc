@@ -9,12 +9,9 @@
 namespace ultra::pe
 {
 
-Pe::Pe(PEId id, const PeConfig &cfg, net::PniArray &pni,
-       net::Network &network)
-    : id_(id), cfg_(cfg), pni_(pni), network_(network)
-{
-    ULTRA_ASSERT(cfg.instrTime >= 1);
-}
+Pe::Pe(PEId id, net::PniArray &pni, net::Network &network)
+    : id_(id), pni_(pni), network_(network)
+{}
 
 void
 Pe::setTask(Task task)
@@ -104,8 +101,8 @@ Pe::chargeCompute(std::uint64_t instructions, std::uint64_t private_refs)
 {
     stats_.instructions += instructions;
     stats_.privateRefs += private_refs;
-    stats_.busyCycles += instructions * cfg_.instrTime;
-    peClock_ += instructions * cfg_.instrTime;
+    stats_.busyCycles += instructions * kInstrTime;
+    peClock_ += instructions * kInstrTime;
     peFreeAt_ = peClock_;
     Context &ctx = runningCtx();
     // Guarantee forward progress even for compute(0).
@@ -119,8 +116,8 @@ Pe::issueBlocking(Op op, Addr vaddr, Word data)
     ++stats_.instructions;
     ++stats_.sharedRefs;
     stats_.sharedLoads += op == Op::Load ? 1 : 0;
-    stats_.busyCycles += cfg_.instrTime;
-    peClock_ += cfg_.instrTime;
+    stats_.busyCycles += kInstrTime;
+    peClock_ += kInstrTime;
     peFreeAt_ = peClock_;
     Context &ctx = runningCtx();
     ctx.blockingTicket = pni_.request(id_, op, vaddr, data);
@@ -135,8 +132,8 @@ Pe::startOp(Op op, Addr vaddr, Word data)
     ++stats_.instructions;
     ++stats_.sharedRefs;
     stats_.sharedLoads += op == Op::Load ? 1 : 0;
-    stats_.busyCycles += cfg_.instrTime;
-    peClock_ += cfg_.instrTime;
+    stats_.busyCycles += kInstrTime;
+    peClock_ += kInstrTime;
     peFreeAt_ = peClock_;
     auto slot = std::make_shared<LoadHandle::Slot>();
     const std::uint64_t ticket = pni_.request(id_, op, vaddr, data);

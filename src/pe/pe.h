@@ -29,7 +29,7 @@
  * projects.
  *
  * Simulated-time accounting:
- *   compute(n)       -- n register instructions: n * instrTime cycles.
+ *   compute(n)       -- n register instructions: n * kInstrTime cycles.
  *   privateRefs(n)   -- n cache-hit data references: same cost, also
  *                       counted as memory references for Table 1.
  *   load/store/...   -- one instruction to issue, then the context
@@ -62,13 +62,6 @@ namespace ultra::pe
 {
 
 using net::Op;
-
-/** PE timing parameters. */
-struct PeConfig
-{
-    /** Cycles per instruction (the Table-1 setup uses 2). */
-    Cycle instrTime = 2;
-};
 
 /** Per-PE counters backing Table 1. */
 struct PeStats
@@ -113,8 +106,7 @@ class LoadHandle
 class Pe
 {
   public:
-    Pe(PEId id, const PeConfig &cfg, net::PniArray &pni,
-       net::Network &network);
+    Pe(PEId id, net::PniArray &pni, net::Network &network);
 
     Pe(const Pe &) = delete;
     Pe &operator=(const Pe &) = delete;
@@ -358,7 +350,6 @@ class Pe
     Task fillCacheBlock(Addr vaddr);
 
     PEId id_;
-    PeConfig cfg_;
     net::PniArray &pni_;
     net::Network &network_;
 

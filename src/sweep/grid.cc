@@ -9,6 +9,7 @@
 
 #include "common/cli.h"
 #include "common/json_lite.h"
+#include "obs/json.h"
 
 namespace ultra::sweep
 {
@@ -87,19 +88,6 @@ rangeText(const KnownParam &p)
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string
 mustBe(const KnownParam &p, const std::string &what)
 {
     return "parameter '" + std::string(p.name) + "' must be " + what;
@@ -151,8 +139,8 @@ paramFromJson(const KnownParam &known, const jsonlite::JsonValue &v,
     return true;
 }
 
-/** Load a grid's `base` parameter object into @p out, validating
- *  names and value kinds like an axis. */
+} // namespace
+
 bool
 loadParamsJson(const jsonlite::JsonValue &obj, ParamMap &out,
                std::string &err)
@@ -174,6 +162,9 @@ loadParamsJson(const jsonlite::JsonValue &obj, ParamMap &out,
     }
     return true;
 }
+
+namespace
+{
 
 /** Expand one grid object, appending points (global indices). */
 bool
@@ -332,7 +323,11 @@ ParamValue::jsonText() const
 {
     switch (kind) {
     case Kind::Bool: return b ? "true" : "false";
-    case Kind::Str: return "\"" + jsonEscape(str) + "\"";
+    case Kind::Str: {
+        std::ostringstream os;
+        obs::writeJsonString(os, str);
+        return os.str();
+    }
     case Kind::Num: break;
     }
     char buf[64];
@@ -554,7 +549,7 @@ pointRecordJson(const Point &point, const std::string &statsDump)
     for (std::size_t i = 0; i < argv.size(); ++i) {
         if (i > 0)
             os << ", ";
-        os << "\"" << jsonEscape(argv[i]) << "\"";
+        obs::writeJsonString(os, argv[i]);
     }
     os << "], \"index\": " << point.index << ", \"params\": {";
     bool first = true;
@@ -562,8 +557,8 @@ pointRecordJson(const Point &point, const std::string &statsDump)
         if (!first)
             os << ", ";
         first = false;
-        os << "\"" << jsonEscape(kv.first)
-           << "\": " << kv.second.jsonText();
+        obs::writeJsonString(os, kv.first);
+        os << ": " << kv.second.jsonText();
     }
     // The dump is file-shaped (trailing newline); a record is one
     // line, so embed it trimmed.
@@ -572,8 +567,9 @@ pointRecordJson(const Point &point, const std::string &statsDump)
            (stats.back() == '\n' || stats.back() == '\r')) {
         stats.pop_back();
     }
-    os << "}, \"stats\": " << stats << ", \"tag\": \""
-       << jsonEscape(point.tag) << "\"}";
+    os << "}, \"stats\": " << stats << ", \"tag\": ";
+    obs::writeJsonString(os, point.tag);
+    os << "}";
     return os.str();
 }
 

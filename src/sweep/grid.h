@@ -45,6 +45,11 @@
 
 #include "sweep/net_run.h"
 
+namespace jsonlite
+{
+struct JsonValue;
+} // namespace jsonlite
+
 namespace ultra::sweep
 {
 
@@ -88,6 +93,12 @@ std::uint64_t derivePointSeed(std::uint64_t base, std::size_t index);
  */
 std::vector<Point> expandGridFile(const std::string &text,
                                   std::string &err);
+
+/** Load a parameter object (a grid's `base`, or a sweep record's
+ *  `params`) into @p out, validating names and value kinds like an
+ *  axis.  False, with @p err set, on the first bad entry. */
+bool loadParamsJson(const jsonlite::JsonValue &obj, ParamMap &out,
+                    std::string &err);
 
 /** Map a point's parameters onto a run spec, filling in the defaults.
  *  Unknown names, values the parameter table rejects and a network that

@@ -688,12 +688,15 @@ TEST(CliTest, UltracheckRejectsBadInvocations)
 
 TEST(CliTest, UltrascopeSweepModeRendersAndRejects)
 {
-    // A real two-point sweep renders a per-point table...
+    // A real four-point sweep renders a per-point table...
     const std::string grid = tmpPath("scope_sweep_grid.json");
     std::ofstream(grid)
         << "{\"schema\": \"sweep.grid.v1\", \"grids\": [{\"tag\": "
            "\"mini\", \"base\": {\"ports\": 16, \"k\": 2, \"cycles\": "
-           "200}, \"axes\": {\"rate\": [0.05, 0.1]}}]}";
+           "200}, \"axes\": {\"rate\": [0.05, 0.1]}}, {\"tag\": "
+           "\"defaults\", \"base\": {\"ports\": 16, \"cycles\": 200, "
+           "\"hot\": 0.2, \"latency\": true}}, {\"tag\": \"closed\", "
+           "\"base\": {\"ports\": 16, \"cycles\": 200, \"closed\": 1}}]}";
     const std::string out = tmpPath("scope_sweep.json");
     const std::string dir = out + ".points.d";
     ASSERT_EQ(runCommand(std::string(ULTRASWEEP_BIN) + " --grid " +
@@ -706,13 +709,15 @@ TEST(CliTest, UltrascopeSweepModeRendersAndRejects)
               0);
     const std::string text = readFile(report);
     EXPECT_NE(text.find("mini"), std::string::npos) << text;
-    EXPECT_NE(text.find("2 points"), std::string::npos) << text;
-    // Each row's delivered, one-way and rt-mean columns are its point's
+    EXPECT_NE(text.find("4 points"), std::string::npos) << text;
+    // Each row's config columns are its point's resolved parameters
+    // (m defaults to k, rate to 0.1 and to "-" on a closed-loop point),
+    // and its delivered, one-way and rt-mean columns are its point's
     // stats-dump values.
     const jsonlite::JsonValue doc = jsonlite::parse(readFile(out));
     std::istringstream lines(text);
     std::string line;
-    std::getline(lines, line); // "<path>: 2 points"
+    std::getline(lines, line); // "<path>: 4 points"
     std::getline(lines, line); // column header
     for (const jsonlite::JsonValue &pt : doc["points"].array) {
         ASSERT_TRUE(std::getline(lines, line)) << text;
@@ -727,13 +732,35 @@ TEST(CliTest, UltrascopeSweepModeRendersAndRejects)
                       stats["net.one_way_transit"]["mean"].number,
                       stats["net.round_trip"]["mean"].number);
         EXPECT_EQ(col[8] + " " + col[9] + " " + col[10], want) << line;
+        const jsonlite::JsonValue &params = pt["params"];
+        char rate[32] = "-";
+        if (!params.has("closed")) {
+            std::snprintf(rate, sizeof rate, "%.3f",
+                          params.has("rate") ? params["rate"].number : 0.1);
+        }
+        std::snprintf(want, sizeof want, "16 2 2 1 %s %.2f", rate,
+                      params.has("hot") ? params["hot"].number : 0.0);
+        EXPECT_EQ(col[2] + " " + col[3] + " " + col[4] + " " + col[5] +
+                      " " + col[6] + " " + col[7],
+                  want)
+            << line;
     }
 
-    // ...while non-sweep input and a missing operand are exit 2.
+    // ...while non-sweep input, a point whose parameters do not
+    // resolve and a missing operand are exit 2.
     EXPECT_EQ(runCommand(std::string(ULTRASCOPE_BIN) + " --sweep " +
                          grid + " > /dev/null 2>&1"),
               2)
         << "a grid file is not a sweep.v1 result";
+    const std::string bogus = tmpPath("scope_sweep_bogus.json");
+    std::ofstream(bogus) << "{\"schema\": \"sweep.v1\", \"points\": "
+                            "[{\"index\": 0, \"params\": {\"policy\": "
+                            "\"bogus\"}, \"stats\": {\"stats\": {}}}]}";
+    EXPECT_EQ(runCommand(std::string(ULTRASCOPE_BIN) + " --sweep " +
+                         bogus + " > /dev/null 2>&1"),
+              2)
+        << "an unknown policy does not resolve";
+    std::remove(bogus.c_str());
     EXPECT_EQ(runCommand(std::string(ULTRASCOPE_BIN) +
                          " --sweep > /dev/null 2>&1"),
               2);

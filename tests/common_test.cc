@@ -222,7 +222,7 @@ TEST(HistogramTest, AllSamplesInOverflowBin)
 }
 
 /** Captures log output through the pluggable sink, restoring the
- *  default sink and threshold on destruction. */
+ *  default sink on destruction. */
 class LogCapture
 {
   public:
@@ -236,7 +236,6 @@ class LogCapture
     ~LogCapture()
     {
         setLogSink(nullptr);
-        setLogThreshold(LogLevel::Inform);
     }
 
     const std::vector<std::pair<LogLevel, std::string>> &
@@ -252,45 +251,10 @@ class LogCapture
 TEST(LogTest, SinkCapturesFormattedMessages)
 {
     LogCapture capture;
-    inform("hello ", 42);
     warn("trouble at cycle ", 7);
-    ASSERT_EQ(capture.messages().size(), 2u);
-    EXPECT_EQ(capture.messages()[0].first, LogLevel::Inform);
-    EXPECT_EQ(capture.messages()[0].second, "hello 42");
-    EXPECT_EQ(capture.messages()[1].first, LogLevel::Warn);
-    EXPECT_EQ(capture.messages()[1].second, "trouble at cycle 7");
-}
-
-TEST(LogTest, ThresholdGatesLowerLevels)
-{
-    LogCapture capture;
-    debug("dropped at default threshold");
-    EXPECT_TRUE(capture.messages().empty());
-
-    setLogThreshold(LogLevel::Debug);
-    debug("now visible");
     ASSERT_EQ(capture.messages().size(), 1u);
-    EXPECT_EQ(capture.messages()[0].first, LogLevel::Debug);
-    EXPECT_EQ(capture.messages()[0].second, "now visible");
-
-    setLogThreshold(LogLevel::Warn);
-    inform("suppressed");
-    debug("suppressed too");
-    warn("still emitted");
-    ASSERT_EQ(capture.messages().size(), 2u);
-    EXPECT_EQ(capture.messages()[1].second, "still emitted");
-}
-
-TEST(LogTest, ThresholdFromEnvironment)
-{
-    setenv("ULTRA_LOG", "debug", 1);
-    EXPECT_EQ(detail::thresholdFromEnv(), LogLevel::Debug);
-    setenv("ULTRA_LOG", "warn", 1);
-    EXPECT_EQ(detail::thresholdFromEnv(), LogLevel::Warn);
-    setenv("ULTRA_LOG", "bogus", 1);
-    EXPECT_EQ(detail::thresholdFromEnv(), LogLevel::Inform);
-    unsetenv("ULTRA_LOG");
-    EXPECT_EQ(detail::thresholdFromEnv(), LogLevel::Inform);
+    EXPECT_EQ(capture.messages()[0].first, LogLevel::Warn);
+    EXPECT_EQ(capture.messages()[0].second, "trouble at cycle 7");
 }
 
 TEST(TextTableTest, RendersAlignedColumns)

@@ -24,18 +24,6 @@ using core::MachineConfig;
 using pe::Pe;
 using pe::Task;
 
-TEST(HistogramRenderTest, ShowsOccupiedBins)
-{
-    Histogram h(10, 8);
-    h.add(5);
-    h.add(5);
-    h.add(25);
-    const std::string out = h.render();
-    EXPECT_NE(out.find("[0)"), std::string::npos);
-    EXPECT_NE(out.find("[20)"), std::string::npos);
-    EXPECT_EQ(out.find("[10)"), std::string::npos) << "empty bin shown";
-}
-
 TEST(TextTableTest, SeparatorRendersAsRule)
 {
     TextTable t;
@@ -57,7 +45,6 @@ TEST(TextTableTest, SeparatorRendersAsRule)
 TEST(LogTest, WarnAndInformDoNotDie)
 {
     warn("this is a survivable warning: ", 42);
-    inform("status message ", 3.14);
 }
 
 TEST(MachineTest, RunTimesOutOnSpinningProgram)

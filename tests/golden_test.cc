@@ -118,11 +118,9 @@ netTable1Scaled()
     ncfg.m = 2;
     ncfg.d = 1;
     ncfg.sizing = net::PacketSizing::ByContent;
-    ncfg.dataPackets = 3;
     ncfg.queueCapacityPackets = 15;
     ncfg.mmPendingCapacityPackets = 15;
     ncfg.combinePolicy = net::CombinePolicy::Full;
-    ncfg.mmAccessTime = 2;
 
     mem::MemoryConfig mcfg;
     mcfg.numModules = ncfg.numPorts;
@@ -182,9 +180,7 @@ netBurroughsHotspot()
     ncfg.k = 4;
     ncfg.d = 2;
     ncfg.sizing = net::PacketSizing::ByContent;
-    ncfg.dataPackets = 3;
     ncfg.combinePolicy = net::CombinePolicy::None;
-    ncfg.mmAccessTime = 2;
     ncfg.burroughsKill = true;
 
     mem::MemoryConfig mcfg;

@@ -48,7 +48,7 @@ struct LatRig
         : memory(memCfg(ncfg)), network(ncfg, memory),
           hash(log2Exact(memory.totalWords()), true),
           pni(pcfg, network, hash),
-          latency(shapeFor(network, ncfg))
+          latency(shapeFor(network))
     {
         network.setLatencyObservatory(&latency);
     }
@@ -63,12 +63,11 @@ struct LatRig
     }
 
     static obs::LatencyShape
-    shapeFor(const net::Network &network, const net::NetSimConfig &ncfg)
+    shapeFor(const net::Network &network)
     {
         obs::LatencyShape shape;
         shape.stages = network.topology().stages();
         shape.switchesPerStage = network.topology().switchesPerStage();
-        shape.mmAccessTime = ncfg.mmAccessTime;
         return shape;
     }
 

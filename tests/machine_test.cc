@@ -36,9 +36,7 @@ testConfig(std::uint32_t ports = 16)
 
 TEST(MachineTest, HashedAddressingIsTransparent)
 {
-    MachineConfig cfg = testConfig();
-    cfg.hashAddresses = true;
-    Machine machine(cfg);
+    Machine machine(testConfig());
     const Addr a = machine.allocShared(16);
     machine.poke(a + 3, 99);
     Word v = -1;
@@ -371,14 +369,15 @@ TEST(MachineTimeoutFlushTest, TimeoutStillEmitsFinalSampleRow)
 
 TEST(MachineTimeoutFlushTest, BlockedWaitTimeIsCreditedAtTimeout)
 {
-    core::MachineConfig cfg = core::MachineConfig::small(16, 2);
-    cfg.net.mmAccessTime = 50; // guarantee the PE is blocked at cutoff
+    const core::MachineConfig cfg = core::MachineConfig::small(16, 2);
     core::Machine machine(cfg);
     const Addr cell = machine.allocShared(1);
     machine.launch(0, [cell](pe::Pe &pe) -> pe::Task {
         co_await pe.load(cell);
     });
-    const bool finished = machine.run(10);
+    // A round trip through four stages outlasts six cycles, so the PE
+    // is still blocked at the cutoff.
+    const bool finished = machine.run(6);
     ASSERT_FALSE(finished);
     const auto timeout_stats = machine.peAt(0).stats();
     EXPECT_GT(timeout_stats.idleCycles, 0u)

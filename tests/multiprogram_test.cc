@@ -25,9 +25,7 @@ using pe::Task;
 MachineConfig
 testConfig()
 {
-    MachineConfig cfg = MachineConfig::small(16, 2);
-    cfg.hashAddresses = false;
-    return cfg;
+    return MachineConfig::small(16, 2);
 }
 
 // ----------------------------------------------------- multiprogramming

@@ -388,7 +388,6 @@ TEST(PacketSizingTest, ByContentFollowsDataDirection)
 {
     NetSimConfig cfg;
     cfg.sizing = PacketSizing::ByContent;
-    cfg.dataPackets = 3;
     // Requests: loads carry no data, stores and F&As do.
     EXPECT_EQ(cfg.packetsFor(Op::Load, false), 1u);
     EXPECT_EQ(cfg.packetsFor(Op::Store, false), 3u);

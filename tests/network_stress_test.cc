@@ -449,7 +449,6 @@ observeRun(const NetSimConfig &ncfg, const TrafficConfig &tcfg,
     obs::LatencyShape shape;
     shape.stages = network.topology().stages();
     shape.switchesPerStage = network.topology().switchesPerStage();
-    shape.mmAccessTime = ncfg.mmAccessTime;
     obs::LatencyObservatory latency(shape);
     network.setLatencyObservatory(&latency);
 
@@ -484,7 +483,6 @@ TEST(NetworkStressTest, HotSpotStormIsDeterministic)
     ncfg.numPorts = 64;
     ncfg.k = 2;
     ncfg.sizing = PacketSizing::ByContent;
-    ncfg.dataPackets = 3;
     ncfg.queueCapacityPackets = 8;
     ncfg.mmPendingCapacityPackets = 8;
     ncfg.combinePolicy = CombinePolicy::Full;

@@ -24,9 +24,7 @@ using pe::Task;
 MachineConfig
 testConfig()
 {
-    MachineConfig cfg = MachineConfig::small(16, 2);
-    cfg.hashAddresses = false; // direct addressing for checks
-    return cfg;
+    return MachineConfig::small(16, 2);
 }
 
 TEST(PeTest, BlockingOpsRoundTrip)

@@ -98,9 +98,7 @@ TEST(PniTest, UniqueLocationRuleSerializesSameAddress)
 {
     // Two requests to one location from one PE must not be in flight
     // together; the second waits for the first's reply.
-    PniConfig pni_cfg;
-    pni_cfg.enforceUniqueLocation = true;
-    Rig rig(smallNet(), pni_cfg);
+    Rig rig(smallNet());
     rig.pni.request(0, Op::FetchAdd, 5, 1);
     rig.pni.request(0, Op::FetchAdd, 5, 1);
     rig.pni.tick();

@@ -385,6 +385,23 @@ TEST(GridTest, MergeIsPureConcatenation)
     EXPECT_FALSE(sweep::isSweepDocument("{\"schema\": \"other\"}"));
 }
 
+TEST(GridTest, RecordEscapesControlCharactersInTheTag)
+{
+    std::string err;
+    const auto points = sweep::expandGridFile(
+        "{\"schema\": \"sweep.grid.v1\", \"tag\": \"line1\\nline2\", "
+        "\"base\": {\"ports\": 16, \"cycles\": 50}}",
+        err);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_EQ(points.size(), 1u);
+    ASSERT_EQ(points[0].tag, "line1\nline2");
+    const std::string merged = sweep::mergeSweepJson(
+        {sweep::pointRecordJson(points[0], "{\"stats\": {}}\n")});
+    jsonlite::JsonValue doc;
+    ASSERT_NO_THROW(doc = jsonlite::parse(merged)) << merged;
+    EXPECT_EQ(doc["points"].array.at(0)["tag"].string, "line1\nline2");
+}
+
 // ---------------------------------------------------------------------
 // Subprocess half: the real binaries on the committed smoke grid.
 // ---------------------------------------------------------------------

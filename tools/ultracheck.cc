@@ -72,7 +72,7 @@ runModel(const Model &model, const RunConfig &cfg, bool expect_violation)
     bool sampled_ok = true;
     if (cfg.randomWalkCount != 0) {
         const ExploreResult walk =
-            randomWalks(model, cfg.randomWalkCount, cfg.seed, cfg.opts);
+            randomWalks(model, cfg.randomWalkCount, cfg.seed);
         sampled_ok = walk.violations.empty();
         res.statesExplored += walk.statesExplored;
         for (const std::string &v : walk.violations)

@@ -26,8 +26,11 @@
  * Sweep mode: `ultrascope --sweep SWEEP.json` renders an `ultrasweep`
  * merged result (schema "sweep.v1") as a per-point table -- config,
  * delivered traffic, transit means and model drift, read from each
- * point's embedded stats dump.  Exit 2 on anything that is not a
- * sweep.v1 document.
+ * point's embedded stats dump.  The config columns are the point's
+ * parameters resolved through sweep::specFromParams, so defaults show
+ * as the values the point ran with (a closed-loop point's rate as "-").
+ * Exit 2 on anything that is not a sweep.v1 document or holds a point
+ * whose parameters do not resolve.
  *
  * Live mode: `ultrascope --attach ADDR` connects to a running
  * `ultrasim ... --inspect ADDR` (see DESIGN.md "Live inspection").
@@ -64,6 +67,7 @@
 #include "common/cli.h"
 #include "common/json_lite.h"
 #include "inspect/server.h"
+#include "sweep/grid.h"
 
 namespace
 {
@@ -413,7 +417,16 @@ sweepMain(const std::string &path)
         if (!pt.isObject() || !pt.has("params") || !pt.has("stats") ||
             !pt["stats"].has("stats"))
             continue;
-        const jsonlite::JsonValue &p = pt["params"];
+        ultra::sweep::ParamMap params;
+        std::string err;
+        ultra::sweep::NetPointSpec spec;
+        if (ultra::sweep::loadParamsJson(pt["params"], params, err))
+            spec = ultra::sweep::specFromParams(params, err);
+        if (!err.empty()) {
+            std::fprintf(stderr, "ultrascope: %s point %.0f: %s\n",
+                         path.c_str(), numAt(pt, "index"), err.c_str());
+            return 2;
+        }
         const jsonlite::JsonValue &s = pt["stats"]["stats"];
         const auto mean = [&s](const char *key) {
             return s.has(key) ? numAt(s[key], "mean") : 0.0;
@@ -422,12 +435,15 @@ sweepMain(const std::string &path)
             pt.has("tag") && pt["tag"].isString() && !pt["tag"].string.empty()
                 ? pt["tag"].string
                 : "-";
-        std::printf("  %5.0f %-12s %6.0f %3.0f %3.0f %3.0f %6.3f "
+        // A closed-loop point keeps a window in flight: it has no rate.
+        char rate[32] = "-";
+        if (!spec.traffic.closedLoop)
+            std::snprintf(rate, sizeof rate, "%.3f", spec.traffic.rate);
+        std::printf("  %5.0f %-12s %6u %3u %3u %3u %6s "
                     "%5.2f %10.0f %8.2f %8.2f",
-                    numAt(pt, "index"), tag.c_str(), numAt(p, "ports"),
-                    numAt(p, "k"), numAt(p, "m"),
-                    p.has("d") ? numAt(p, "d") : 1.0,
-                    numAt(p, "rate"), numAt(p, "hot"),
+                    numAt(pt, "index"), tag.c_str(), spec.net.numPorts,
+                    spec.net.k, spec.net.m, spec.net.d, rate,
+                    spec.traffic.hotFraction,
                     numAt(s, "net.delivered"),
                     mean("net.one_way_transit"), mean("net.round_trip"));
         if (numAt(s, "model.applicable") != 0.0)

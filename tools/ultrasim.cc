@@ -506,28 +506,16 @@ appRunFrom(const Flags &args)
     return run;
 }
 
-/** What a finished workload reports: its cycles, PE totals and the
- *  one-line summary `app` prints. */
-struct AppOutcome
-{
-    Cycle cycles = 0;
-    pe::PeStats totals;
-    std::string line;
-};
-
 /** Run @p run's workload on @p machine: the one app dispatch `app` and
- *  `trace --record` share. */
-AppOutcome
+ *  `trace --record` share.  @return the one-line summary `app` prints. */
+std::string
 runApp(core::Machine &machine, const AppRun &run)
 {
     const auto &[app, pes, contexts, n, mcfg] = run;
-    AppOutcome out;
     char line[256];
     if (app == "tred2") {
         const auto result = apps::tred2Parallel(
             machine, pes, apps::randomSymmetric(n, 1), n, contexts);
-        out.cycles = result.cycles;
-        out.totals = result.peTotals;
         std::snprintf(line, sizeof line,
                       "tred2: N=%llu, %u workers on %u PEs, "
                       "waiting/worker %.0f cycles",
@@ -540,8 +528,6 @@ runApp(core::Machine &machine, const AppRun &run)
         wcfg.steps = 4;
         const auto result = apps::weatherParallel(
             machine, pes, wcfg, apps::weatherInitial(wcfg, 1));
-        out.cycles = result.cycles;
-        out.totals = result.peTotals;
         std::snprintf(line, sizeof line,
                       "weather: %zux%zu grid, %u steps, %u PEs",
                       wcfg.rows, wcfg.cols, wcfg.steps, pes);
@@ -550,8 +536,6 @@ runApp(core::Machine &machine, const AppRun &run)
         gcfg.level = static_cast<unsigned>(n);
         const auto result = apps::multigridParallel(
             machine, pes, gcfg, apps::multigridRhs(gcfg.level));
-        out.cycles = result.cycles;
-        out.totals = result.peTotals;
         std::snprintf(line, sizeof line,
                       "multigrid: level %u (%zu^2 grid), residual "
                       "%.2e, %u PEs",
@@ -562,8 +546,6 @@ runApp(core::Machine &machine, const AppRun &run)
         ccfg.particles = n;
         const auto result =
             apps::monteCarloParallel(machine, pes, ccfg);
-        out.cycles = result.cycles;
-        out.totals = result.peTotals;
         std::snprintf(line, sizeof line,
                       "montecarlo: %llu particles, %u PEs",
                       static_cast<unsigned long long>(ccfg.particles),
@@ -572,8 +554,6 @@ runApp(core::Machine &machine, const AppRun &run)
         apps::AccountsConfig acfg;
         acfg.numAccounts = static_cast<std::uint32_t>(n);
         const auto result = apps::runAccounts(machine, pes, acfg);
-        out.cycles = result.cycles;
-        out.totals = machine.aggregatePeStats();
         std::snprintf(line, sizeof line,
                       "accounts: %u accounts, total %lld (conserved: "
                       "%s), %u PEs",
@@ -589,8 +569,6 @@ runApp(core::Machine &machine, const AppRun &run)
         const apps::Graph graph = apps::randomGraph(n, 4, 1);
         const auto result = apps::shortestPathsParallel(
             machine, pes, graph, 0, true);
-        out.cycles = result.cycles;
-        out.totals = result.peTotals;
         std::snprintf(line, sizeof line,
                       "sssp: %zu vertices, %zu edges, %llu "
                       "relaxations, %u PEs",
@@ -599,8 +577,7 @@ runApp(core::Machine &machine, const AppRun &run)
                           result.relaxations),
                       pes);
     }
-    out.line = line;
-    return out;
+    return line;
 }
 
 int
@@ -622,26 +599,10 @@ cmdApp(const Flags &args)
         {.network = &machine.network(),
          .memory = &machine.memory(),
          .hash = &machine.addressHash()});
-    const auto [cycles, totals, line] = runApp(machine, run);
-    std::printf("%s\n", line.c_str());
+    std::printf("%s\n", runApp(machine, run).c_str());
     if (inspector)
         inspector->finishRun(machine.now(), true);
 
-    std::printf("simulated time:  %llu cycles\n",
-                static_cast<unsigned long long>(cycles));
-    std::printf("instructions:    %llu (%.2f mem refs/instr, %.3f "
-                "shared)\n",
-                static_cast<unsigned long long>(totals.instructions),
-                static_cast<double>(totals.sharedRefs +
-                                    totals.privateRefs) /
-                    static_cast<double>(totals.instructions),
-                static_cast<double>(totals.sharedRefs) /
-                    static_cast<double>(totals.instructions));
-    std::printf("CM access time:  %.2f cycles\n",
-                machine.pni().stats().accessTime.mean());
-    std::printf("combined:        %llu requests\n",
-                static_cast<unsigned long long>(
-                    machine.network().stats().combined));
     std::printf("\n%s", machine.statsReport().c_str());
 
     return writeObserverFiles(obs, machine, trace) ? 0 : 1;
@@ -779,7 +740,7 @@ cmdPack(const Flags &args)
 {
     args.rejectUnknown({"ports"});
     const std::uint64_t ports = args.getInt("ports", 4096);
-    const unsigned k = analytic::ChipBudget{}.switchDegree;
+    const unsigned k = analytic::kSwitchDegree;
     if (!isPowerOfTwo(ports) || ports < k) {
         args.fail("--ports must be a power of two >= " + std::to_string(k) +
                   ", got " + std::to_string(ports));
