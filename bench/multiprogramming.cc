@@ -39,7 +39,6 @@ runFolded(std::uint32_t workers, std::uint32_t contexts, std::size_t n)
 {
     core::MachineConfig cfg = core::MachineConfig::small(
         std::max<std::uint32_t>(16, workers), 2);
-    cfg.net.combinePolicy = net::CombinePolicy::Full;
     core::Machine machine(cfg);
     const auto result = apps::tred2Parallel(
         machine, workers, apps::randomSymmetric(n, 9), n, contexts);

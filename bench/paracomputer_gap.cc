@@ -32,7 +32,6 @@ core::MachineConfig
 machineConfig(bool ideal)
 {
     core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-    cfg.net.combinePolicy = net::CombinePolicy::Full;
     cfg.net.idealParacomputer = ideal;
     return cfg;
 }

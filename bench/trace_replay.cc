@@ -27,7 +27,6 @@ net::Trace
 recordTred2Trace(std::uint32_t pes, std::size_t n)
 {
     core::MachineConfig cfg = core::MachineConfig::small(64, 2);
-    cfg.net.combinePolicy = net::CombinePolicy::Full;
     core::Machine machine(cfg);
     net::TraceRecorder recorder(machine.pni());
     (void)apps::tred2Parallel(machine, pes,

@@ -46,7 +46,6 @@ runTred2Study()
     for (const auto &[p, n] : pairs) {
         core::MachineConfig cfg = core::MachineConfig::small(
             std::max<std::uint32_t>(16, p), 2);
-        cfg.net.combinePolicy = net::CombinePolicy::Full;
         core::Machine machine(cfg);
         const auto result = apps::tred2Parallel(
             machine, p, apps::randomSymmetric(n, 100 + n), n);

@@ -36,7 +36,6 @@ main(int argc, char **argv)
     // Parallel run on a fresh machine.
     core::MachineConfig config = core::MachineConfig::small(
         std::max<std::uint32_t>(16, pes), 2);
-    config.net.combinePolicy = net::CombinePolicy::Full;
     core::Machine machine(config);
     const apps::Tred2Result result =
         apps::tred2Parallel(machine, pes, a, n);

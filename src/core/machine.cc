@@ -72,8 +72,7 @@ Machine::registerMachineStats()
     reg.addScalar("machine.pes_engaged",
                   [this] {
                       return static_cast<double>(launched_.size());
-                  },
-                  "PEs with a launched program");
+                  });
     auto peTotal = [this](std::uint64_t pe::PeStats::*field) {
         return [this, field] {
             std::uint64_t total = 0;
@@ -83,23 +82,17 @@ Machine::registerMachineStats()
         };
     };
     reg.addScalar("pe.instructions",
-                  peTotal(&pe::PeStats::instructions),
-                  "instructions executed (all engaged PEs)");
+                  peTotal(&pe::PeStats::instructions));
     reg.addScalar("pe.shared_refs",
-                  peTotal(&pe::PeStats::sharedRefs),
-                  "central-memory references");
+                  peTotal(&pe::PeStats::sharedRefs));
     reg.addScalar("pe.shared_loads",
-                  peTotal(&pe::PeStats::sharedLoads),
-                  "central-memory loads");
+                  peTotal(&pe::PeStats::sharedLoads));
     reg.addScalar("pe.private_refs",
-                  peTotal(&pe::PeStats::privateRefs),
-                  "cache-hit data references");
+                  peTotal(&pe::PeStats::privateRefs));
     reg.addScalar("pe.busy_cycles",
-                  peTotal(&pe::PeStats::busyCycles),
-                  "pipeline cycles executing instructions");
+                  peTotal(&pe::PeStats::busyCycles));
     reg.addScalar("pe.idle_cycles",
-                  peTotal(&pe::PeStats::idleCycles),
-                  "per-context cycles waiting on memory");
+                  peTotal(&pe::PeStats::idleCycles));
 }
 
 void
@@ -194,8 +187,7 @@ Machine::enableLatency()
     Observed::enableLatency();
     for (auto &pe : pes_)
         pe->setWaitHist(&peWaitHist_);
-    registry().addHistogram("lat.pe_wait_hist", &peWaitHist_,
-                            "per-context PE memory-wait spans, cycles");
+    registry().addHistogram("lat.pe_wait_hist", &peWaitHist_);
 }
 
 void

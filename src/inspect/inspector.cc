@@ -6,7 +6,6 @@
 #include "mem/address_hash.h"
 #include "mem/memory_system.h"
 #include "net/network.h"
-#include "net/routing.h"
 #include "obs/json.h"
 #include "obs/latency.h"
 #include "obs/registry.h"
@@ -32,14 +31,6 @@ Inspector::fires(const WatchSpec &spec, Cycle now, double &observed)
     case WatchSpec::Kind::Stat:
         observed = targets_.registry->value(spec.stat);
         return evalCmp(observed, spec.op, spec.value);
-    case WatchSpec::Kind::Queue:
-        observed = static_cast<double>(
-            targets_.network->stageQueuePackets(spec.stage, spec.toMm));
-        return evalCmp(observed, spec.op, spec.value);
-    case WatchSpec::Kind::WaitBuffer:
-        observed = static_cast<double>(
-            targets_.network->stageWaitBufferEntries(spec.stage));
-        return evalCmp(observed, spec.op, spec.value);
     case WatchSpec::Kind::Drift:
         observed = driftFn_();
         return std::fabs(observed) > spec.value;
@@ -51,7 +42,8 @@ Inspector::fires(const WatchSpec &spec, Cycle now, double &observed)
 void
 Inspector::atCycleBoundary(Cycle now)
 {
-    if (server_.takeDisconnects() > 0)
+    const bool check_socket = now % kSocketCheckPeriod == 0;
+    if (check_socket && server_.takeDisconnects() > 0)
         clientGone();
 
     for (std::size_t i = 0; i < armed_.size();) {
@@ -63,8 +55,9 @@ Inspector::atCycleBoundary(Cycle now)
             obs::writeJsonNumber(os, observed);
             os << ", \"spec\": " << armed_[i].spec.describeJson() << "}";
             server_.send(os.str());
-            // One-shot: a persistent level predicate (cycle >= N,
-            // queue >= k while congested) would re-fire every cycle.
+            // One-shot: a persistent level predicate (cycle >= N, a
+            // queue gauge >= k while congested) would re-fire every
+            // cycle.
             armed_.erase(armed_.begin() +
                          static_cast<std::ptrdiff_t>(i));
             paused_ = true;
@@ -81,7 +74,7 @@ Inspector::atCycleBoundary(Cycle now)
     }
 
     std::string line;
-    while (server_.poll(line))
+    while (check_socket && server_.poll(line))
         handleLine(line, now);
     while (paused_) {
         if (server_.wait(line))
@@ -348,15 +341,6 @@ Inspector::executeWatch(const Command &cmd)
             return errorReply("no stats registry attached");
         if (!targets_.registry->has(spec.stat))
             return errorReply("unknown stat '" + spec.stat + "'");
-        break;
-    case WatchSpec::Kind::Queue:
-    case WatchSpec::Kind::WaitBuffer:
-        if (spec.stage >= targets_.network->topology().stages())
-            return errorReply(
-                "stage " + std::to_string(spec.stage) +
-                " out of range (network has " +
-                std::to_string(targets_.network->topology().stages()) +
-                " stages)");
         break;
     case WatchSpec::Kind::Drift:
         if (!driftFn_)

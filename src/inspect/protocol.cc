@@ -123,19 +123,6 @@ WatchSpec::describeJson() const
         obs::writeJsonNumber(os, value);
         os << "}";
         break;
-    case Kind::Queue:
-        os << "{\"queue\": \"" << (toMm ? "tomm" : "tope")
-           << "\", \"stage\": " << stage << ", \"op\": \""
-           << cmpOpName(op) << "\", \"value\": ";
-        obs::writeJsonNumber(os, value);
-        os << "}";
-        break;
-    case Kind::WaitBuffer:
-        os << "{\"queue\": \"wb\", \"stage\": " << stage
-           << ", \"op\": \"" << cmpOpName(op) << "\", \"value\": ";
-        obs::writeJsonNumber(os, value);
-        os << "}";
-        break;
     case Kind::Drift:
         os << "{\"drift\": ";
         obs::writeJsonNumber(os, value);
@@ -163,10 +150,13 @@ parseWatch(const jsonlite::JsonValue &obj, WatchSpec &out)
         out.value = obj["drift"].number;
         return;
     }
-    const bool is_stat = obj.has("stat");
-    const bool is_queue = obj.has("queue");
-    if (!is_stat && !is_queue)
-        throw BadField("needs one of 'cycle', 'drift', 'stat', 'queue'");
+    if (obj.has("queue")) {
+        throw BadField("'queue' is not a watch; watch its stat, e.g. "
+                       "\"stat\": \"net.stage2.tomm_pkts\" (or "
+                       "tope_pkts, wb_entries)");
+    }
+    if (!obj.has("stat"))
+        throw BadField("needs one of 'cycle', 'drift', 'stat'");
     if (!obj.has("op") || !obj["op"].isString() ||
         !parseCmpOp(obj["op"].string, out.op)) {
         throw BadField("'op' must be one of > >= < <= == !=");
@@ -174,25 +164,10 @@ parseWatch(const jsonlite::JsonValue &obj, WatchSpec &out)
     if (!obj.has("value") || !obj["value"].isNumber())
         throw BadField("numeric 'value' required");
     out.value = obj["value"].number;
-    if (is_stat) {
-        if (!obj["stat"].isString() || obj["stat"].string.empty())
-            throw BadField("'stat' must be a registry path");
-        out.kind = WatchSpec::Kind::Stat;
-        out.stat = obj["stat"].string;
-        return;
-    }
-    const std::string dir =
-        obj["queue"].isString() ? obj["queue"].string : "";
-    if (dir == "tomm" || dir == "tope") {
-        out.kind = WatchSpec::Kind::Queue;
-        out.toMm = dir == "tomm";
-    } else if (dir == "wb") {
-        out.kind = WatchSpec::Kind::WaitBuffer;
-    } else {
-        throw BadField("'queue' must be \"tomm\", \"tope\" or \"wb\"");
-    }
-    out.stage =
-        static_cast<unsigned>(requiredInt(obj, "stage", 0, kMaxU32));
+    if (!obj["stat"].isString() || obj["stat"].string.empty())
+        throw BadField("'stat' must be a registry path");
+    out.kind = WatchSpec::Kind::Stat;
+    out.stat = obj["stat"].string;
 }
 
 /** Fill @p out from the object @p doc of command @p cmd; a bad field

@@ -13,7 +13,7 @@
  *
  *   {"cmd":"ping"}                         liveness + current cycle
  *   {"cmd":"status"}                       cycle, paused, in-flight, ...
- *   {"cmd":"pause"}                        halt at the next boundary
+ *   {"cmd":"pause"}                        halt within 64 cycles
  *   {"cmd":"resume"}                       continue a paused run
  *   {"cmd":"step","n":100}                 advance n cycles, pause again
  *   {"cmd":"step","to":5000}               advance to cycle >= to
@@ -41,10 +41,12 @@
  *
  *   {"cmd":"watch","cycle":5000}                     cycle >= 5000
  *   {"cmd":"watch","stat":"lat.violations","op":">","value":0}
- *   {"cmd":"watch","queue":"tomm","stage":2,"op":">=","value":10}
- *   {"cmd":"watch","queue":"tope","stage":0,"op":">","value":4}
- *   {"cmd":"watch","queue":"wb","stage":1,"op":">","value":0}
+ *   {"cmd":"watch","stat":"net.stage2.tomm_pkts","op":">=","value":10}
  *   {"cmd":"watch","drift":0.15}                     |model drift| > e
+ *
+ * A stat watch takes any registry path ({"cmd":"stats"} lists them),
+ * so queue and wait-buffer gauges are watched by name:
+ * net.stage<s>.tomm_pkts, net.stage<s>.tope_pkts, net.stage<s>.wb_entries.
  *
  * Parsing lives here so the Inspector, the tests and any future
  * transport share one grammar; no socket or simulator types appear.
@@ -61,7 +63,7 @@
 namespace ultra::inspect
 {
 
-/** Comparison operator of a stat/queue watchpoint predicate. */
+/** Comparison operator of a stat watchpoint predicate. */
 enum class CmpOp : std::uint8_t { GT, GE, LT, LE, EQ, NE };
 
 /** Parse ">", ">=", "<", "<=", "==", "!=" (false on anything else). */
@@ -75,18 +77,14 @@ bool evalCmp(double lhs, CmpOp op, double rhs);
 struct WatchSpec
 {
     enum class Kind : std::uint8_t {
-        Cycle,      //!< now >= cycle
-        Stat,       //!< registry value <op> value
-        Queue,      //!< stage ToMM/ToPE queue packets <op> value
-        WaitBuffer, //!< stage wait-buffer entries <op> value
-        Drift,      //!< |live model drift| > value
+        Cycle, //!< now >= cycle
+        Stat,  //!< registry value <op> value
+        Drift, //!< |live model drift| > value
     };
 
     Kind kind = Kind::Cycle;
-    Cycle cycle = 0;       //!< Kind::Cycle threshold
-    std::string stat;      //!< Kind::Stat registry path
-    unsigned stage = 0;    //!< Kind::Queue / Kind::WaitBuffer
-    bool toMm = true;      //!< Kind::Queue direction
+    Cycle cycle = 0;  //!< Kind::Cycle threshold
+    std::string stat; //!< Kind::Stat registry path
     CmpOp op = CmpOp::GT;
     double value = 0.0;
 

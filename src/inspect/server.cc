@@ -133,104 +133,79 @@ InspectServer::InspectServer(int listen_fd, std::string where,
     : where_(std::move(where)), port_(port),
       unlinkPath_(std::move(unlink_path)), listenFd_(listen_fd)
 {
-    thread_ = std::thread([this] { serve(); });
 }
 
 InspectServer::~InspectServer()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-        // Wake the serve thread out of accept()/read().
-        if (clientFd_ >= 0)
-            ::shutdown(clientFd_, SHUT_RDWR);
-        if (listenFd_ >= 0)
-            ::shutdown(listenFd_, SHUT_RDWR);
-    }
-    cv_.notify_all();
-    if (thread_.joinable())
-        thread_.join();
-    std::lock_guard<std::mutex> lock(mu_);
     if (clientFd_ >= 0)
         ::close(clientFd_);
-    if (listenFd_ >= 0)
-        ::close(listenFd_);
+    ::close(listenFd_);
     if (!unlinkPath_.empty())
         ::unlink(unlinkPath_.c_str());
 }
 
 void
-InspectServer::serve()
+InspectServer::pump(int timeout_ms)
 {
     for (;;) {
-        const int accepted = ::accept(listenFd_, nullptr, nullptr);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (stopping_) {
-                if (accepted >= 0)
-                    ::close(accepted);
-                return;
-            }
-        }
-        if (accepted < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listening socket gone
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            clientFd_ = accepted;
-        }
-        cv_.notify_all();
-
-        std::string partial;
-        char chunk[4096];
-        for (;;) {
-            const ssize_t n = ::read(accepted, chunk, sizeof chunk);
-            if (n <= 0)
-                break;
-            partial.append(chunk, static_cast<std::size_t>(n));
-            std::size_t start = 0;
-            for (;;) {
-                const std::size_t nl = partial.find('\n', start);
-                if (nl == std::string::npos)
-                    break;
-                std::string line =
-                    partial.substr(start, nl - start);
-                if (!line.empty() && line.back() == '\r')
-                    line.pop_back();
-                start = nl + 1;
-                if (line.empty())
+        const bool attached = clientFd_ >= 0;
+        pollfd pfd{attached ? clientFd_ : listenFd_, POLLIN, 0};
+        const int ready = ::poll(&pfd, 1, timeout_ms);
+        if (ready < 0 && errno == EINTR)
+            continue;
+        if (ready <= 0)
+            return;
+        // Something arrived: drain the rest without waiting.
+        timeout_ms = 0;
+        if (!attached) {
+            const int accepted = ::accept(listenFd_, nullptr, nullptr);
+            if (accepted < 0) {
+                if (errno == EINTR)
                     continue;
-                std::lock_guard<std::mutex> lock(mu_);
-                lines_.push_back(std::move(line));
-                cv_.notify_all();
+                return; // e.g. the connection was reset before accept()
             }
-            partial.erase(0, start);
+            clientFd_ = accepted;
+            continue;
         }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ::close(accepted);
+        char chunk[4096];
+        const ssize_t n = ::read(clientFd_, chunk, sizeof chunk);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            ::close(clientFd_);
             clientFd_ = -1;
+            partial_.clear();
             ++disconnects_;
-            if (stopping_)
-                return;
+            continue; // a waiting client may be accepted at once
         }
-        cv_.notify_all();
+        partial_.append(chunk, static_cast<std::size_t>(n));
+        std::size_t start = 0;
+        for (;;) {
+            const std::size_t nl = partial_.find('\n', start);
+            if (nl == std::string::npos)
+                break;
+            std::string line = partial_.substr(start, nl - start);
+            if (!line.empty() && line.back() == '\r')
+                line.pop_back();
+            start = nl + 1;
+            if (!line.empty())
+                lines_.push_back(std::move(line));
+        }
+        partial_.erase(0, start);
     }
 }
 
 bool
-InspectServer::connected() const
+InspectServer::connected()
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    pump(0);
     return clientFd_ >= 0;
 }
 
 unsigned
 InspectServer::takeDisconnects()
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    pump(0);
     const unsigned fresh = disconnects_ - disconnectsTaken_;
     disconnectsTaken_ = disconnects_;
     return fresh;
@@ -239,7 +214,7 @@ InspectServer::takeDisconnects()
 bool
 InspectServer::poll(std::string &line)
 {
-    std::lock_guard<std::mutex> lock(mu_);
+    pump(0);
     if (lines_.empty())
         return false;
     line = std::move(lines_.front());
@@ -250,26 +225,22 @@ InspectServer::poll(std::string &line)
 bool
 InspectServer::wait(std::string &line)
 {
-    std::unique_lock<std::mutex> lock(mu_);
     // Compare against the consumed count, not a snapshot taken here: a
     // hang-up that lands between two waits must still end the pause.
-    cv_.wait(lock, [&] {
-        return !lines_.empty() || disconnects_ != disconnectsTaken_ ||
-               stopping_;
-    });
+    while (lines_.empty() && disconnects_ == disconnectsTaken_)
+        pump(-1);
     if (!lines_.empty()) {
         line = std::move(lines_.front());
         lines_.pop_front();
         return true;
     }
     disconnectsTaken_ = disconnects_;
-    return false; // disconnect (or shutdown): caller resumes the sim
+    return false; // disconnect: caller resumes the sim
 }
 
 void
 InspectServer::send(const std::string &line)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     if (clientFd_ < 0)
         return;
     std::string framed = line;
@@ -281,7 +252,7 @@ InspectServer::send(const std::string &line)
         const ssize_t n = ::send(clientFd_, framed.data() + off,
                                  framed.size() - off, MSG_NOSIGNAL);
         if (n <= 0)
-            break; // peer gone; the serve thread will notice
+            break; // peer gone; the next pump notices
         off += static_cast<std::size_t>(n);
     }
 }

@@ -4,13 +4,13 @@
  *
  * An InspectServer listens on a TCP loopback port or a unix-domain
  * socket and serves one attached client at a time (sequential clients
- * are fine -- detach and re-attach at will, like gdbserver).  A
- * background thread owns accept() and read(): it splits the byte
- * stream into lines and parks them on a queue.  Everything that
- * touches simulation state stays on the *simulation* thread: the
- * Inspector pops lines at cycle boundaries and writes responses back
- * through send().  The transport therefore needs no knowledge of the
- * protocol, and the simulator needs no locks around its own state.
+ * are fine -- detach and re-attach at will, like gdbserver).  It has no
+ * thread of its own: each call from the simulation thread first pumps
+ * the sockets with poll(2) -- accepting a waiting client, reading what
+ * it sent, splitting the bytes into lines and counting hang-ups -- so
+ * the Inspector reads lines at cycle boundaries and writes responses
+ * back through send() without a lock anywhere.  The transport needs no
+ * knowledge of the protocol.
  *
  * InspectClient is the matching connector used by `ultrascope
  * --attach` and the tests: connect, send a line, receive a line with a
@@ -20,13 +20,10 @@
 #ifndef ULTRA_INSPECT_SERVER_H
 #define ULTRA_INSPECT_SERVER_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 namespace ultra::inspect
 {
@@ -57,14 +54,15 @@ class InspectServer
     /** Bound TCP port (0 for unix-domain sockets). */
     std::uint16_t port() const { return port_; }
 
-    /** A client is attached right now. */
-    bool connected() const;
+    /** A client is attached right now.  Non-blocking, like the two
+     *  calls below: each pumps the sockets first. */
+    bool connected();
 
     /** Clients that have disconnected since the last call (lets the
      *  Inspector clear watchpoints left by a vanished client). */
     unsigned takeDisconnects();
 
-    /** Non-blocking: pop the next complete command line. */
+    /** Pop the next complete command line, if one has arrived. */
     bool poll(std::string &line);
 
     /**
@@ -85,22 +83,23 @@ class InspectServer
     InspectServer(int listen_fd, std::string where, std::uint16_t port,
                   std::string unlink_path);
 
-    void serve(); //!< background accept + read loop
+    /**
+     * Accept, read and split whatever the sockets hold, waiting up to
+     * @p timeout_ms (-1 = forever) for the first event.  Watches the
+     * listening socket while no client is attached, else the client.
+     */
+    void pump(int timeout_ms);
 
     const std::string where_;
     const std::uint16_t port_;
     const std::string unlinkPath_; //!< unix-socket file to remove
 
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
     std::deque<std::string> lines_;
+    std::string partial_; //!< bytes read past the last complete line
     int listenFd_ = -1;
     int clientFd_ = -1;
     unsigned disconnects_ = 0;      //!< total client hang-ups
     unsigned disconnectsTaken_ = 0; //!< consumed by takeDisconnects
-    bool stopping_ = false;
-
-    std::thread thread_;
 };
 
 /** Blocking line-oriented connector for the same address grammar. */

@@ -87,19 +87,16 @@ MemorySystem::registerStats(obs::Registry &registry,
     registry.addScalar(prefix + ".executed",
                        [this] {
                            return static_cast<double>(totalExecuted());
-                       },
-                       "requests executed across all modules");
+                       });
     registry.addScalar(prefix + ".fa_ops",
                        [this] {
                            std::uint64_t total = 0;
                            for (const std::uint64_t n : faOps_)
                                total += n;
                            return static_cast<double>(total);
-                       },
-                       "fetch-and-phi executions (all modules)");
+                       });
     registry.addScalar(prefix + ".imbalance",
-                       [this] { return loadImbalance(); },
-                       "hottest module load / mean load");
+                       [this] { return loadImbalance(); });
 
     // Per-module series are precious for hashing studies but would
     // swamp the dump on the 4096-module machine; register them only

@@ -30,11 +30,11 @@ NetSimConfig::valid() const
         return false;
     if (m == 0 || d == 0 || maxCombinesPerVisit == 0)
         return false;
-    // numPorts must be a power of k.
+    // numPorts must be a power of k, with at least one stage.
     std::uint64_t reach = 1;
     while (reach < numPorts)
         reach *= k;
-    if (reach != numPorts)
+    if (numPorts < k || reach != numPorts)
         return false;
     // Finite queues must hold at least one maximal message.
     const std::uint32_t max_msg =
@@ -945,46 +945,35 @@ void
 Network::registerStats(obs::Registry &registry,
                        const std::string &prefix) const
 {
-    auto count = [&](const char *leaf, const std::uint64_t NetStats::*f,
-                     const char *desc) {
+    auto count = [&](const char *leaf, const std::uint64_t NetStats::*f) {
         registry.addScalar(prefix + "." + leaf,
                            [this, f] {
                                return static_cast<double>(stats_.*f);
-                           },
-                           desc);
+                           });
     };
-    count("injected", &NetStats::injected, "requests entered");
-    count("mm_served", &NetStats::mmServed, "requests executed at MMs");
-    count("delivered", &NetStats::delivered, "replies handed to PEs");
-    count("combined", &NetStats::combined,
-          "requests absorbed by combining");
-    count("decombined", &NetStats::decombined,
-          "replies synthesized back");
-    count("killed", &NetStats::killed, "Burroughs-mode kills");
-    count("rev_overflow_packets", &NetStats::revOverflowPackets,
-          "fission slack packets");
+    count("injected", &NetStats::injected);
+    count("mm_served", &NetStats::mmServed);
+    count("delivered", &NetStats::delivered);
+    count("combined", &NetStats::combined);
+    count("decombined", &NetStats::decombined);
+    count("killed", &NetStats::killed);
+    count("rev_overflow_packets", &NetStats::revOverflowPackets);
 
     registry.addAccumulator(prefix + ".one_way_transit",
-                            &stats_.oneWayTransit,
-                            "inject -> full receipt at MNI, cycles");
-    registry.addAccumulator(prefix + ".round_trip", &stats_.roundTrip,
-                            "inject -> reply receipt at PE, cycles");
+                            &stats_.oneWayTransit);
+    registry.addAccumulator(prefix + ".round_trip", &stats_.roundTrip);
     registry.addAccumulator(prefix + ".mm_queue_wait",
-                            &stats_.mmQueueWait,
-                            "arrival at MNI -> service start, cycles");
+                            &stats_.mmQueueWait);
     registry.addAccumulator(prefix + ".queue_len_at_enqueue",
-                            &stats_.queueLenAtEnqueue,
-                            "ToMM occupancy seen by arrivals, packets");
+                            &stats_.queueLenAtEnqueue);
     registry.addHistogram(prefix + ".round_trip_hist",
-                          &stats_.roundTripHist,
-                          "round-trip latency distribution");
+                          &stats_.roundTripHist);
 
     registry.addScalar(prefix + ".mni_pending_pkts",
                        [this] {
                            return static_cast<double>(
                                mniPendingPackets());
-                       },
-                       "packets queued at MNIs (gauge)");
+                       });
     for (unsigned s = 0; s < topo_.stages(); ++s) {
         const std::string stage =
             prefix + ".stage" + std::to_string(s) + ".";
@@ -992,26 +981,22 @@ Network::registerStats(obs::Registry &registry,
                            [this, s] {
                                return static_cast<double>(
                                    stats_.combinesPerStage[s]);
-                           },
-                           "requests combined at this stage");
+                           });
         registry.addScalar(stage + "tomm_pkts",
                            [this, s] {
                                return static_cast<double>(
                                    stageQueuePackets(s, true));
-                           },
-                           "ToMM queue occupancy (gauge)");
+                           });
         registry.addScalar(stage + "tope_pkts",
                            [this, s] {
                                return static_cast<double>(
                                    stageQueuePackets(s, false));
-                           },
-                           "ToPE queue occupancy (gauge)");
+                           });
         registry.addScalar(stage + "wb_entries",
                            [this, s] {
                                return static_cast<double>(
                                    stageWaitBufferEntries(s));
-                           },
-                           "wait-buffer fill (gauge)");
+                           });
     }
 }
 

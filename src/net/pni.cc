@@ -156,34 +156,27 @@ PniArray::registerStats(obs::Registry &registry,
     registry.addScalar(prefix + ".requested",
                        [this] {
                            return static_cast<double>(requestedCount());
-                       },
-                       "requests enqueued by PEs");
+                       });
     registry.addScalar(prefix + ".completed",
                        [this] {
                            return static_cast<double>(stats_.completed);
-                       },
-                       "requests completed");
+                       });
     registry.addScalar(prefix + ".retries",
                        [this] {
                            return static_cast<double>(stats_.retries);
-                       },
-                       "Burroughs-mode re-issues");
+                       });
     registry.addScalar(prefix + ".outstanding",
                        [this] {
                            return static_cast<double>(
                                outstandingCount());
-                       },
-                       "requests in the network (gauge)");
+                       });
     registry.addScalar(prefix + ".issue_queued",
                        [this] {
                            return static_cast<double>(queuedCount());
-                       },
-                       "requests awaiting issue (gauge)");
+                       });
     registry.addAccumulator(prefix + ".access_time",
-                            &stats_.accessTime,
-                            "request() -> completion, cycles");
-    registry.addAccumulator(prefix + ".issue_wait", &stats_.issueWait,
-                            "request() -> network acceptance, cycles");
+                            &stats_.accessTime);
+    registry.addAccumulator(prefix + ".issue_wait", &stats_.issueWait);
 }
 
 PniArray::QueuedReq

@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal JSON emission helpers shared by the observability sinks
- * (registry dumps, trace-event files).  Writing only -- the simulator
- * never parses JSON.
+ * (registry dumps, trace-event files).  Writing only; the inputs that
+ * are JSON (sweep grids, inspect requests) are parsed by
+ * common/json_lite.h.
  */
 
 #ifndef ULTRA_OBS_JSON_H

@@ -242,48 +242,31 @@ LatencyObservatory::registerStats(Registry &registry,
                                   const std::string &prefix) const
 {
     auto count = [&](const char *leaf,
-                     const std::uint64_t LatencyObservatory::*f,
-                     const char *desc) {
+                     const std::uint64_t LatencyObservatory::*f) {
         registry.addScalar(prefix + "." + leaf,
                            [this, f] {
                                return static_cast<double>(this->*f);
-                           },
-                           desc);
+                           });
     };
-    count("opened", &LatencyObservatory::opened_,
-          "lifecycle records opened");
-    count("delivered", &LatencyObservatory::delivered_,
-          "records closed by delivery");
-    count("killed", &LatencyObservatory::killed_,
-          "records closed by Burroughs kill");
-    count("combined_delivered", &LatencyObservatory::combinedDelivered_,
-          "delivered records that were combined away");
-    count("decombines", &LatencyObservatory::decombines_,
-          "replies fissioned from wait buffers");
-    count("mm_cycles_saved", &LatencyObservatory::mmCyclesSaved_,
-          "MM service cycles eliminated by combining");
-    count("violations", &LatencyObservatory::violations_,
-          "latency decomposition invariant failures");
+    count("opened", &LatencyObservatory::opened_);
+    count("delivered", &LatencyObservatory::delivered_);
+    count("killed", &LatencyObservatory::killed_);
+    count("combined_delivered", &LatencyObservatory::combinedDelivered_);
+    count("decombines", &LatencyObservatory::decombines_);
+    count("mm_cycles_saved", &LatencyObservatory::mmCyclesSaved_);
+    count("violations", &LatencyObservatory::violations_);
 
-    registry.addAccumulator(prefix + ".pni_wait", &pniWait_,
-                            "PNI queue -> network acceptance, cycles");
-    registry.addAccumulator(prefix + ".end_to_end", &endToEnd_,
-                            "inject -> reply receipt, cycles");
-    registry.addHistogram(prefix + ".end_to_end_hist", &endToEndHist_,
-                          "end-to-end latency distribution");
-    registry.addAccumulator(prefix + ".mm_wait", &mmWait_,
-                            "MNI receipt -> service start, cycles");
-    registry.addAccumulator(prefix + ".wb_wait", &wbWait_,
-                            "combine -> decombine residence, cycles");
-    registry.addHistogram(prefix + ".fanin_hist", &fanInHist_,
-                          "requests answered per MM access");
+    registry.addAccumulator(prefix + ".pni_wait", &pniWait_);
+    registry.addAccumulator(prefix + ".end_to_end", &endToEnd_);
+    registry.addHistogram(prefix + ".end_to_end_hist", &endToEndHist_);
+    registry.addAccumulator(prefix + ".mm_wait", &mmWait_);
+    registry.addAccumulator(prefix + ".wb_wait", &wbWait_);
+    registry.addHistogram(prefix + ".fanin_hist", &fanInHist_);
     for (unsigned s = 0; s < shape_.stages; ++s) {
         const std::string stage =
             prefix + ".stage" + std::to_string(s) + ".";
-        registry.addHistogram(stage + "fwd_wait_hist", &fwdWaitHist_[s],
-                              "ToMM queue wait at this stage, cycles");
-        registry.addHistogram(stage + "rev_wait_hist", &revWaitHist_[s],
-                              "ToPE queue wait at this stage, cycles");
+        registry.addHistogram(stage + "fwd_wait_hist", &fwdWaitHist_[s]);
+        registry.addHistogram(stage + "rev_wait_hist", &revWaitHist_[s]);
     }
 }
 

@@ -39,20 +39,15 @@ ModelCrossCheck::registerStats(Registry &registry,
 {
     const ModelReport r = report_; // value-captured: no lifetime tie
     registry.addScalar(prefix + ".predicted_transit",
-                       [r] { return r.predictedTransit; },
-                       "Kruskal-Snir T(p) + injection hop, cycles");
+                       [r] { return r.predictedTransit; });
     registry.addScalar(prefix + ".measured_transit",
-                       [r] { return r.measuredTransit; },
-                       "simulated mean one-way transit, cycles");
+                       [r] { return r.measuredTransit; });
     registry.addScalar(prefix + ".offered_load",
-                       [r] { return r.offeredLoad; },
-                       "measured offered load, msgs/PE/cycle");
+                       [r] { return r.offeredLoad; });
     registry.addScalar(prefix + ".drift",
-                       [r] { return r.drift; },
-                       "(measured - predicted) / predicted");
+                       [r] { return r.drift; });
     registry.addScalar(prefix + ".applicable",
-                       [r] { return r.applicable ? 1.0 : 0.0; },
-                       "1 when the config matches model assumptions");
+                       [r] { return r.applicable ? 1.0 : 0.0; });
 }
 
 bool

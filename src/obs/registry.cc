@@ -20,38 +20,33 @@ Registry::insert(Entry entry)
 }
 
 void
-Registry::addScalar(const std::string &path, ValueFn fn, std::string desc)
+Registry::addScalar(const std::string &path, ValueFn fn)
 {
     ULTRA_ASSERT(fn != nullptr, "scalar '", path, "' needs a getter");
     Entry entry;
     entry.path = path;
-    entry.desc = std::move(desc);
     entry.kind = Kind::Scalar;
     entry.fn = std::move(fn);
     insert(std::move(entry));
 }
 
 void
-Registry::addAccumulator(const std::string &path, const Accumulator *acc,
-                         std::string desc)
+Registry::addAccumulator(const std::string &path, const Accumulator *acc)
 {
     ULTRA_ASSERT(acc != nullptr, "accumulator '", path, "' is null");
     Entry entry;
     entry.path = path;
-    entry.desc = std::move(desc);
     entry.kind = Kind::Accumulator;
     entry.acc = acc;
     insert(std::move(entry));
 }
 
 void
-Registry::addHistogram(const std::string &path, const Histogram *hist,
-                       std::string desc)
+Registry::addHistogram(const std::string &path, const Histogram *hist)
 {
     ULTRA_ASSERT(hist != nullptr, "histogram '", path, "' is null");
     Entry entry;
     entry.path = path;
-    entry.desc = std::move(desc);
     entry.kind = Kind::Histogram;
     entry.hist = hist;
     insert(std::move(entry));

@@ -4,9 +4,9 @@
  *
  * Components register named statistics under a hierarchical dotted path
  * ("net.stage2.combines", "pni.retries", "mem.module12.fa_ops") during
- * construction; the registry then renders all of them uniformly -- as
- * the human-readable run report and as a machine-readable JSON dump --
- * without the components knowing about either format.
+ * construction; the registry then renders all of them as one
+ * machine-readable JSON dump without the components knowing its
+ * format.
  *
  * Three kinds of statistic are supported:
  *   - scalars: a getter returning the current value.  Works equally for
@@ -55,16 +55,13 @@ class Registry
     using ValueFn = std::function<double()>;
 
     /** Register a scalar under @p path (panics on duplicates). */
-    void addScalar(const std::string &path, ValueFn fn,
-                   std::string desc = "");
+    void addScalar(const std::string &path, ValueFn fn);
 
     /** Register an Accumulator; @p acc must outlive the registry. */
-    void addAccumulator(const std::string &path, const Accumulator *acc,
-                        std::string desc = "");
+    void addAccumulator(const std::string &path, const Accumulator *acc);
 
     /** Register a Histogram; @p hist must outlive the registry. */
-    void addHistogram(const std::string &path, const Histogram *hist,
-                      std::string desc = "");
+    void addHistogram(const std::string &path, const Histogram *hist);
 
     bool has(const std::string &path) const;
     std::size_t size() const { return entries_.size(); }
@@ -105,7 +102,6 @@ class Registry
     struct Entry
     {
         std::string path;
-        std::string desc;
         Kind kind;
         ValueFn fn;
         const Accumulator *acc = nullptr;

@@ -47,6 +47,24 @@ NetExperiment::runCycles(Cycle count)
     }
 }
 
+double
+NetExperiment::offeredLoad() const
+{
+    const Cycle elapsed = rig_.network.now() - statsResetAt_;
+    return static_cast<double>(rig_.network.stats().injected) /
+           static_cast<double>(elapsed) / spec_.net.numPorts;
+}
+
+double
+NetExperiment::liveDrift() const
+{
+    const auto &stats = rig_.network.stats();
+    if (stats.oneWayTransit.count() == 0)
+        return 0.0;
+    return analytic::transitDrift(acfg_, offeredLoad(),
+                                  stats.oneWayTransit.mean());
+}
+
 void
 NetExperiment::run()
 {
@@ -59,16 +77,12 @@ NetExperiment::run()
     endRun(rig_.network.now());
 
     // Compare the measured post-warmup mean one-way transit against
-    // the model's prediction at the measured accepted load.
-    // Non-applicable configurations still publish their numbers with
-    // model.applicable = 0.
-    const auto &stats = rig_.network.stats();
-    const double offered = static_cast<double>(stats.injected) /
-                           static_cast<double>(spec_.cycles) /
-                           spec_.net.numPorts;
+    // the model's prediction at the measured accepted load, as
+    // liveDrift() does.  Non-applicable configurations still publish
+    // their numbers with model.applicable = 0.
     model_ = std::make_unique<obs::ModelCrossCheck>(
-        acfg_, offered, stats.oneWayTransit.mean(), applicable_,
-        spec_.driftTolerance);
+        acfg_, offeredLoad(), rig_.network.stats().oneWayTransit.mean(),
+        applicable_, spec_.driftTolerance);
     model_->registerStats(registry(), "model");
     modelOk_ = model_->check();
 }

@@ -63,10 +63,14 @@ class NetExperiment : public core::Observed
 
     /** Whether the Kruskal-Snir model's assumptions hold here. */
     bool modelApplicable() const { return applicable_; }
-    const analytic::NetworkConfig &modelConfig() const { return acfg_; }
 
-    /** Cycle at which post-warmup stats were reset (0 before run). */
-    Cycle statsResetAt() const { return statsResetAt_; }
+    /**
+     * Signed model drift of the mean one-way transit measured so far,
+     * at the load offered since the post-warmup stats reset; 0 before
+     * the first transit completes.  At the end of run() it equals
+     * model.drift.
+     */
+    double liveDrift() const;
 
     /** Warmup (cycles/5), stats reset, measured run, model check. */
     void run();
@@ -79,11 +83,14 @@ class NetExperiment : public core::Observed
     /** @p count cycles of injection, PNI issue and network tick. */
     void runCycles(Cycle count);
 
+    /** Requests per PE per cycle injected since statsResetAt_. */
+    double offeredLoad() const;
+
     NetPointSpec spec_;
     net::TrafficRig rig_;
     analytic::NetworkConfig acfg_;
     bool applicable_ = false;
-    Cycle statsResetAt_ = 0;
+    Cycle statsResetAt_ = 0; //!< cycle of the post-warmup stats reset
     std::unique_ptr<obs::ModelCrossCheck> model_;
     bool modelOk_ = true;
 };

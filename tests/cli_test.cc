@@ -158,6 +158,9 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"net --ports 4294967312 --k 2", "--ports"},
         {"net --ports 16 --cycles 50 --closed 0", "--closed"},
         {"net --policy bogus", "policy"},
+        // One port is a power of every k but leaves no stage to build.
+        {"net --ports 1 --cycles 10", "ports must be a power of k"},
+        {"trace --replay /dev/null --ports 1", "ports must be a power of k"},
         // A boolean flag takes no value.
         {"net --uniform 5", "--uniform"},
         {"app --pes abc", "--pes"},

@@ -149,21 +149,24 @@ TEST(InspectProtocol, ParsesWatchSpecs)
     EXPECT_EQ(stat.watch.op, CmpOp::GT);
     EXPECT_EQ(stat.watch.value, 10.0);
 
-    Command tomm = mustParse("{\"cmd\":\"watch\",\"queue\":\"tomm\","
-                             "\"stage\":2,\"op\":\">=\",\"value\":10}");
-    EXPECT_EQ(tomm.watch.kind, WatchSpec::Kind::Queue);
-    EXPECT_TRUE(tomm.watch.toMm);
-    EXPECT_EQ(tomm.watch.stage, 2u);
+    // Queue and wait-buffer gauges are watched by their stat paths.
+    Command tomm = mustParse("{\"cmd\":\"watch\",\"stat\":"
+                             "\"net.stage2.tomm_pkts\",\"op\":\">=\","
+                             "\"value\":10}");
+    EXPECT_EQ(tomm.watch.kind, WatchSpec::Kind::Stat);
+    EXPECT_EQ(tomm.watch.stat, "net.stage2.tomm_pkts");
     EXPECT_EQ(tomm.watch.op, CmpOp::GE);
 
-    Command tope = mustParse("{\"cmd\":\"watch\",\"queue\":\"tope\","
-                             "\"stage\":0,\"op\":\"<\",\"value\":4}");
-    EXPECT_EQ(tope.watch.kind, WatchSpec::Kind::Queue);
-    EXPECT_FALSE(tope.watch.toMm);
+    Command tope = mustParse("{\"cmd\":\"watch\",\"stat\":"
+                             "\"net.stage0.tope_pkts\",\"op\":\"<\","
+                             "\"value\":4}");
+    EXPECT_EQ(tope.watch.kind, WatchSpec::Kind::Stat);
+    EXPECT_EQ(tope.watch.op, CmpOp::LT);
 
-    Command wb = mustParse("{\"cmd\":\"watch\",\"queue\":\"wb\","
-                           "\"stage\":1,\"op\":\"!=\",\"value\":0}");
-    EXPECT_EQ(wb.watch.kind, WatchSpec::Kind::WaitBuffer);
+    Command wb = mustParse("{\"cmd\":\"watch\",\"stat\":"
+                           "\"net.stage1.wb_entries\",\"op\":\"!=\","
+                           "\"value\":0}");
+    EXPECT_EQ(wb.watch.kind, WatchSpec::Kind::Stat);
     EXPECT_EQ(wb.watch.op, CmpOp::NE);
 
     Command drift = mustParse("{\"cmd\":\"watch\",\"drift\":0.15}");
@@ -171,7 +174,7 @@ TEST(InspectProtocol, ParsesWatchSpecs)
     EXPECT_EQ(drift.watch.value, 0.15);
 
     mustReject("{\"cmd\":\"watch\"}"); // no spec at all
-    mustReject("{\"cmd\":\"watch\",\"queue\":\"sideways\","
+    mustReject("{\"cmd\":\"watch\",\"queue\":\"tomm\","
                "\"stage\":0,\"op\":\">\",\"value\":1}");
     mustReject("{\"cmd\":\"watch\",\"stat\":\"x\",\"op\":\"~\","
                "\"value\":1}");
@@ -224,9 +227,12 @@ malformedCorpus()
         {"{\"cmd\":\"poke\",\"vaddr\":1,\"value\":0.5}", "'value'"},
         {"{\"cmd\":\"step\",\"to\":1e300}", "'to'"},
         {"{\"cmd\":\"watch\",\"cycle\":-1}", "'cycle'"},
-        {"{\"cmd\":\"watch\",\"queue\":\"wb\",\"stage\":1e10,"
+        {"{\"cmd\":\"watch\",\"stat\":7,\"op\":\">\",\"value\":0}",
+         "'stat'"},
+        // A queue watch is a stat watch; the reply names the form.
+        {"{\"cmd\":\"watch\",\"queue\":\"wb\",\"stage\":1,"
          "\"op\":\">\",\"value\":0}",
-         "'stage'"},
+         "\"stat\": \"net.stage2.tomm_pkts\""},
         {"{\"cmd\":\"unwatch\",\"id\":1e300}", "'id'"},
         // Nesting past the parser's cap.
         {std::string(100000, '['), "nested deeper than 64"},
@@ -779,8 +785,9 @@ TEST(InspectorTest, WatchValidationAndLifecycle)
                          "\"op\":\">\",\"value\":0}")["ok"]
                      .boolean);
     EXPECT_FALSE(request(*client,
-                         "{\"cmd\":\"watch\",\"queue\":\"tomm\","
-                         "\"stage\":99,\"op\":\">\",\"value\":0}")["ok"]
+                         "{\"cmd\":\"watch\",\"stat\":"
+                         "\"net.stage99.tomm_pkts\",\"op\":\">\","
+                         "\"value\":0}")["ok"]
                      .boolean);
     // No analytic model was wired into this run.
     EXPECT_FALSE(

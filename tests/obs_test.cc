@@ -70,7 +70,7 @@ TEST(RegistryTest, ScalarReadsThrough)
 {
     obs::Registry reg;
     double counter = 0.0;
-    reg.addScalar("a.count", [&] { return counter; }, "a counter");
+    reg.addScalar("a.count", [&] { return counter; });
     EXPECT_TRUE(reg.has("a.count"));
     EXPECT_FALSE(reg.has("a.missing"));
     EXPECT_EQ(reg.size(), 1u);
@@ -260,12 +260,15 @@ TEST(EventTraceTest, JsonSchemaForAllShapes)
         EXPECT_TRUE(e["pid"].isNumber());
         EXPECT_TRUE(e["tid"].isNumber());
         EXPECT_TRUE(e["ts"].isNumber());
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(e["dur"].number, 1.0);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e["s"].string, "t");
-        if (ph == "C")
+        }
+        if (ph == "C") {
             EXPECT_EQ(e["args"]["value"].number, 7.5);
+        }
     }
     EXPECT_EQ(metadata, 2u); // one process_name per track
     EXPECT_EQ(phases, (std::set<std::string>{"M", "X", "i", "C"}));

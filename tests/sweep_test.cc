@@ -187,6 +187,15 @@ TEST(GridTest, RejectsUnknownParamsAndMalformedJson)
         err);
     EXPECT_TRUE(points.empty());
     EXPECT_FALSE(err.empty());
+
+    // One port builds no network: rejected at load, not in a worker.
+    points = sweep::expandGridFile(
+        R"({"schema": "sweep.grid.v1",
+            "grids": [{"base": {"ports": 1}}]})",
+        err);
+    EXPECT_TRUE(points.empty());
+    EXPECT_NE(err.find("ports must be a power of k"), std::string::npos)
+        << err;
 }
 
 TEST(GridTest, RejectsOutOfRangeValuesAtLoad)

@@ -161,7 +161,7 @@ TEST(UltrascopeTest, ScriptedAttachMatchesUnattachedRun)
 
     const int rc = runCommand(
         std::string(ULTRASCOPE_BIN) + " --attach " + sock +
-        " --cmd '{\"cmd\":\"watch\",\"queue\":\"tomm\",\"stage\":1,"
+        " --cmd '{\"cmd\":\"watch\",\"stat\":\"net.stage1.tomm_pkts\","
         "\"op\":\">\",\"value\":3}'"
         " --cmd resume"
         " --wait-event watchpoint"

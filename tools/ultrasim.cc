@@ -321,22 +321,8 @@ cmdNet(const Flags &args)
     std::unique_ptr<inspect::Inspector> inspector = makeInspector(
         args, iserver, exp,
         {.network = &network, .memory = &rig.memory, .hash = &rig.hash});
-    if (inspector && exp.modelApplicable()) {
-        inspector->setDriftProbe([&exp, &network,
-                                  acfg = exp.modelConfig(),
-                                  ports = spec.net.numPorts]() {
-            const auto &s = network.stats();
-            const Cycle elapsed = network.now() - exp.statsResetAt();
-            if (elapsed == 0 || s.injected == 0 ||
-                s.oneWayTransit.count() == 0) {
-                return 0.0;
-            }
-            const double p = static_cast<double>(s.injected) /
-                             static_cast<double>(elapsed) / ports;
-            return analytic::transitDrift(acfg, p,
-                                          s.oneWayTransit.mean());
-        });
-    }
+    if (inspector && exp.modelApplicable())
+        inspector->setDriftProbe([&exp] { return exp.liveDrift(); });
     exp.run();
 
     const auto &stats = network.stats();
