@@ -52,7 +52,10 @@ TextTable::render() const
         std::string s = "|";
         for (std::size_t c = 0; c < widths.size(); ++c) {
             const std::string &v = c < cells.size() ? cells[c] : "";
-            s += " " + std::string(widths[c] - v.size(), ' ') + v + " |";
+            s += ' ';
+            s.append(widths[c] - v.size(), ' ');
+            s += v;
+            s += " |";
         }
         s += "\n";
         return s;

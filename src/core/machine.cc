@@ -170,8 +170,7 @@ Machine::run(Cycle max_cycles)
             break;
         pni_.tick();
         lap(prof::Phase::Pni);
-        network_.tick();
-        networkTicked(now());
+        tickNetwork();
     }
     for (PEId pe : launched_)
         pes_[pe]->flushWaits(now());

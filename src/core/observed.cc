@@ -68,8 +68,23 @@ Observed::beginRun()
 {
     if (prof_ == nullptr)
         return;
-    prof_->runBegin();
     lapMark_ = prof::Profiler::nowNs();
+    prof_->runBegin(lapMark_);
+}
+
+void
+Observed::tickNetwork()
+{
+    network_.tick(lapMark_);
+    const Cycle now = network_.now();
+    if (samplePeriod_ != 0 && now % samplePeriod_ == 0) {
+        sampler_.sample(now);
+        lastSampleAt_ = now;
+    }
+    lap(prof::Phase::Sampler);
+    if (prof_ != nullptr && eventTrace_ != nullptr &&
+        now % kProfCounterPeriod == 0)
+        prof_->flushCounters(*eventTrace_, now);
 }
 
 void
@@ -82,13 +97,7 @@ Observed::endRun(Cycle now)
     }
     lap(prof::Phase::Sampler);
     if (prof_ != nullptr)
-        prof_->runEnd(now);
-}
-
-void
-Observed::flushProfCounters(Cycle now)
-{
-    prof_->flushCounters(*eventTrace_, now);
+        prof_->runEnd(now, lapMark_);
 }
 
 } // namespace ultra::core

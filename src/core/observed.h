@@ -146,22 +146,9 @@ class Observed
         lapMark_ = next;
     }
 
-    /** After the network tick (which laps its own sub-phases) that
-     *  brought the clock to @p now: sample and flush prof counters. */
-    void
-    networkTicked(Cycle now)
-    {
-        if (prof_ != nullptr)
-            lapMark_ = prof::Profiler::nowNs();
-        if (samplePeriod_ != 0 && now % samplePeriod_ == 0) {
-            sampler_.sample(now);
-            lastSampleAt_ = now;
-        }
-        lap(prof::Phase::Sampler);
-        if (prof_ != nullptr && eventTrace_ != nullptr &&
-            now % kProfCounterPeriod == 0)
-            flushProfCounters(now);
-    }
+    /** Tick the network, which laps its own sub-phases on this lap
+     *  chain, then sample and flush prof counters. */
+    void tickNetwork();
 
     /** End a run at @p now: the final sample row, the run clock. */
     void endRun(Cycle now);
@@ -171,8 +158,6 @@ class Observed
      *  frequent enough to see phase-cost drift in the viewer, rare
      *  enough to stay invisible in the run's wall clock. */
     static constexpr Cycle kProfCounterPeriod = 64;
-
-    void flushProfCounters(Cycle now);
 
     net::Network &network_;
     std::string ownColumn_;

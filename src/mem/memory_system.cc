@@ -9,29 +9,30 @@ namespace ultra::mem
 {
 
 MemorySystem::MemorySystem(const MemoryConfig &cfg)
-    : cfg_(cfg),
-      words_(cfg.numModules * cfg.wordsPerModule, 0),
-      moduleLoad_(cfg.numModules, 0), faOps_(cfg.numModules, 0)
+    : cfg_(cfg), moduleLoad_(cfg.numModules, 0), faOps_(cfg.numModules, 0)
 {
     ULTRA_ASSERT(cfg.numModules >= 1);
     ULTRA_ASSERT(cfg.wordsPerModule >= 1);
 }
 
-std::size_t
-MemorySystem::index(Addr paddr) const
+void
+MemorySystem::checkRange(Addr paddr) const
 {
-    const std::size_t idx = static_cast<std::size_t>(paddr);
-    ULTRA_ASSERT(idx < words_.size(), "physical address ", paddr,
-                 " out of range (", words_.size(), " words)");
-    return idx;
+    ULTRA_ASSERT(paddr < totalWords(), "physical address ", paddr,
+                 " out of range (", totalWords(), " words)");
 }
 
 Word
 MemorySystem::execute(Op op, Addr paddr, Word operand)
 {
-    const std::size_t idx = index(paddr);
-    const Word old_value = words_[idx];
-    words_[idx] = applyPhi(op, old_value, operand);
+    checkRange(paddr);
+    const auto it = words_.find(paddr);
+    const Word old_value = it == words_.end() ? 0 : it->second;
+    const Word new_value = applyPhi(op, old_value, operand);
+    if (it != words_.end())
+        it->second = new_value;
+    else if (new_value != 0) // an untouched word that stays 0 stays absent
+        words_.emplace(paddr, new_value);
     const MMId mm = moduleOf(paddr);
     ++moduleLoad_[mm];
     if (op != Op::Load && op != Op::Store)
@@ -42,13 +43,16 @@ MemorySystem::execute(Op op, Addr paddr, Word operand)
 Word
 MemorySystem::peek(Addr paddr) const
 {
-    return words_[index(paddr)];
+    checkRange(paddr);
+    const auto it = words_.find(paddr);
+    return it == words_.end() ? 0 : it->second;
 }
 
 void
 MemorySystem::poke(Addr paddr, Word value)
 {
-    words_[index(paddr)] = value;
+    checkRange(paddr);
+    words_[paddr] = value;
 }
 
 void

@@ -8,6 +8,14 @@
  * fixed access latency; the module owning a physical word address is its
  * low lg N bits (hashing at the PNI keeps modules equally loaded).
  *
+ * Storage is sparse: only words that have been written hold an entry,
+ * and a word never written reads 0.  The configured address space
+ * (numModules x wordsPerModule) still sets the bounds every access is
+ * checked against, but building a machine costs nothing per word --
+ * the 4096-module Table-1 machine would otherwise zero-fill 128 MB
+ * that a run touches a few thousand words of.  The map is only ever
+ * looked up, never iterated, so its hash order cannot reach a result.
+ *
  * All MM execution happens via the MNI service inside Network::tick,
  * in the serial cycle loop (DESIGN.md "The cycle loop") --
  * MemorySystem itself needs no synchronization.
@@ -18,6 +26,7 @@
 
 #include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -36,7 +45,8 @@ struct MemoryConfig
 {
     /** Number of memory modules (matches the PE count). */
     std::uint32_t numModules = 64;
-    /** Words of storage per module. */
+    /** Words of address space per module (storage is allocated only
+     *  for the words a run writes). */
     std::size_t wordsPerModule = 1 << 16;
 };
 
@@ -76,7 +86,8 @@ class MemorySystem
      */
     Word execute(Op op, Addr paddr, Word operand);
 
-    /** Direct read for checkers, loaders and tests (no timing). */
+    /** Direct read for checkers, loaders and tests (no timing); a word
+     *  never written reads 0. */
     Word peek(Addr paddr) const;
 
     /** Direct write for initialization (no timing). */
@@ -109,10 +120,12 @@ class MemorySystem
     const MemoryConfig &config() const { return cfg_; }
 
   private:
-    std::size_t index(Addr paddr) const;
+    /** Panic unless @p paddr lies inside the configured address space. */
+    void checkRange(Addr paddr) const;
 
     MemoryConfig cfg_;
-    std::vector<Word> words_;
+    /** The words written so far; absent words read 0. */
+    std::unordered_map<Addr, Word> words_;
     std::vector<std::uint64_t> moduleLoad_;
     std::vector<std::uint64_t> faOps_;
 };

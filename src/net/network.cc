@@ -765,10 +765,16 @@ Network::commitPhase()
 void
 Network::tick()
 {
+    std::uint64_t mark = prof_ != nullptr ? prof::Profiler::nowNs() : 0;
+    tick(mark);
+}
+
+void
+Network::tick(std::uint64_t &mark)
+{
     // Chained phase stamps: each boundary is a single clock read, and
     // with no profiler attached the whole ladder compiles down to null
     // tests.  The phase times tile tick() wall time by construction.
-    std::uint64_t mark = prof_ != nullptr ? prof::Profiler::nowNs() : 0;
     const auto lap = [&](prof::Phase p) {
         if (prof_ == nullptr)
             return;

@@ -154,6 +154,15 @@ class Network
      */
     void tick();
 
+    /**
+     * tick() inside a caller's profiler lap chain: with a profiler
+     * attached, the first sub-phase is charged from @p lapMark (the
+     * caller's previous phase boundary) and @p lapMark is left at the
+     * last one, so the caller's phases and the tick's tile the run
+     * with no gap between them.
+     */
+    void tick(std::uint64_t &lapMark);
+
     /** Current simulation time in cycles. */
     Cycle now() const { return now_; }
 

@@ -17,7 +17,10 @@
  * single hottest loop of a saturated run — then scans a contiguous
  * array of addresses without dereferencing a Message until a key
  * matches, and enqueue/dequeue never allocate in steady state (a deque
- * would allocate and free node blocks on every few operations).
+ * would allocate and free node blocks on every few operations).  The
+ * space claims are a plain vector too: a deque allocates a block even
+ * when empty, and a machine has tens of thousands of queues that
+ * mostly never see a claim.
  */
 
 #ifndef ULTRA_NET_OUT_QUEUE_H
@@ -25,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/log.h"
@@ -131,7 +133,7 @@ class OutQueue
         ULTRA_ASSERT(claimReady(id), "consuming a claim that is not "
                      "ready");
         const Claim front = claims_.front();
-        claims_.pop_front();
+        claims_.erase(claims_.begin());
         grantedTotal_ -= front.granted;
         reserved_ += front.needed;
     }
@@ -292,7 +294,10 @@ class OutQueue
     std::uint32_t used_ = 0;
     std::uint32_t reserved_ = 0;
     std::uint32_t grantedTotal_ = 0;
-    std::deque<Claim> claims_;
+    /** Waiting claims, oldest first.  Only the few senders feeding
+     *  this queue ever claim it, so a flat vector is short, and an
+     *  idle queue's empty vector allocates nothing. */
+    std::vector<Claim> claims_;
     std::uint64_t nextClaimId_ = 1;
     /** Ring storage (struct-of-arrays): live entries are
      *  [head_, msgs_.size()); keys_ mirrors msgs_ index-for-index. */

@@ -44,16 +44,16 @@ Profiler::nowNs()
 }
 
 void
-Profiler::runBegin()
+Profiler::runBegin(std::uint64_t start_ns)
 {
-    runStartNs_ = nowNs();
+    runStartNs_ = start_ns;
     runEndNs_ = 0;
 }
 
 void
-Profiler::runEnd(std::uint64_t cycles)
+Profiler::runEnd(std::uint64_t cycles, std::uint64_t end_ns)
 {
-    runEndNs_ = nowNs();
+    runEndNs_ = end_ns;
     cycles_ = cycles;
 }
 

@@ -12,8 +12,9 @@
  *
  * The simulation thread stamps the clock at each phase boundary of the
  * cycle loop (PE step, PNI issue, the network's commit/MNI/arrival/
- * departure sub-phases, sampler), so the phase times tile measured
- * elapsed time; whatever they miss is reported as overhead.
+ * departure sub-phases, sampler) on one chain that also starts and
+ * stops the run clock, so the phase times tile measured elapsed time;
+ * whatever they have not yet charged is reported as overhead.
  *
  * This file (src/prof) is the *only* place in simulation code allowed
  * to read the host clock -- tools/ultralint UL-DET-007 flags raw
@@ -73,8 +74,11 @@ class Profiler
     static std::uint64_t nowNs();
 
     // -- run lifecycle ----------------------------------------------
-    void runBegin();
-    void runEnd(std::uint64_t cycles);
+    /** The run starts at clock stamp @p start_ns and ends at @p end_ns;
+     *  the caller passes the first and last stamps of its lap chain, so
+     *  the phases tile the elapsed time with no gap at either end. */
+    void runBegin(std::uint64_t start_ns);
+    void runEnd(std::uint64_t cycles, std::uint64_t end_ns);
 
     // -- per-phase wall timers --------------------------------------
     void

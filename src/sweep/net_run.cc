@@ -42,8 +42,7 @@ NetExperiment::runCycles(Cycle count)
         lap(prof::Phase::Inject);
         rig_.pni.tick();
         lap(prof::Phase::Pni);
-        rig_.network.tick();
-        networkTicked(rig_.network.now());
+        tickNetwork();
     }
 }
 

@@ -90,13 +90,27 @@ TEST(EdgeDeathTest, PanicAborts)
 
 TEST(EdgeDeathTest, BadMachineAddressAborts)
 {
+    // Storage is sparse, so only the bounds check stops a write past
+    // the configured address space from quietly creating a word.
+    mem::MemoryConfig mc;
+    mc.numModules = 4;
+    mc.wordsPerModule = 4;
     EXPECT_DEATH(
         {
-            mem::MemoryConfig mc;
-            mc.numModules = 4;
-            mc.wordsPerModule = 4;
             mem::MemorySystem memory(mc);
             memory.peek(16); // out of range
+        },
+        "out of range");
+    EXPECT_DEATH(
+        {
+            mem::MemorySystem memory(mc);
+            memory.poke(16, 1);
+        },
+        "out of range");
+    EXPECT_DEATH(
+        {
+            mem::MemorySystem memory(mc);
+            memory.execute(mem::Op::FetchAdd, 16, 1);
         },
         "out of range");
 }

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -325,9 +327,7 @@ TEST(MachineTest, PaperTable1ConfigRuns)
 {
     // The full 4096-port machine is constructible and a few PEs can
     // talk across it (only touched switches are simulated).
-    core::MachineConfig cfg = core::MachineConfig::paperTable1();
-    cfg.wordsPerModule = 64;
-    Machine machine(cfg);
+    Machine machine(core::MachineConfig::paperTable1());
     EXPECT_EQ(machine.network().topology().stages(), 6u);
     const Addr ctr = machine.allocShared(1);
     for (PEId p = 0; p < 8; ++p) {
@@ -337,6 +337,36 @@ TEST(MachineTest, PaperTable1ConfigRuns)
     }
     ASSERT_TRUE(machine.run());
     EXPECT_EQ(machine.peek(ctr), 8);
+}
+
+/** This process's resident set in kB, or -1 when /proc/self/status
+ *  cannot be read. */
+long
+residentKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::strtol(line.c_str() + 6, nullptr, 10);
+    }
+    return -1;
+}
+
+TEST(MachineTest, PaperTable1MachineCostsOnlyWhatItTouches)
+{
+    // Central memory and the switch queues store only what a run
+    // touches, so building the 4096-PE machine commits no storage for
+    // its 16M words (128 MB if dense) or its ~53K idle queues.
+    const long before = residentKb();
+    if (before < 0)
+        GTEST_SKIP() << "no VmRSS in /proc/self/status";
+    Machine machine(core::MachineConfig::paperTable1());
+    const long after = residentKb();
+    ASSERT_GE(after, 0);
+    EXPECT_LT(after - before, 48L * 1024)
+        << "building the Table-1 machine grew the resident set by "
+        << (after - before) / 1024 << " MB";
 }
 
 // ------------------------------------------------------------------
@@ -361,7 +391,9 @@ TEST(MachineTimeoutFlushTest, TimeoutStillEmitsFinalSampleRow)
     // be empty and the truncated run would drop its only window.
     ASSERT_GE(machine.sampler().numRows(), 1u);
     const std::string csv = machine.sampler().csv();
-    EXPECT_NE(csv.find("\n" + std::to_string(machine.now()) + ","),
+    EXPECT_NE(csv.find(std::string("\n")
+                           .append(std::to_string(machine.now()))
+                           .append(",")),
               std::string::npos)
         << "final row must be stamped with the timeout cycle:\n"
         << csv;

@@ -175,6 +175,42 @@ TEST(MemorySystemTest, ExecuteAppliesPhiAndReturnsOld)
     EXPECT_EQ(mem.peek(5), 2);
 }
 
+TEST(MemorySystemTest, UnwrittenWordsReadZero)
+{
+    // Storage is sparse: a word nothing has written reads 0 both
+    // directly and through the MNI adder.
+    MemoryConfig cfg;
+    cfg.numModules = 4;
+    cfg.wordsPerModule = 8;
+    MemorySystem mem(cfg);
+    EXPECT_EQ(mem.peek(3), 0);
+    EXPECT_EQ(mem.execute(Op::Load, 6, 0), 0);
+    EXPECT_EQ(mem.execute(Op::FetchAdd, 9, 5), 0);
+    EXPECT_EQ(mem.peek(9), 5);
+    // Writing 0 over a written word reads 0 again, by either path.
+    mem.poke(9, 0);
+    EXPECT_EQ(mem.peek(9), 0);
+    EXPECT_EQ(mem.execute(Op::Store, 12, 4), 0);
+    EXPECT_EQ(mem.execute(Op::Store, 12, 0), 4);
+    EXPECT_EQ(mem.peek(12), 0);
+}
+
+TEST(MemorySystemTest, PokePeekRoundTripAtBothEnds)
+{
+    MemoryConfig cfg;
+    cfg.numModules = 4;
+    cfg.wordsPerModule = 8;
+    MemorySystem mem(cfg);
+    const Addr last = mem.totalWords() - 1;
+    mem.poke(0, -7);
+    mem.poke(last, 41);
+    EXPECT_EQ(mem.peek(0), -7);
+    EXPECT_EQ(mem.peek(last), 41);
+    EXPECT_EQ(mem.execute(Op::FetchAdd, last, 1), 41);
+    EXPECT_EQ(mem.peek(last), 42);
+    EXPECT_EQ(mem.peek(1), 0);
+}
+
 TEST(MemorySystemTest, ModuleLoadCounters)
 {
     MemoryConfig cfg;

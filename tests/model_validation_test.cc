@@ -91,9 +91,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelParam{4, 1, 0.08}, ModelParam{4, 2, 0.15},
                       ModelParam{2, 2, 0.20}),
     [](const auto &info) {
-        return "k" + std::to_string(info.param.k) + "d" +
-               std::to_string(info.param.d) + "p" +
-               std::to_string(static_cast<int>(info.param.p * 100));
+        return std::string("k")
+            .append(std::to_string(info.param.k))
+            .append("d")
+            .append(std::to_string(info.param.d))
+            .append("p")
+            .append(std::to_string(static_cast<int>(info.param.p * 100)));
     });
 
 } // namespace

@@ -47,14 +47,20 @@ struct StressParam
     std::string
     name() const
     {
-        std::string s = "n" + std::to_string(ports) + "k" +
-                        std::to_string(k) + "m" + std::to_string(m) +
-                        "d" + std::to_string(d);
+        std::string s = std::string("n")
+                            .append(std::to_string(ports))
+                            .append("k")
+                            .append(std::to_string(k))
+                            .append("m")
+                            .append(std::to_string(m))
+                            .append("d")
+                            .append(std::to_string(d));
         s += sizing == PacketSizing::Uniform ? "U" : "C";
         s += policy == CombinePolicy::None         ? "none"
              : policy == CombinePolicy::Homogeneous ? "homo"
                                                      : "full";
-        s += "q" + std::to_string(queueCap);
+        s += 'q';
+        s += std::to_string(queueCap);
         return s;
     }
 };
@@ -615,8 +621,10 @@ TEST(NetworkStressTest, Tred2ReproducesAcrossReruns)
                 apps::tred2Parallel(machine, 8, matrix, n);
             std::string out = std::to_string(result.cycles) + "|" +
                               machine.statsJson();
-            for (double d : result.tri.diag)
-                out += "," + std::to_string(d);
+            for (double d : result.tri.diag) {
+                out += ',';
+                out += std::to_string(d);
+            }
             return out;
         };
         EXPECT_EQ(run(), run()) << "seed " << seed;

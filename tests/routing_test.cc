@@ -93,8 +93,10 @@ INSTANTIATE_TEST_SUITE_P(
                       TopoParam{256, 4}, TopoParam{64, 8},
                       TopoParam{2, 2}, TopoParam{4, 4}),
     [](const auto &info) {
-        return "n" + std::to_string(info.param.n) + "k" +
-               std::to_string(info.param.k);
+        return std::string("n")
+            .append(std::to_string(info.param.n))
+            .append("k")
+            .append(std::to_string(info.param.k));
     });
 
 TEST(OmegaTopologyTest, PaperFigure2Geometry)

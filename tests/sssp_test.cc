@@ -85,8 +85,9 @@ INSTANTIATE_TEST_SUITE_P(
                       SsspParam{8, false}, SsspParam{4, true},
                       SsspParam{16, true}),
     [](const auto &info) {
-        return "P" + std::to_string(info.param.pes) +
-               (info.param.useCache ? "cached" : "plain");
+        return std::string("P")
+            .append(std::to_string(info.param.pes))
+            .append(info.param.useCache ? "cached" : "plain");
     });
 
 TEST(SsspTest, QueueConcurrencyScales)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Same-host A/B wall-time gate: is this checkout slower than BASE?
+"""Same-host A/B gate: is this checkout slower or bigger than BASE?
 
     python3 tools/perf_ab.py BASE
 
@@ -11,11 +11,12 @@ pairs of RUN_SECONDS each.  Each side runs its own perfbench/run.py and
 builds its own sources under its own CARGO_TARGET_DIR, so the two
 builds never share objects.
 
-For each workload it prints the base and head median `wall_s` and
-fails (exit 1) when the head median is worse than the base median by
-more than the `wall_s` bound in BENCHMARK.json, which it reads and
-never writes.  A run that fails its output check, or any other error,
-exits 2.
+For each workload and each gated metric (`wall_s`, `peak_rss_mb`) it
+prints the base and head medians and fails (exit 1) when the head
+median is worse than the base median by more than the metric's bound.
+The direction ("better": "lower" or "higher") and the bound of each
+metric come from BENCHMARK.json, which it reads and never writes.  A
+run that fails its output check, or any other error, exits 2.
 """
 
 import json
@@ -28,7 +29,9 @@ from pathlib import Path
 
 PAIRS = 5
 RUN_SECONDS = 10
-METRIC = "wall_s"
+# Wall time catches constant-factor costs; peak RSS catches a machine
+# that commits storage its run never touches (e.g. dense memory).
+METRICS = ("wall_s", "peak_rss_mb")
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,8 +69,8 @@ def main():
     base_rev = git("rev-parse", "--verify", sys.argv[1] + "^{commit}")
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in manifest["workloads"]]
-    bound = next(m["bound"] for m in manifest["end_to_end"]
-                 if m["name"] == METRIC)
+    gates = {m["name"]: (m["better"], m["bound"])
+             for m in manifest["end_to_end"] if m["name"] in METRICS}
 
     with tempfile.TemporaryDirectory(prefix="perf_ab_") as tmp:
         tmp = Path(tmp)
@@ -76,7 +79,8 @@ def main():
         try:
             sides = {"base": (base_tree, tmp / "base_build"),
                      "head": (ROOT, tmp / "head_build")}
-            walls = {(w, s): [] for w in workloads for s in sides}
+            runs = {(w, s, m): [] for w in workloads for s in sides
+                    for m in METRICS}
             for w in workloads:
                 for pair in range(PAIRS):
                     # Alternate which side runs first, so a drift in
@@ -85,29 +89,37 @@ def main():
                         else ("head", "base")
                     for side in order:
                         tree, target = sides[side]
-                        walls[(w, side)].append(
-                            run_side(tree, target, w)[METRIC]["value"])
+                        metrics = run_side(tree, target, w)
+                        for m in METRICS:
+                            runs[(w, side, m)].append(
+                                metrics[m]["value"])
         finally:
             git("worktree", "remove", "--force", str(base_tree))
 
+    bounds = ", ".join(
+        f"{m} {'+' if gates[m][0] == 'lower' else '-'}{gates[m][1]:.0%}"
+        for m in METRICS)
     print(f"perf_ab: base {base_rev[:12]} vs head, {PAIRS} pairs of "
-          f"{RUN_SECONDS} s, {METRIC} bound +{bound:.0%}")
-    print(f"{'workload':<14} {'base median':>12} {'head median':>12} "
-          f"{'head/base':>10}  verdict")
+          f"{RUN_SECONDS} s; bounds {bounds}")
+    print(f"{'workload':<14} {'metric':<12} {'base median':>12} "
+          f"{'head median':>12} {'head/base':>10}  verdict")
     worse = []
     for w in workloads:
-        base = statistics.median(walls[(w, "base")])
-        head = statistics.median(walls[(w, "head")])
-        ok = head <= base * (1.0 + bound)
-        if not ok:
-            worse.append(w)
-        print(f"{w:<14} {base:>11.4f}s {head:>11.4f}s {head / base:>10.3f}"
-              f"  {'ok' if ok else 'SLOWER'}")
-        for side in ("base", "head"):
-            runs = ", ".join(f"{x:.4f}" for x in walls[(w, side)])
-            print(f"  {side} runs: {runs}")
+        for m in METRICS:
+            better, bound = gates[m]
+            base = statistics.median(runs[(w, "base", m)])
+            head = statistics.median(runs[(w, "head", m)])
+            ok = head <= base * (1.0 + bound) if better == "lower" \
+                else head >= base * (1.0 - bound)
+            if not ok:
+                worse.append(f"{w} {m}")
+            print(f"{w:<14} {m:<12} {base:>12.4f} {head:>12.4f} "
+                  f"{head / base:>10.3f}  {'ok' if ok else 'WORSE'}")
+            for side in ("base", "head"):
+                values = ", ".join(f"{x:.4f}" for x in runs[(w, side, m)])
+                print(f"  {side} runs: {values}")
     if worse:
-        print(f"perf_ab: head is slower than base beyond the bound on: "
+        print(f"perf_ab: head is worse than base beyond the bound on: "
               f"{', '.join(worse)}")
         return 1
     return 0
