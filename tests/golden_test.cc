@@ -3,7 +3,8 @@
  * Golden-model regression suite: pins the paper-anchored results --
  * Table-1-style network traffic on a scaled Table-1 configuration,
  * Fig-7 transit times across offered loads, and end-to-end application
- * runs (TRED2, multigrid), plus Burroughs kill-on-conflict mode under
+ * runs (TRED2 with one and two contexts per PE, multigrid, weather,
+ * SSSP), plus Burroughs kill-on-conflict mode under
  * hot-spot traffic -- as checked-in JSON, and asserts that a run
  * reproduces each golden byte-for-byte.
  *
@@ -25,7 +26,9 @@
 #include <thread>
 
 #include "apps/multigrid.h"
+#include "apps/shortest_path.h"
 #include "apps/tred2.h"
+#include "apps/weather.h"
 #include "core/machine.h"
 #include "inspect/inspector.h"
 #include "inspect/server.h"
@@ -423,6 +426,86 @@ appMultigrid()
 TEST(GoldenTest, AppMultigrid)
 {
     checkGolden("app_multigrid", appMultigrid);
+}
+
+/** TRED2 hardware-multiprogrammed (section 3.5): 16 workers as two
+ *  contexts on each of 8 PEs, so a PE's ready contexts take turns on
+ *  one pipeline. */
+const std::string
+appTred2Contexts()
+{
+    core::Machine machine(core::MachineConfig::small(16, 2));
+    const std::size_t n = 16;
+    const auto result = apps::tred2Parallel(
+        machine, 16, apps::randomSymmetric(n, 1), n, 2);
+
+    std::ostringstream doc;
+    doc << "{\n\"cycles\": " << result.cycles
+        << ",\n\"waiting\": " << fmt(result.waitingTime) << ",\n\"diag\": [";
+    for (std::size_t i = 0; i < result.tri.diag.size(); ++i)
+        doc << (i ? ", " : "") << fmt(result.tri.diag[i]);
+    doc << "],\n\"stats\": " << machine.statsJson() << "\n}\n";
+    return doc.str();
+}
+
+TEST(GoldenTest, AppTred2Contexts)
+{
+    checkGolden("app_tred2_contexts", appTred2Contexts);
+}
+
+/** Weather stencil: prefetched loads (startLoad, awaited after
+ *  overlapping compute), pipelined stores and a fence per step. */
+const std::string
+appWeather()
+{
+    core::Machine machine(core::MachineConfig::small(16, 2));
+    apps::WeatherConfig wcfg;
+    wcfg.rows = 16;
+    wcfg.cols = 16;
+    wcfg.steps = 3;
+    const auto result = apps::weatherParallel(
+        machine, 16, wcfg, apps::weatherInitial(wcfg, 1));
+
+    double checksum = 0.0;
+    for (double v : result.grid)
+        checksum += v;
+    std::ostringstream doc;
+    doc << "{\n\"cycles\": " << result.cycles
+        << ",\n\"grid_sum\": " << fmt(checksum)
+        << ",\n\"stats\": " << machine.statsJson() << "\n}\n";
+    return doc.str();
+}
+
+TEST(GoldenTest, AppWeather)
+{
+    checkGolden("app_weather", appWeather);
+}
+
+/** Parallel SSSP through per-PE caches: block fills are pipelined
+ *  loads, write-backs are posted stores, and the work queue is the
+ *  fetch-and-add parallel queue. */
+const std::string
+appSssp()
+{
+    core::Machine machine(core::MachineConfig::small(16, 2));
+    const apps::Graph graph = apps::randomGraph(48, 4, 1);
+    const auto result =
+        apps::shortestPathsParallel(machine, 8, graph, 0, true);
+
+    Word checksum = 0;
+    for (Word d : result.dist)
+        checksum += d;
+    std::ostringstream doc;
+    doc << "{\n\"cycles\": " << result.cycles
+        << ",\n\"dist_sum\": " << checksum
+        << ",\n\"relaxations\": " << result.relaxations
+        << ",\n\"stats\": " << machine.statsJson() << "\n}\n";
+    return doc.str();
+}
+
+TEST(GoldenTest, AppSssp)
+{
+    checkGolden("app_sssp", appSssp);
 }
 
 } // namespace
