@@ -54,9 +54,12 @@ Machine::Machine(const MachineConfig &cfg)
         pes_.push_back(std::make_unique<pe::Pe>(pe, pni_, network_));
     }
     programs_.resize(cfg_.net.numPorts);
+    slotOf_.assign(cfg_.net.numPorts, kNoSlot);
     pni_.setCompleteCallback(
         [this](PEId pe, std::uint64_t ticket, Word value) {
             pes_[pe]->onComplete(ticket, value);
+            if (slotOf_[pe] != kNoSlot)
+                refreshSlot(slotOf_[pe]);
         });
     registerMachineStats();
 }
@@ -138,13 +141,36 @@ Machine::launchAll(std::uint32_t count, const ProgramFn &program)
         launch(pe, program);
 }
 
+void
+Machine::refreshSlot(std::uint32_t slot)
+{
+    const pe::Pe &pe = *pes_[stepOrder_[slot]];
+    wake_[slot] = pe.wakeAt();
+    // A finished PE has no ready context, so only a PE that cannot
+    // wake is worth the finished() scan.
+    if (wake_[slot] == kNeverCycle && !finished_[slot] && pe.finished()) {
+        finished_[slot] = true;
+        --unfinished_;
+    }
+}
+
 bool
 Machine::run(Cycle max_cycles)
 {
     // PEs step in ascending id order.  Walk only the launched ones:
     // programs often engage a handful of PEs on a large machine.
-    std::vector<PEId> step_order = launched_;
-    std::sort(step_order.begin(), step_order.end());
+    for (PEId pe : stepOrder_)
+        slotOf_[pe] = kNoSlot;
+    stepOrder_ = launched_;
+    std::sort(stepOrder_.begin(), stepOrder_.end());
+    const auto slots = static_cast<std::uint32_t>(stepOrder_.size());
+    wake_.assign(slots, kNeverCycle);
+    finished_.assign(slots, false);
+    unfinished_ = slots;
+    for (std::uint32_t i = 0; i < slots; ++i) {
+        slotOf_[stepOrder_[i]] = i;
+        refreshSlot(i);
+    }
     beginRun();
     const Cycle deadline = now() + max_cycles;
     bool finished_all = false;
@@ -156,16 +182,19 @@ Machine::run(Cycle max_cycles)
         cycleStart(now());
         // The canonical cycle order (DESIGN.md "The cycle loop"): PEs
         // step, PNIs issue in PE-id order, the network and memory
-        // advance, observers sample.
+        // advance, observers sample.  A PE's wake cycle changes only
+        // when it steps or a request of its completes, so the slots
+        // not yet due are skipped without touching the PE (step()
+        // checks that a due one is runnable).
         const Cycle cycle = now();
-        finished_all = true;
-        for (PEId id : step_order) {
-            pe::Pe &pe = *pes_[id];
-            if (pe.runnable(cycle))
-                pe.step(cycle);
-            finished_all = finished_all && pe.finished();
+        for (std::uint32_t i = 0; i < slots; ++i) {
+            if (wake_[i] > cycle)
+                continue;
+            pes_[stepOrder_[i]]->step(cycle);
+            refreshSlot(i);
         }
         lap(prof::Phase::PeStep);
+        finished_all = unfinished_ == 0;
         if (finished_all)
             break;
         pni_.tick();

@@ -152,6 +152,10 @@ class Machine : public Observed
   private:
     void registerMachineStats();
 
+    /** Re-read the wake cycle and finished state of the PE in step
+     *  slot @p slot after it stepped or completed a request. */
+    void refreshSlot(std::uint32_t slot);
+
     MachineConfig cfg_;
     mem::MemorySystem memory_;
     mem::AddressHash hash_;
@@ -164,6 +168,21 @@ class Machine : public Observed
      *  closures) alive while its tasks run; one entry per context. */
     std::vector<std::vector<std::unique_ptr<ProgramFn>>> programs_;
     std::vector<PEId> launched_;
+
+    // The run loop's work set, rebuilt by each run().
+    /** No step slot: the PE was not launched when run() began. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    /** The launched PEs in ascending id order: the step order. */
+    std::vector<PEId> stepOrder_;
+    /** Per step slot: Pe::wakeAt() as of the PE's last step or
+     *  completion, so a cycle steps only the PEs due by it. */
+    std::vector<Cycle> wake_;
+    /** Per step slot: the PE has finished. */
+    std::vector<bool> finished_;
+    /** Step slot of each PE id, or kNoSlot. */
+    std::vector<std::uint32_t> slotOf_;
+    /** Launched PEs not yet finished. */
+    std::uint32_t unfinished_ = 0;
     Addr nextShared_ = 0;
     std::vector<std::pair<std::string, Addr>> symbols_;
 };

@@ -93,11 +93,10 @@ Network::Network(const NetSimConfig &cfg, mem::MemorySystem &memory)
     nextCopy_.assign(cfg_.numPorts, 0);
     injectStates_.resize(cfg_.numPorts);
 
-    ActiveSet empty;
-    empty.words.assign((topo_.switchesPerStage() + 63) / 64, 0);
-    active_.assign(static_cast<std::size_t>(cfg_.d) * topo_.stages(),
-                   empty);
-    departSnapshot_ = active_;
+    const std::uint32_t columns = topo_.switchesPerStage();
+    const StageSets empty{WorkSet(columns), WorkSet(columns * cfg_.k),
+                          WorkSet(columns * cfg_.k)};
+    sets_.assign(static_cast<std::size_t>(cfg_.d) * topo_.stages(), empty);
 }
 
 Network::~Network() = default;
@@ -185,7 +184,7 @@ Network::tryInject(PEId pe, Op op, Addr paddr, Word data,
             msg->lat = lat_->open(msg->id, queued_at, now_);
         copy.peLinkFreeAt[pe] = now_ + packets;
         node.fwdInbox.push_back({msg, now_ + 1});
-        activateNode(copy, 0, entry.sw);
+        markInbox(copy, 0, entry.sw);
         nextCopy_[pe] = (c + 1) % cfg_.d;
         ++stats_.injected;
         if (trace_)
@@ -302,14 +301,14 @@ Network::arriveForward(Copy &copy, unsigned s, std::uint32_t idx,
             return;
         }
         out.queue.enqueueUnreserved(msg);
-        return;
+    } else {
+        if (tryCombine(copy, s, node, idx, port, msg))
+            return;
+        stats_.queueLenAtEnqueue.add(
+            static_cast<double>(out.queue.usedPackets()));
+        out.queue.enqueue(msg);
     }
-
-    if (tryCombine(copy, s, node, idx, port, msg))
-        return;
-    stats_.queueLenAtEnqueue.add(
-        static_cast<double>(out.queue.usedPackets()));
-    out.queue.enqueue(msg);
+    stageSets(copy, s).fwdReady.set(idx * cfg_.k + port);
 }
 
 void
@@ -317,6 +316,7 @@ Network::arriveReverse(Copy &copy, unsigned s, std::uint32_t idx,
                        Message *msg)
 {
     Node &node = copy.stage[s][idx];
+    WorkSet &ready = stageSets(copy, s).revReady;
     if (msg->lat)
         lat_->noteRevArrive(msg->lat, s, now_);
 
@@ -368,6 +368,7 @@ Network::arriveReverse(Copy &copy, unsigned s, std::uint32_t idx,
             if (!sp_queue.canAccept(spawn->packets))
                 stats_.revOverflowPackets += spawn->packets;
             sp_queue.enqueueUnreserved(spawn);
+            ready.set(idx * cfg_.k + sp_port);
         }
         msg->data = current;
     }
@@ -389,6 +390,7 @@ Network::arriveReverse(Copy &copy, unsigned s, std::uint32_t idx,
         }
         rev_queue.enqueue(msg);
     }
+    ready.set(idx * cfg_.k + port);
 }
 
 void
@@ -438,8 +440,7 @@ Network::departForwardHop(Copy &copy, unsigned s, std::uint32_t idx,
             next_node.fwd[topo_.routeDigit(msg->dest, s + 1)].queue;
         if (!acquireSpace(out.claimId, out.claimPkts, out.claimTarget,
                           next_queue, msg->packets)) {
-            activateNode(copy, s + 1, next.sw); // claims need pumping
-            return;                             // backpressure
+            return; // backpressure
         }
     }
     out.queue.dequeue();
@@ -452,7 +453,7 @@ Network::departForwardHop(Copy &copy, unsigned s, std::uint32_t idx,
                          msg->id);
     }
     next_node.fwdInbox.push_back({msg, now_ + 1});
-    activateNode(copy, s + 1, next.sw);
+    markInbox(copy, s + 1, next.sw);
 }
 
 void
@@ -470,8 +471,7 @@ Network::departReverseHop(Copy &copy, unsigned s, std::uint32_t idx,
             prev_node.rev[topo_.routeDigit(msg->origin, s - 1)].queue;
         if (!acquireSpace(out.claimId, out.claimPkts, out.claimTarget,
                           prev_queue, msg->packets)) {
-            activateNode(copy, s - 1, prev_idx); // claims need pumping
-            return;                              // backpressure
+            return; // backpressure
         }
     }
     out.queue.dequeue();
@@ -484,7 +484,7 @@ Network::departReverseHop(Copy &copy, unsigned s, std::uint32_t idx,
                          msg->id);
     }
     prev_node.revInbox.push_back({msg, now_ + 1});
-    activateNode(copy, s - 1, prev_idx);
+    markInbox(copy, s - 1, prev_idx);
 }
 
 void
@@ -529,24 +529,17 @@ Network::arrivalPhase()
         inbox.resize(keep);
     };
 
+    // Arrivals fill queues, never inboxes, so no inbox set grows
+    // while it is walked.
     for (Copy &copy : copies_) {
         for (unsigned s = 0; s < topo_.stages(); ++s) {
-            ActiveSet &set = activeSet(copy.index, s);
-            set.forEach([&](std::uint32_t idx) {
+            WorkSet &inbox = stageSets(copy, s).inbox;
+            inbox.forEach([&](std::uint32_t idx) {
                 Node &node = copy.stage[s][idx];
-                bool busy =
-                    !node.fwdInbox.empty() || !node.revInbox.empty();
-                for (unsigned p = 0; p < cfg_.k && !busy; ++p) {
-                    busy = !node.fwd[p].queue.empty() ||
-                           !node.rev[p].queue.empty();
-                }
-                if (!busy) {
-                    // Went idle after last cycle's departures.
-                    set.clear(idx);
-                    return;
-                }
                 take_due(node.fwdInbox, copy, s, idx, true);
                 take_due(node.revInbox, copy, s, idx, false);
+                if (node.fwdInbox.empty() && node.revInbox.empty())
+                    inbox.clear(idx);
             });
         }
     }
@@ -559,20 +552,19 @@ Network::departForwardAll()
     const unsigned last = topo_.stages() - 1;
     for (unsigned s = topo_.stages(); s-- > 0;) {
         for (Copy &copy : copies_) {
-            departSnapshot_[copy.index * topo_.stages() + s].forEach(
-                [&](std::uint32_t idx) {
-                    Node &node = copy.stage[s][idx];
-                    for (unsigned p = 0; p < cfg_.k; ++p) {
-                        const unsigned port = (start + p) % cfg_.k;
-                        const OutPort &out = node.fwd[port];
-                        if (out.linkFreeAt > now_ || out.queue.empty())
-                            continue;
-                        if (s == last)
-                            departToMni(copy, idx, port);
-                        else
-                            departForwardHop(copy, s, idx, port);
-                    }
-                });
+            WorkSet &ready = stageSets(copy, s).fwdReady;
+            ready.forEachPort(cfg_.k, start, [&](std::uint32_t idx,
+                                                 unsigned port) {
+                const OutPort &out = copy.stage[s][idx].fwd[port];
+                if (out.linkFreeAt > now_)
+                    return;
+                if (s == last)
+                    departToMni(copy, idx, port);
+                else
+                    departForwardHop(copy, s, idx, port);
+                if (out.queue.empty())
+                    ready.clear(idx * cfg_.k + port);
+            });
         }
     }
 }
@@ -583,20 +575,19 @@ Network::departReverseAll()
     const unsigned start = static_cast<unsigned>(now_) % cfg_.k;
     for (unsigned s = 0; s < topo_.stages(); ++s) {
         for (Copy &copy : copies_) {
-            departSnapshot_[copy.index * topo_.stages() + s].forEach(
-                [&](std::uint32_t idx) {
-                    Node &node = copy.stage[s][idx];
-                    for (unsigned p = 0; p < cfg_.k; ++p) {
-                        const unsigned port = (start + p) % cfg_.k;
-                        const OutPort &out = node.rev[port];
-                        if (out.linkFreeAt > now_ || out.queue.empty())
-                            continue;
-                        if (s == 0)
-                            departToPe(copy, idx, port);
-                        else
-                            departReverseHop(copy, s, idx, port);
-                    }
-                });
+            WorkSet &ready = stageSets(copy, s).revReady;
+            ready.forEachPort(cfg_.k, start, [&](std::uint32_t idx,
+                                                 unsigned port) {
+                const OutPort &out = copy.stage[s][idx].rev[port];
+                if (out.linkFreeAt > now_)
+                    return;
+                if (s == 0)
+                    departToPe(copy, idx, port);
+                else
+                    departReverseHop(copy, s, idx, port);
+                if (out.queue.empty())
+                    ready.clear(idx * cfg_.k + port);
+            });
         }
     }
 }
@@ -660,10 +651,6 @@ Network::processMnis(Copy &copy)
                 have_space = acquireSpace(mni.claimId, mni.claimPkts,
                                           mni.claimTarget, rev_queue,
                                           reply_packets);
-                if (!have_space) {
-                    // The claim is serviced as the rev queue drains.
-                    activateNode(copy, last, sw_idx);
-                }
             }
             if (have_space) {
                 mni.pending.dequeue();
@@ -684,7 +671,7 @@ Network::processMnis(Copy &copy)
                 msg->packets = reply_packets;
                 entry_node.revInbox.push_back(
                     {msg, now_ + kMmAccessTime + 1});
-                activateNode(copy, last, sw_idx);
+                markInbox(copy, last, sw_idx);
                 mni.serviceFreeAt =
                     now_ + std::max<Cycle>(kMmAccessTime, reply_packets);
                 ++stats_.mmServed;
@@ -789,7 +776,6 @@ Network::tick(std::uint64_t &mark)
     lap(prof::Phase::NetMni);
     arrivalPhase();
     lap(prof::Phase::NetArrival);
-    departSnapshot_ = active_;
     departForwardAll();
     lap(prof::Phase::NetSweepFwd);
     departReverseAll();
@@ -907,6 +893,37 @@ Network::resetStats()
     const auto stages = stats_.combinesPerStage.size();
     stats_ = NetStats{};
     stats_.combinesPerStage.assign(stages, 0);
+}
+
+Network::WorkSetAudit
+Network::workSetAudit() const
+{
+    WorkSetAudit audit;
+    for (const Copy &copy : copies_) {
+        for (unsigned s = 0; s < topo_.stages(); ++s) {
+            const StageSets &sets =
+                sets_[static_cast<std::size_t>(copy.index) *
+                          topo_.stages() +
+                      s];
+            for (std::uint32_t idx = 0; idx < copy.stage[s].size();
+                 ++idx) {
+                const Node &node = copy.stage[s][idx];
+                const bool held =
+                    !node.fwdInbox.empty() || !node.revInbox.empty();
+                audit.inboxMismatches += held != sets.inbox.test(idx);
+                for (unsigned p = 0; p < cfg_.k; ++p) {
+                    const std::uint32_t b = idx * cfg_.k + p;
+                    audit.portMismatches +=
+                        !node.fwd[p].queue.empty() !=
+                        sets.fwdReady.test(b);
+                    audit.portMismatches +=
+                        !node.rev[p].queue.empty() !=
+                        sets.revReady.test(b);
+                }
+            }
+        }
+    }
+    return audit;
 }
 
 std::uint64_t

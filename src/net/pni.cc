@@ -55,14 +55,22 @@ PniArray::request(PEId pe, Op op, Addr vaddr, Word data)
 void
 PniArray::tick()
 {
-    // Merge new activations, then sort so the network sees injection
-    // attempts in PE-id order.  Delivery and kill-retry activations
-    // arrive in network order, so the sort is needed even though PEs
-    // step in id order.
-    activePes_.insert(activePes_.end(), pendingActive_.begin(),
-                      pendingActive_.end());
-    pendingActive_.clear();
-    std::sort(activePes_.begin(), activePes_.end());
+    // Merge new activations so the network sees injection attempts in
+    // PE-id order.  Delivery and kill-retry activations arrive in
+    // network order, so the new ones are sorted even though PEs step
+    // in id order; activePes_ stays sorted through the compaction
+    // below, and the inActiveList flag keeps the two lists disjoint.
+    if (!pendingActive_.empty()) {
+        std::sort(pendingActive_.begin(), pendingActive_.end());
+        const auto old_end =
+            static_cast<std::ptrdiff_t>(activePes_.size());
+        activePes_.insert(activePes_.end(), pendingActive_.begin(),
+                          pendingActive_.end());
+        pendingActive_.clear();
+        std::inplace_merge(activePes_.begin(),
+                           activePes_.begin() + old_end,
+                           activePes_.end());
+    }
 
     const Cycle now = network_.now();
     std::size_t keep = 0;

@@ -146,9 +146,9 @@ class PniArray
     const mem::AddressHash &hash_;
     std::vector<PeState> pes_;
     std::vector<PEId> activePes_;
-    /** PEs activated since the last tick(), which merges them into
-     *  activePes_ and sorts.  Entries left by a run's final network
-     *  tick carry over to the next run. */
+    /** PEs activated since the last tick(), which sorts them and
+     *  merges them into activePes_ (kept sorted).  Entries left by a
+     *  run's final network tick carry over to the next run. */
     std::vector<PEId> pendingActive_;
     PniStats stats_;
     CompleteFn completeFn_;

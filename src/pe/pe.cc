@@ -72,6 +72,20 @@ Pe::runnable(Cycle now) const
     return false;
 }
 
+Cycle
+Pe::wakeAt() const
+{
+    Cycle least = kNeverCycle;
+    for (const Context &ctx : contexts_) {
+        if (ctx.task.valid() && !ctx.task.done() &&
+            ctx.state == State::Ready) {
+            least = std::min(least, ctx.readyAt);
+        }
+    }
+    return least == kNeverCycle ? kNeverCycle
+                                : std::max(peFreeAt_, least);
+}
+
 void
 Pe::step(Cycle now)
 {

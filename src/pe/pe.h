@@ -217,6 +217,15 @@ class Pe
     /** True when some context can execute at @p now. */
     bool runnable(Cycle now) const;
 
+    /**
+     * The first cycle at which runnable() can hold with no further
+     * completion: the later of the pipeline's free time and the least
+     * readyAt of the ready, unfinished contexts; kNeverCycle when no
+     * context is ready.  runnable(c) == (wakeAt() <= c) for every c
+     * until the next step() or onComplete().
+     */
+    Cycle wakeAt() const;
+
     /** Resume one ready context until its next suspension. */
     void step(Cycle now);
 

@@ -4,11 +4,13 @@
  * memory operations (sections 3.2, 3.4): contexts share the pipeline,
  * waiting time is recovered, k-fold multiprogramming behaves like k
  * PEs of relative performance 1/k, and cached loads/stores hit, miss,
- * write back, flush and release correctly against central memory.
+ * write back, flush and release correctly against central memory,
+ * and every PE's wake cycle agrees with its runnable() test.
  */
 
 #include <gtest/gtest.h>
 
+#include "apps/tred2.h"
 #include "core/coord.h"
 #include "core/machine.h"
 
@@ -170,6 +172,44 @@ TEST(MultiprogramTest, FencesAreIsolatedPerContext)
     });
     ASSERT_TRUE(machine.run());
     EXPECT_TRUE(b_fenced_early);
+}
+
+TEST(MultiprogramTest, WakeCycleMatchesRunnableAtEveryBoundary)
+{
+    // Machine::run steps a PE only in the cycles its wake cycle says
+    // it can run.  Check Pe::wakeAt() against runnable() at every cycle
+    // boundary of a multiprogrammed TRED2 (two contexts per PE, with
+    // prefetched loads, posted stores and fences), where contexts
+    // block, wake and take turns on one pipeline.
+    Machine machine(testConfig());
+    std::uint64_t checked = 0;
+    std::uint64_t waiting = 0; // boundaries with a PE not yet due
+    std::uint64_t mismatches = 0;
+    machine.setCycleHook([&](Cycle c) {
+        for (PEId id = 0; id < machine.numPes(); ++id) {
+            const Pe &pe = machine.peAt(id);
+            if (!pe.hasTask())
+                continue;
+            const Cycle wake = pe.wakeAt();
+            ++checked;
+            waiting += wake > c && wake != kNeverCycle;
+            if (pe.runnable(c) != (wake <= c)) {
+                if (++mismatches <= 5) {
+                    ADD_FAILURE() << "PE " << id << " at cycle " << c
+                                  << ": runnable " << pe.runnable(c)
+                                  << ", wakeAt " << wake;
+                }
+            }
+        }
+    });
+    const std::size_t n = 12;
+    const auto a = apps::randomSymmetric(n, 3);
+    const auto result = apps::tred2Parallel(machine, 16, a, n, 2);
+    EXPECT_TRUE(apps::tridiagonalConsistent(a, n, result.tri, 1e-9));
+    EXPECT_EQ(machine.peAt(0).numContexts(), 2u);
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(checked, 8u * static_cast<std::uint64_t>(result.cycles) / 2);
+    EXPECT_GT(waiting, 0u);
 }
 
 // --------------------------------------------------------- cached PE ops

@@ -12,8 +12,11 @@ builds its own sources under its own CARGO_TARGET_DIR, so the two
 builds never share objects.
 
 For each workload and each gated metric (`wall_s`, `peak_rss_mb`) it
-prints the base and head medians and fails (exit 1) when the head
-median is worse than the base median by more than the metric's bound.
+prints the base and head medians, each side's min-max spread and each
+pair's head/base ratio, and fails (exit 1) when the head median is
+worse than the base median by more than the metric's bound.  The
+spread and the pair ratios show whether a verdict rests on host noise:
+on a busy host one run can move by more than the bound.
 The direction ("better": "lower" or "higher") and the bound of each
 metric come from BENCHMARK.json, which it reads and never writes.  A
 run that fails its output check, or any other error, exits 2.
@@ -102,22 +105,28 @@ def main():
     print(f"perf_ab: base {base_rev[:12]} vs head, {PAIRS} pairs of "
           f"{RUN_SECONDS} s; bounds {bounds}")
     print(f"{'workload':<14} {'metric':<12} {'base median':>12} "
-          f"{'head median':>12} {'head/base':>10}  verdict")
+          f"{'head median':>12} {'head/base':>10} {'base min-max':>17} "
+          f"{'head min-max':>17}  verdict")
     worse = []
     for w in workloads:
         for m in METRICS:
             better, bound = gates[m]
-            base = statistics.median(runs[(w, "base", m)])
-            head = statistics.median(runs[(w, "head", m)])
+            base_runs = runs[(w, "base", m)]
+            head_runs = runs[(w, "head", m)]
+            base = statistics.median(base_runs)
+            head = statistics.median(head_runs)
             ok = head <= base * (1.0 + bound) if better == "lower" \
                 else head >= base * (1.0 - bound)
             if not ok:
                 worse.append(f"{w} {m}")
+            spread = [f"{min(v):.4f}-{max(v):.4f}"
+                      for v in (base_runs, head_runs)]
             print(f"{w:<14} {m:<12} {base:>12.4f} {head:>12.4f} "
-                  f"{head / base:>10.3f}  {'ok' if ok else 'WORSE'}")
-            for side in ("base", "head"):
-                values = ", ".join(f"{x:.4f}" for x in runs[(w, side, m)])
-                print(f"  {side} runs: {values}")
+                  f"{head / base:>10.3f} {spread[0]:>17} {spread[1]:>17}"
+                  f"  {'ok' if ok else 'WORSE'}")
+            ratios = ", ".join(f"{h / b:.3f}"
+                               for b, h in zip(base_runs, head_runs))
+            print(f"  pairs head/base: {ratios}")
     if worse:
         print(f"perf_ab: head is worse than base beyond the bound on: "
               f"{', '.join(worse)}")
