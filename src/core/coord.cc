@@ -1,15 +1,9 @@
 #include "coord.h"
 
+#include "core/machine.h"
+
 namespace ultra::core
 {
-
-namespace
-{
-
-/** Cycles of local work between polls of a shared flag. */
-constexpr std::uint64_t kPollBackoffInstr = 4;
-
-} // namespace
 
 ParallelQueue
 ParallelQueue::create(Machine &machine, Word size)
@@ -28,101 +22,6 @@ ParallelQueue::create(Machine &machine, Word size)
     return queue;
 }
 
-pe::Task
-tirTask(pe::Pe &pe, Addr s, Word delta, Word bound, bool *ok_out)
-{
-    // Initial test: without it, failed attempts under heavy contention
-    // would let S drift arbitrarily far past the bound (the "race
-    // conditions" remark in the appendix).
-    const Word current = co_await pe.load(s);
-    if (current + delta > bound) {
-        *ok_out = false;
-        co_return;
-    }
-    const Word old_value = co_await pe.fetchAdd(s, delta);
-    if (old_value + delta <= bound) {
-        *ok_out = true;
-        co_return;
-    }
-    const Word undone = co_await pe.fetchAdd(s, -delta);
-    (void)undone;
-    *ok_out = false;
-}
-
-pe::Task
-tdrTask(pe::Pe &pe, Addr s, Word delta, bool *ok_out)
-{
-    const Word current = co_await pe.load(s);
-    if (current - delta < 0) {
-        *ok_out = false;
-        co_return;
-    }
-    const Word old_value = co_await pe.fetchAdd(s, -delta);
-    if (old_value - delta >= 0) {
-        *ok_out = true;
-        co_return;
-    }
-    const Word undone = co_await pe.fetchAdd(s, delta);
-    (void)undone;
-    *ok_out = false;
-}
-
-pe::Task
-queueInsert(pe::Pe &pe, ParallelQueue queue, Word value,
-            bool *overflow_out)
-{
-    bool claimed = false;
-    co_await tirTask(pe, queue.upper, 1, queue.size, &claimed);
-    if (!claimed) {
-        *overflow_out = true;
-        co_return;
-    }
-    const Word my = co_await pe.fetchAdd(queue.insPtr, 1);
-    const Word cell = my % queue.size;
-    const Word round = my / queue.size;
-    // Wait turn at MyI: cell must have been emptied `round` times.
-    // (Awaits are hoisted out of loop conditions throughout this file;
-    // see the GCC note in pe/task.h.)
-    while (true) {
-        const Word emptied = co_await pe.load(queue.delSeq + cell);
-        if (emptied >= round)
-            break;
-        co_await pe.compute(kPollBackoffInstr);
-    }
-    co_await pe.store(queue.data + cell, value);
-    co_await pe.store(queue.insSeq + cell, round + 1);
-    const Word was = co_await pe.fetchAdd(queue.lower, 1);
-    (void)was;
-    *overflow_out = false;
-}
-
-pe::Task
-queueDelete(pe::Pe &pe, ParallelQueue queue, Word *value_out,
-            bool *underflow_out)
-{
-    bool claimed = false;
-    co_await tdrTask(pe, queue.lower, 1, &claimed);
-    if (!claimed) {
-        *underflow_out = true;
-        co_return;
-    }
-    const Word my = co_await pe.fetchAdd(queue.delPtr, 1);
-    const Word cell = my % queue.size;
-    const Word round = my / queue.size;
-    // Wait turn at MyD: the round's insertion must have completed.
-    while (true) {
-        const Word filled = co_await pe.load(queue.insSeq + cell);
-        if (filled >= round + 1)
-            break;
-        co_await pe.compute(kPollBackoffInstr);
-    }
-    *value_out = co_await pe.load(queue.data + cell);
-    co_await pe.store(queue.delSeq + cell, round + 1);
-    const Word was = co_await pe.fetchAdd(queue.upper, -1);
-    (void)was;
-    *underflow_out = false;
-}
-
 Barrier
 Barrier::create(Machine &machine, Word parties)
 {
@@ -134,26 +33,6 @@ Barrier::create(Machine &machine, Word parties)
     return barrier;
 }
 
-pe::Task
-barrierWait(pe::Pe &pe, Barrier barrier, Word *local_sense)
-{
-    const Word my_sense = 1 - *local_sense;
-    const Word arrived = co_await pe.fetchAdd(barrier.count, 1);
-    if (arrived == barrier.parties - 1) {
-        // Last arrival: reset and release the episode.
-        co_await pe.store(barrier.count, 0);
-        co_await pe.store(barrier.sense, my_sense);
-    } else {
-        while (true) {
-            const Word sense = co_await pe.load(barrier.sense);
-            if (sense == my_sense)
-                break;
-            co_await pe.compute(kPollBackoffInstr);
-        }
-    }
-    *local_sense = my_sense;
-}
-
 RwLock
 RwLock::create(Machine &machine)
 {
@@ -163,62 +42,6 @@ RwLock::create(Machine &machine)
     lock.wticket = machine.allocShared(1, "rw.wticket");
     lock.wserving = machine.allocShared(1, "rw.wserving");
     return lock;
-}
-
-pe::Task
-readerLock(pe::Pe &pe, RwLock lock)
-{
-    while (true) {
-        const Word was = co_await pe.fetchAdd(lock.readers, 1);
-        (void)was;
-        const Word writer_active = co_await pe.load(lock.writer);
-        if (writer_active == 0)
-            co_return; // no writer: fully parallel entry
-        const Word undo = co_await pe.fetchAdd(lock.readers, -1);
-        (void)undo;
-        while (true) {
-            const Word writer_now = co_await pe.load(lock.writer);
-            if (writer_now == 0)
-                break;
-            co_await pe.compute(kPollBackoffInstr);
-        }
-    }
-}
-
-pe::Task
-readerUnlock(pe::Pe &pe, RwLock lock)
-{
-    const Word was = co_await pe.fetchAdd(lock.readers, -1);
-    (void)was;
-}
-
-pe::Task
-writerLock(pe::Pe &pe, RwLock lock)
-{
-    // Writers are inherently serial: FIFO tickets among themselves.
-    const Word ticket = co_await pe.fetchAdd(lock.wticket, 1);
-    while (true) {
-        const Word serving = co_await pe.load(lock.wserving);
-        if (serving == ticket)
-            break;
-        co_await pe.compute(kPollBackoffInstr);
-    }
-    co_await pe.store(lock.writer, 1);
-    // Drain readers that entered before the flag went up.
-    while (true) {
-        const Word readers_now = co_await pe.load(lock.readers);
-        if (readers_now == 0)
-            break;
-        co_await pe.compute(kPollBackoffInstr);
-    }
-}
-
-pe::Task
-writerUnlock(pe::Pe &pe, RwLock lock)
-{
-    co_await pe.store(lock.writer, 0);
-    const Word was = co_await pe.fetchAdd(lock.wserving, 1);
-    (void)was;
 }
 
 } // namespace ultra::core
