@@ -1,15 +1,17 @@
 /**
  * @file
- * ultracheck -- serialization-principle verifier for the ultra::rt
- * coordination primitives (see src/check/serial.h and DESIGN.md
- * "Verifying correctness").
+ * ultracheck -- serialization-principle verifier for the simulator's
+ * own core::coord coordination algorithms (see src/check/serial.h and
+ * DESIGN.md "Verifying the serialization principle").
  *
- * Exhaustively enumerates every interleaving of the paracomputer-step
- * models of fetch-and-add, the appendix's TIR/TDR parallel queue, the
- * readers-writers solution and the sense-reversing barrier on a 2-4 PE
- * paracomputer, checking that each outcome linearizes to some serial
- * order (the section-2.2 serialization principle) and that every
- * reachable state satisfies the algorithm's invariants.
+ * Runs the coord coroutines -- the appendix's TIR/TDR parallel queue,
+ * the readers-writers solution and the sense-reversing barrier that
+ * the applications use -- plus fetch-and-add itself on a check-side
+ * port over a 2-4 PE paracomputer, exhaustively enumerates every
+ * interleaving of their memory actions, and checks that each outcome
+ * linearizes to some serial order (the section-2.2 serialization
+ * principle) and that every reachable state satisfies the algorithm's
+ * invariants.
  *
  * Usage:
  *   ultracheck [--suite fa|queue|rw|barrier|all] [--pes N]
@@ -34,12 +36,10 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/models.h"
-#include "check/serial.h"
+#include "check/programs.h"
 #include "common/cli.h"
 
 namespace
@@ -64,25 +64,24 @@ struct RunConfig
     std::uint64_t seed = 1;
 };
 
-/** Verify one model; prints a PASS/FAIL line.  @return pass? */
+/** Verify one program; prints a PASS/FAIL line.  @return pass? */
 bool
-runModel(const Model &model, const RunConfig &cfg, bool expect_violation)
+runProgram(const Program &program, const RunConfig &cfg,
+           bool expect_violation)
 {
-    ExploreResult res = explore(model, cfg.opts);
-    bool sampled_ok = true;
+    ExploreResult res = explore(program, cfg.opts);
     if (cfg.randomWalkCount != 0) {
         const ExploreResult walk =
-            randomWalks(model, cfg.randomWalkCount, cfg.seed);
-        sampled_ok = walk.violations.empty();
+            randomWalks(program, cfg.randomWalkCount, cfg.seed);
         res.statesExplored += walk.statesExplored;
         for (const std::string &v : walk.violations)
             res.violations.push_back("(random walk) " + v);
     }
 
-    const bool found = !res.violations.empty() || !sampled_ok;
-    const bool pass = expect_violation ? found : (found ? false : true);
+    const bool found = !res.violations.empty();
+    const bool pass = found == expect_violation;
     std::printf("%-34s %s  states=%llu schedules=%llu pruned=%llu%s\n",
-                model.name().c_str(),
+                program.name.c_str(),
                 pass ? (expect_violation ? "CAUGHT" : "PASS") : "FAIL",
                 static_cast<unsigned long long>(res.statesExplored),
                 static_cast<unsigned long long>(res.schedules),
@@ -119,7 +118,7 @@ runFetchAdd(unsigned max_pes, const RunConfig &cfg)
 {
     bool ok = true;
     for (unsigned p = 2; p <= max_pes; ++p)
-        ok = runModel(*makeFetchAddModel(p), cfg, false) && ok;
+        ok = runProgram(makeFetchAdd(p), cfg, false) && ok;
     return ok;
 }
 
@@ -130,8 +129,8 @@ runQueue(unsigned max_pes, const RunConfig &cfg)
     for (unsigned p = 2; p <= max_pes; ++p) {
         for (const std::string &shape : roleShapes(p, 'i', 'd')) {
             for (unsigned capacity : {1u, 2u}) {
-                ok = runModel(*makeParallelQueueModel(shape, capacity),
-                              cfg, false) &&
+                ok = runProgram(makeParallelQueue(shape, capacity), cfg,
+                                false) &&
                      ok;
             }
         }
@@ -145,7 +144,7 @@ runReadersWriters(unsigned max_pes, const RunConfig &cfg)
     bool ok = true;
     for (unsigned p = 2; p <= max_pes; ++p)
         for (const std::string &shape : roleShapes(p, 'r', 'w'))
-            ok = runModel(*makeReadersWritersModel(shape), cfg, false) && ok;
+            ok = runProgram(makeReadersWriters(shape), cfg, false) && ok;
     return ok;
 }
 
@@ -155,7 +154,7 @@ runBarrier(unsigned max_pes, const RunConfig &cfg)
     bool ok = true;
     for (unsigned p = 2; p <= max_pes; ++p)
         for (unsigned episodes : {1u, 2u})
-            ok = runModel(*makeBarrierModel(p, episodes), cfg, false) && ok;
+            ok = runProgram(makeBarrier(p, episodes), cfg, false) && ok;
     return ok;
 }
 
@@ -191,7 +190,7 @@ main(int argc, char **argv)
         std::printf("demonstration: load-then-store counter "
                     "(NOT serializable)\n");
         const bool caught =
-            runModel(*makeBrokenCounter(2), cfg, /*expect_violation=*/true);
+            runProgram(makeBrokenCounter(2), cfg, /*expect_violation=*/true);
         return caught ? 0 : 1;
     }
 
