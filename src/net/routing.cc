@@ -19,52 +19,6 @@ OmegaTopology::OmegaTopology(std::uint32_t n, unsigned k)
     mask_ = n - 1;
 }
 
-std::uint32_t
-OmegaTopology::shuffle(std::uint32_t line) const
-{
-    const unsigned total_bits = stages_ * kBits_;
-    return ((line << kBits_) & mask_) | (line >> (total_bits - kBits_));
-}
-
-std::uint32_t
-OmegaTopology::unshuffle(std::uint32_t line) const
-{
-    const unsigned total_bits = stages_ * kBits_;
-    return (line >> kBits_) |
-           ((line & (k_ - 1)) << (total_bits - kBits_));
-}
-
-unsigned
-OmegaTopology::routeDigit(std::uint32_t x, unsigned s) const
-{
-    ULTRA_ASSERT(s < stages_);
-    return (x >> ((stages_ - 1 - s) * kBits_)) & (k_ - 1);
-}
-
-OmegaTopology::Port
-OmegaTopology::intoStage(std::uint32_t line, unsigned s) const
-{
-    (void)s; // the wiring is the same shuffle before every stage
-    const std::uint32_t y = shuffle(line);
-    return {y >> kBits_, static_cast<unsigned>(y & (k_ - 1))};
-}
-
-std::uint32_t
-OmegaTopology::forwardHop(std::uint32_t line, unsigned s,
-                          std::uint32_t dest) const
-{
-    const Port port = intoStage(line, s);
-    return lineFrom(port.sw, routeDigit(dest, s));
-}
-
-std::uint32_t
-OmegaTopology::reverseHop(std::uint32_t line, unsigned s,
-                          std::uint32_t origin) const
-{
-    const std::uint32_t sw = line >> kBits_;
-    return unshuffle(lineFrom(sw, routeDigit(origin, s)));
-}
-
 void
 OmegaTopology::tracePath(std::uint32_t pe, std::uint32_t mm,
                          std::uint32_t *lines_out) const

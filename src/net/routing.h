@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "common/log.h"
 #include "common/types.h"
 
 namespace ultra::net
@@ -34,21 +35,46 @@ class OmegaTopology
     unsigned stages() const { return stages_; }
     std::uint32_t switchesPerStage() const { return n_ / k_; }
 
+    // The hop arithmetic below runs on every arrival and departure, so
+    // it is defined here where the hop functions can inline it.
+
     /** Perfect k-shuffle: rotate the base-k digits left by one. */
-    std::uint32_t shuffle(std::uint32_t line) const;
+    std::uint32_t
+    shuffle(std::uint32_t line) const
+    {
+        const unsigned total_bits = stages_ * kBits_;
+        return ((line << kBits_) & mask_) | (line >> (total_bits - kBits_));
+    }
 
     /** Inverse shuffle: rotate the base-k digits right by one. */
-    std::uint32_t unshuffle(std::uint32_t line) const;
+    std::uint32_t
+    unshuffle(std::uint32_t line) const
+    {
+        const unsigned total_bits = stages_ * kBits_;
+        return (line >> kBits_) |
+               ((line & (k_ - 1)) << (total_bits - kBits_));
+    }
 
     /** Base-k digit of @p x used for routing at stage @p s. */
-    unsigned routeDigit(std::uint32_t x, unsigned s) const;
+    unsigned
+    routeDigit(std::uint32_t x, unsigned s) const
+    {
+        ULTRA_ASSERT(s < stages_);
+        return (x >> ((stages_ - 1 - s) * kBits_)) & (k_ - 1);
+    }
 
     /**
      * Switch and input port reached at stage @p s by a message on line
      * @p line (the line between stage s-1 and s; the PE id for s = 0).
      */
     struct Port { std::uint32_t sw; unsigned port; };
-    Port intoStage(std::uint32_t line, unsigned s) const;
+    Port
+    intoStage(std::uint32_t line, unsigned s) const
+    {
+        (void)s; // the wiring is the same shuffle before every stage
+        const std::uint32_t y = shuffle(line);
+        return {y >> kBits_, static_cast<unsigned>(y & (k_ - 1))};
+    }
 
     /**
      * Line leaving stage @p s from switch @p sw, output port @p out.
@@ -63,15 +89,23 @@ class OmegaTopology
      * Forward hop: message on @p line entering stage @p s bound for MM
      * @p dest leaves on the returned line.
      */
-    std::uint32_t forwardHop(std::uint32_t line, unsigned s,
-                             std::uint32_t dest) const;
+    std::uint32_t
+    forwardHop(std::uint32_t line, unsigned s, std::uint32_t dest) const
+    {
+        const Port port = intoStage(line, s);
+        return lineFrom(port.sw, routeDigit(dest, s));
+    }
 
     /**
      * Reverse hop: reply on @p line on the MM side of stage @p s bound
      * for PE @p origin; returns the line on the PE side of stage @p s.
      */
-    std::uint32_t reverseHop(std::uint32_t line, unsigned s,
-                             std::uint32_t origin) const;
+    std::uint32_t
+    reverseHop(std::uint32_t line, unsigned s, std::uint32_t origin) const
+    {
+        const std::uint32_t sw = line >> kBits_;
+        return unshuffle(lineFrom(sw, routeDigit(origin, s)));
+    }
 
     /** The full forward path of lines: element s is the line into
      *  stage s; element D is the MM reached. */
