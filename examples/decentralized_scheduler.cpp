@@ -1,22 +1,19 @@
 /**
  * @file
- * The totally decentralized scheduler of section 2.3, twice:
- *
- *   1. on the simulated Ultracomputer -- PEs share one appendix-style
- *      parallel queue of task descriptors; idle PEs delete work,
- *      running tasks may insert more, nobody holds a lock;
- *   2. on the host -- the same algorithm on real threads via
- *      ultra::rt::Scheduler.
+ * The totally decentralized scheduler of section 2.3 on the simulated
+ * Ultracomputer: PEs share one appendix-style parallel queue of task
+ * descriptors; idle PEs delete work, running tasks may insert more,
+ * nobody holds a lock.
  *
  *   $ ./decentralized_scheduler
+ *
+ * Exits 1 unless the run finishes and every spawned task executed.
  */
 
-#include <atomic>
 #include <cstdio>
 
 #include "core/machine.h"
 #include "core/task_pool.h"
-#include "rt/scheduler.h"
 
 using namespace ultra;
 using core::Machine;
@@ -24,17 +21,14 @@ using core::MachineConfig;
 using pe::Pe;
 using pe::Task;
 
-namespace
-{
-
-/**
- * Simulated version, using the core::TaskPool library: descriptors
- * encode remaining spawn depth; executing a task of depth d > 0
- * submits two children of depth d - 1.  Every PE runs the same worker
- * loop -- there is no dispatcher and no scheduler lock.
+/*
+ * Descriptors encode remaining spawn depth; executing a task of depth
+ * d > 0 submits two children of depth d - 1 to the core::TaskPool.
+ * Every PE runs the same worker loop -- there is no dispatcher and no
+ * scheduler lock.
  */
-void
-simulatedScheduler()
+int
+main()
 {
     MachineConfig config = MachineConfig::small(16);
     Machine machine(config);
@@ -60,41 +54,11 @@ simulatedScheduler()
     });
 
     const bool finished = machine.run();
-    std::printf("[simulated] finished=%d tasks executed=%lld "
-                "(expected %lld), %llu cycles\n",
-                finished,
-                static_cast<long long>(machine.peek(pool.executed)),
+    const Word executed = machine.peek(pool.executed);
+    std::printf("finished=%d tasks executed=%lld (expected %lld), "
+                "%llu cycles\n",
+                finished, static_cast<long long>(executed),
                 static_cast<long long>(total_expected),
                 static_cast<unsigned long long>(machine.now()));
-}
-
-/** Host version: the same spawning workload on real threads. */
-void
-hostScheduler()
-{
-    rt::Scheduler scheduler(4);
-    std::atomic<int> executed{0};
-
-    std::function<void(int)> task = [&](int depth) {
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (depth > 0) {
-            for (int child = 0; child < 2; ++child)
-                scheduler.submit([&, depth] { task(depth - 1); });
-        }
-    };
-    for (int r = 0; r < 12; ++r)
-        scheduler.submit([&] { task(2); });
-    scheduler.wait();
-    std::printf("[host]      tasks executed=%d (expected %d)\n",
-                executed.load(), 12 * 7);
-}
-
-} // namespace
-
-int
-main()
-{
-    simulatedScheduler();
-    hostScheduler();
-    return 0;
+    return finished && executed == total_expected ? 0 : 1;
 }

@@ -689,6 +689,33 @@ TEST(CliTest, UltracheckRejectsBadInvocations)
               0);
 }
 
+TEST(CliTest, UltracheckRandomWalksLeaveExhaustiveCountAlone)
+{
+    // `states=` is the exhaustive count; the walks' steps print in
+    // their own field.
+    const std::string out = tmpPath("check_walks.txt");
+    const std::string check =
+        std::string(ULTRACHECK_BIN) + " --suite fa --pes 2";
+    ASSERT_EQ(runCommand(check + " > " + out), 0);
+    const std::string plain = readFile(out);
+    ASSERT_EQ(runCommand(check + " --random-walks 10 > " + out), 0);
+    const std::string walked = readFile(out);
+    std::remove(out.c_str());
+
+    const auto field = [](const std::string &text,
+                          const std::string &key) {
+        const std::size_t at = text.find(" " + key + "=");
+        if (at == std::string::npos)
+            return std::string();
+        const std::size_t from = at + key.size() + 2;
+        return text.substr(from, text.find_first_of(" \n", from) - from);
+    };
+    ASSERT_FALSE(field(plain, "states").empty()) << plain;
+    EXPECT_EQ(field(walked, "states"), field(plain, "states")) << walked;
+    EXPECT_TRUE(field(plain, "walk_steps").empty()) << plain;
+    EXPECT_FALSE(field(walked, "walk_steps").empty()) << walked;
+}
+
 TEST(CliTest, UltrascopeSweepModeRendersAndRejects)
 {
     // A real four-point sweep renders a per-point table...

@@ -304,6 +304,46 @@ TEST(CoordTest, ReadersWritersExclusion)
         << "a reader observed a half-finished write";
 }
 
+/** Cycles for @p pes PEs to each insert once and then delete once on
+ *  one queue of capacity @p pes (the coord_scaling bench's shape). */
+Cycle
+queueInsertDeleteCycles(std::uint32_t pes, net::CombinePolicy policy)
+{
+    MachineConfig cfg = testConfig(std::max<std::uint32_t>(16, pes));
+    cfg.net.combinePolicy = policy;
+    Machine machine(cfg);
+    auto queue = core::ParallelQueue::create(machine, pes);
+    int failed = 0;
+    for (PEId p = 0; p < pes; ++p) {
+        machine.launch(p, [&, p](Pe &pe) -> Task {
+            bool overflow = false, underflow = false;
+            Word item = 0;
+            co_await core::queueInsert(pe, queue, p, &overflow);
+            co_await core::queueDelete(pe, queue, &item, &underflow);
+            failed += overflow + underflow;
+        });
+    }
+    EXPECT_TRUE(machine.run());
+    EXPECT_EQ(failed, 0);
+    return machine.now();
+}
+
+TEST(CoordTest, QueueCostStaysNearFlatWithCombining)
+{
+    // The appendix: with combining, many concurrent inserts and
+    // deletes take about the time of one.  Without combining the
+    // modules holding I, D, #Qi and #Qu serialize every F&A.
+    const Cycle one =
+        queueInsertDeleteCycles(1, net::CombinePolicy::Full);
+    const Cycle many =
+        queueInsertDeleteCycles(256, net::CombinePolicy::Full);
+    const Cycle serial =
+        queueInsertDeleteCycles(256, net::CombinePolicy::None);
+    EXPECT_LE(many, 2 * one) << "P=1: " << one << ", P=256: " << many;
+    EXPECT_GT(serial, 5 * many)
+        << "P=256 combining: " << many << ", without: " << serial;
+}
+
 TEST(MachineTest, StatsReportSummarizesRun)
 {
     Machine machine(testConfig());

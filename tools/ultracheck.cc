@@ -24,7 +24,9 @@
  *   --max-states N   exhaustive exploration budget (default 2e8)
  *   --no-reduction   disable sleep-set partial-order reduction
  *   --random-walks K after each exhaustive run, also sample K random
- *                    schedules (coverage cross-check; default 0)
+ *                    schedules (coverage cross-check; default 0); their
+ *                    steps print as walk_steps=, and a walk cut at the
+ *                    depth cap fails the run
  *   --seed S         random-walk seed (default 1)
  *   --demo-bug       run the intentionally broken load-then-store
  *                    counter and show the verifier catching it
@@ -70,28 +72,35 @@ runProgram(const Program &program, const RunConfig &cfg,
            bool expect_violation)
 {
     ExploreResult res = explore(program, cfg.opts);
+    // Random walks are reported beside the exhaustive run, never summed
+    // into it: `states=` is always the exhaustive count.
+    ExploreResult walk;
     if (cfg.randomWalkCount != 0) {
-        const ExploreResult walk =
-            randomWalks(program, cfg.randomWalkCount, cfg.seed);
-        res.statesExplored += walk.statesExplored;
+        walk = randomWalks(program, cfg.randomWalkCount, cfg.seed);
         for (const std::string &v : walk.violations)
             res.violations.push_back("(random walk) " + v);
     }
 
+    // Truncation (state/depth/violation-cap limits, in the exhaustive
+    // run or a walk) invalidates a verification pass; a demo run that
+    // already found its expected violation merely stopped collecting
+    // early.
     const bool found = !res.violations.empty();
-    const bool pass = found == expect_violation;
-    std::printf("%-34s %s  states=%llu schedules=%llu pruned=%llu%s\n",
+    const bool truncated = res.truncated || walk.truncated;
+    const bool pass = found == expect_violation && (found || !truncated);
+    const std::string walk_steps =
+        cfg.randomWalkCount != 0
+            ? " walk_steps=" + std::to_string(walk.statesExplored)
+            : "";
+    std::printf("%-34s %s  states=%llu schedules=%llu pruned=%llu%s%s%s\n",
                 program.name.c_str(),
                 pass ? (expect_violation ? "CAUGHT" : "PASS") : "FAIL",
                 static_cast<unsigned long long>(res.statesExplored),
                 static_cast<unsigned long long>(res.schedules),
                 static_cast<unsigned long long>(res.sleepPruned),
-                res.truncated ? "  (TRUNCATED: raise --max-states)" : "");
-    // Truncation (state/depth/violation-cap limits) invalidates a
-    // verification pass; a demo run that already found its expected
-    // violation merely stopped collecting early.
-    if (res.truncated && !(expect_violation && found))
-        return false;
+                walk_steps.c_str(),
+                res.truncated ? "  (TRUNCATED: raise --max-states)" : "",
+                walk.truncated ? "  (WALK TRUNCATED at the depth cap)" : "");
     const std::size_t show = expect_violation ? 1 : res.violations.size();
     for (std::size_t i = 0; i < show && i < res.violations.size(); ++i)
         std::printf("    %s %s\n", expect_violation ? "found:" : "VIOLATION:",
