@@ -18,8 +18,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 double
 switchQueueingDelay(unsigned k, unsigned m, double p)
 {
-    ULTRA_ASSERT(k >= 2 && m >= 1);
-    ULTRA_ASSERT(p >= 0.0);
+    ULTRA_ASSERT(k >= 2, "switch degree k = ", k, " must be >= 2");
+    ULTRA_ASSERT(m >= 1, "message length m = ", m, " must be >= 1");
+    ULTRA_ASSERT(p >= 0.0, "load p = ", p, " must be >= 0");
     const double md = m;
     const double kd = k;
     if (md * p >= 1.0)
@@ -31,7 +32,7 @@ double
 transitTime(const NetworkConfig &cfg, double p)
 {
     ULTRA_ASSERT(cfg.valid(), "invalid network configuration");
-    ULTRA_ASSERT(p >= 0.0);
+    ULTRA_ASSERT(p >= 0.0, "load p = ", p, " must be >= 0");
     const double per_copy = p / static_cast<double>(cfg.d);
     const double queueing = switchQueueingDelay(cfg.k, cfg.m, per_copy);
     if (std::isinf(queueing))

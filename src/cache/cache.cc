@@ -159,12 +159,6 @@ Cache::release(Addr lo, Addr hi)
     }
 }
 
-void
-Cache::releaseAll()
-{
-    release(0, ~Addr{0});
-}
-
 std::vector<WriteBack>
 Cache::flush(Addr lo, Addr hi)
 {

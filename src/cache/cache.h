@@ -108,9 +108,6 @@ class Cache
     /** Mark entries overlapping [lo, hi] available without write-back. */
     void release(Addr lo, Addr hi);
 
-    /** Release the entire cache. */
-    void releaseAll();
-
     /** Write back (and keep, now clean) dirty words in [lo, hi]. */
     std::vector<WriteBack> flush(Addr lo, Addr hi);
 

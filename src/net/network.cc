@@ -13,6 +13,31 @@
 namespace ultra::net
 {
 
+namespace
+{
+
+/**
+ * The walk of every `{msg, at}` list (inboxes, deliveries, ideal-mode
+ * requests): hand each entry due by @p now to @p fn in list order and
+ * keep the others, still in order.  @p fn never appends to @p list
+ * itself; it may append to any other list.
+ */
+template <typename List, typename Fn>
+void
+takeDue(List &list, Cycle now, Fn &&fn)
+{
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        if (list[i].at <= now)
+            fn(list[i]);
+        else
+            list[keep++] = list[i];
+    }
+    list.resize(keep);
+}
+
+} // namespace
+
 std::uint32_t
 NetSimConfig::packetsFor(Op op, bool is_reply) const
 {
@@ -90,7 +115,6 @@ Network::Network(const NetSimConfig &cfg, mem::MemorySystem &memory)
         for (std::uint32_t i = 0; i < cfg_.numPorts; ++i)
             copy.mni.emplace_back(mmcap);
     }
-    nextCopy_.assign(cfg_.numPorts, 0);
     injectStates_.resize(cfg_.numPorts);
 
     const std::uint32_t columns = topo_.switchesPerStage();
@@ -111,7 +135,6 @@ void
 Network::activateMni(Copy &copy, MMId mm)
 {
     MniState &mni = copy.mni[mm];
-    mni.active = true;
     if (!mni.inList) {
         mni.inList = true;
         copy.activeMnis.push_back(mm);
@@ -128,10 +151,9 @@ Network::tryInject(PEId pe, Op op, Addr paddr, Word data,
     const OmegaTopology::Port entry = topo_.intoStage(pe, 0);
     const unsigned out_port = topo_.routeDigit(dest, 0);
 
-    if (cfg_.idealParacomputer) {
-        // Section 2.1: simultaneous access in a single cycle; the
-        // serialization principle is realized by executing requests in
-        // injection order at the next tick.
+    // Both paths build the request here, once it is accepted, so a
+    // refused attempt allocates no message id.
+    const auto accept = [&] {
         Message *msg = pool_.alloc();
         msg->op = op;
         msg->paddr = paddr;
@@ -141,24 +163,31 @@ Network::tryInject(PEId pe, Op op, Addr paddr, Word data,
         msg->packets = packets;
         msg->tag = tag;
         msg->injectedAt = now_;
-        // Ideal mode bypasses every stage the observatory describes;
-        // leave such messages unobserved.
-        idealPending_.push_back({msg, now_ + 1});
         ++stats_.injected;
         if (trace_)
             trace_->instant(peTrack_, pe, "inject", now_, msg->id);
+        return msg;
+    };
+
+    if (cfg_.idealParacomputer) {
+        // Section 2.1: simultaneous access in a single cycle; the
+        // serialization principle is realized by executing requests in
+        // injection order at the next tick.  Ideal mode bypasses every
+        // stage the observatory describes; leave such messages
+        // unobserved.
+        idealPending_.push_back({accept(), now_ + 1});
         return true;
     }
 
     InjectState &inj = injectStates_[pe];
     for (unsigned attempt = 0; attempt < cfg_.d; ++attempt) {
         // While a space claim is open, the PE is pinned to its copy.
-        const unsigned c = inj.claimId != 0
+        const unsigned c = inj.claim.id != 0
                                ? inj.copy
-                               : (nextCopy_[pe] + attempt) % cfg_.d;
+                               : (inj.nextCopy + attempt) % cfg_.d;
         Copy &copy = copies_[c];
         if (copy.peLinkFreeAt[pe] > now_) {
-            if (inj.claimId != 0)
+            if (inj.claim.id != 0)
                 return false;
             continue;
         }
@@ -166,56 +195,39 @@ Network::tryInject(PEId pe, Op op, Addr paddr, Word data,
         OutQueue &queue = node.fwd[out_port].queue;
         if (!cfg_.burroughsKill) {
             inj.copy = c;
-            if (!acquireSpace(inj.claimId, inj.claimPkts,
-                              inj.claimTarget, queue, packets)) {
+            if (!acquireSpace(inj.claim, queue, packets))
                 return false; // claim registered; caller retries
-            }
         }
-        Message *msg = pool_.alloc();
-        msg->op = op;
-        msg->paddr = paddr;
-        msg->data = data;
-        msg->origin = pe;
-        msg->dest = dest;
-        msg->packets = packets;
-        msg->tag = tag;
-        msg->injectedAt = now_;
+        Message *msg = accept();
         if (lat_)
             msg->lat = lat_->open(msg->id, queued_at, now_);
         copy.peLinkFreeAt[pe] = now_ + packets;
         node.fwdInbox.push_back({msg, now_ + 1});
         markInbox(copy, 0, entry.sw);
-        nextCopy_[pe] = (c + 1) % cfg_.d;
-        ++stats_.injected;
-        if (trace_)
-            trace_->instant(peTrack_, pe, "inject", now_, msg->id);
+        inj.nextCopy = (c + 1) % cfg_.d;
         return true;
     }
     return false;
 }
 
 bool
-Network::acquireSpace(std::uint64_t &claim_id, std::uint32_t &claim_pkts,
-                      OutQueue *&claim_target, OutQueue &target,
+Network::acquireSpace(SpaceClaim &claim, OutQueue &target,
                       std::uint32_t pkts)
 {
-    if (claim_id != 0 &&
-        (claim_target != &target || claim_pkts != pkts)) {
+    if (claim.id != 0 && (claim.target != &target || claim.pkts != pkts)) {
         // The head changed shape (e.g. grew by combining) or the
         // sender moved on: abandon the stale claim.
-        claim_target->cancelClaim(claim_id);
-        claim_id = 0;
+        claim.target->cancelClaim(claim.id);
+        claim.id = 0;
     }
-    if (claim_id == 0) {
+    if (claim.id == 0) {
         if (target.tryReserve(pkts))
             return true;
-        claim_id = target.openClaim(pkts);
-        claim_pkts = pkts;
-        claim_target = &target;
+        claim = {target.openClaim(pkts), pkts, &target};
     }
-    if (target.claimReady(claim_id)) {
-        target.consumeClaim(claim_id);
-        claim_id = 0;
+    if (target.claimReady(claim.id)) {
+        target.consumeClaim(claim.id);
+        claim.id = 0;
         return true;
     }
     return false;
@@ -393,37 +405,55 @@ Network::arriveReverse(Copy &copy, unsigned s, std::uint32_t idx,
     ready.set(idx * cfg_.k + port);
 }
 
+Message *
+Network::departHead(Copy &copy, unsigned s, std::uint32_t idx,
+                    unsigned port, bool forward)
+{
+    Node &node = copy.stage[s][idx];
+    OutPort &out = forward ? node.fwd[port] : node.rev[port];
+    Message *msg = out.queue.dequeue();
+    out.linkFreeAt = now_ + msg->packets;
+    if (msg->lat) {
+        if (forward) {
+            lat_->noteFwdDepart(msg->lat, s, idx, now_, msg->packets,
+                                s == topo_.stages() - 1);
+        } else {
+            lat_->noteRevDepart(msg->lat, s, idx, now_, msg->packets,
+                                s == 0);
+        }
+    }
+    if (trace_) {
+        const auto &track = forward ? fwdTrack_ : revTrack_;
+        trace_->complete(track[copy.index][s], traceLane(idx, port),
+                         mem::opName(msg->op), now_, msg->packets,
+                         msg->id);
+    }
+    return msg;
+}
+
 void
 Network::departToMni(Copy &copy, std::uint32_t idx, unsigned port)
 {
     const unsigned s = topo_.stages() - 1;
     OutPort &out = copy.stage[s][idx].fwd[port];
-    Message *msg = out.queue.head();
+    const Message *head = out.queue.head();
     // Final stage: the output line is the MM id.
-    ULTRA_ASSERT(topo_.lineFrom(idx, port) == msg->dest,
+    ULTRA_ASSERT(topo_.lineFrom(idx, port) == head->dest,
                  "routing reached MM ", topo_.lineFrom(idx, port),
-                 " but message is bound for ", msg->dest);
-    MniState &mni = copy.mni[msg->dest];
+                 " but message is bound for ", head->dest);
+    const MMId mm = head->dest;
+    MniState &mni = copy.mni[mm];
     // Burroughs mode gives the MNIs unbounded pending queues, so only
     // the queued machine needs space here.
     if (!cfg_.burroughsKill &&
-        !acquireSpace(out.claimId, out.claimPkts, out.claimTarget,
-                      mni.pending, msg->packets)) {
-        activateMni(copy, msg->dest); // claims need pumping
-        return;                       // backpressure
+        !acquireSpace(out.claim, mni.pending, head->packets)) {
+        activateMni(copy, mm); // claims need pumping
+        return;                // backpressure
     }
-    out.queue.dequeue();
-    out.linkFreeAt = now_ + msg->packets;
-    if (msg->lat)
-        lat_->noteFwdDepart(msg->lat, s, idx, now_, msg->packets, true);
-    if (trace_) {
-        trace_->complete(fwdTrack_[copy.index][s], traceLane(idx, port),
-                         mem::opName(msg->op), now_, msg->packets,
-                         msg->id);
-    }
+    Message *msg = departHead(copy, s, idx, port, true);
     // The MNI may begin service only once the tail has arrived.
     mni.inbox.push_back({msg, now_ + msg->packets});
-    activateMni(copy, msg->dest);
+    activateMni(copy, mm);
 }
 
 void
@@ -431,28 +461,19 @@ Network::departForwardHop(Copy &copy, unsigned s, std::uint32_t idx,
                           unsigned port)
 {
     OutPort &out = copy.stage[s][idx].fwd[port];
-    Message *msg = out.queue.head();
+    const Message *head = out.queue.head();
     const OmegaTopology::Port next =
         topo_.intoStage(topo_.lineFrom(idx, port), s + 1);
     Node &next_node = copy.stage[s + 1][next.sw];
-    if (!cfg_.burroughsKill) {
-        OutQueue &next_queue =
-            next_node.fwd[topo_.routeDigit(msg->dest, s + 1)].queue;
-        if (!acquireSpace(out.claimId, out.claimPkts, out.claimTarget,
-                          next_queue, msg->packets)) {
-            return; // backpressure
-        }
+    if (!cfg_.burroughsKill &&
+        !acquireSpace(
+            out.claim,
+            next_node.fwd[topo_.routeDigit(head->dest, s + 1)].queue,
+            head->packets)) {
+        return; // backpressure
     }
-    out.queue.dequeue();
-    out.linkFreeAt = now_ + msg->packets;
-    if (msg->lat)
-        lat_->noteFwdDepart(msg->lat, s, idx, now_, msg->packets, false);
-    if (trace_) {
-        trace_->complete(fwdTrack_[copy.index][s], traceLane(idx, port),
-                         mem::opName(msg->op), now_, msg->packets,
-                         msg->id);
-    }
-    next_node.fwdInbox.push_back({msg, now_ + 1});
+    next_node.fwdInbox.push_back(
+        {departHead(copy, s, idx, port, true), now_ + 1});
     markInbox(copy, s + 1, next.sw);
 }
 
@@ -461,74 +482,38 @@ Network::departReverseHop(Copy &copy, unsigned s, std::uint32_t idx,
                           unsigned port)
 {
     OutPort &out = copy.stage[s][idx].rev[port];
-    Message *msg = out.queue.head();
+    const Message *head = out.queue.head();
     // The PE-side line of this reverse output port.
     const std::uint32_t line = topo_.unshuffle(topo_.lineFrom(idx, port));
     const std::uint32_t prev_idx = line >> log2Exact(cfg_.k);
     Node &prev_node = copy.stage[s - 1][prev_idx];
-    if (!cfg_.burroughsKill) {
-        OutQueue &prev_queue =
-            prev_node.rev[topo_.routeDigit(msg->origin, s - 1)].queue;
-        if (!acquireSpace(out.claimId, out.claimPkts, out.claimTarget,
-                          prev_queue, msg->packets)) {
-            return; // backpressure
-        }
+    if (!cfg_.burroughsKill &&
+        !acquireSpace(
+            out.claim,
+            prev_node.rev[topo_.routeDigit(head->origin, s - 1)].queue,
+            head->packets)) {
+        return; // backpressure
     }
-    out.queue.dequeue();
-    out.linkFreeAt = now_ + msg->packets;
-    if (msg->lat)
-        lat_->noteRevDepart(msg->lat, s, idx, now_, msg->packets, false);
-    if (trace_) {
-        trace_->complete(revTrack_[copy.index][s], traceLane(idx, port),
-                         mem::opName(msg->op), now_, msg->packets,
-                         msg->id);
-    }
-    prev_node.revInbox.push_back({msg, now_ + 1});
+    prev_node.revInbox.push_back(
+        {departHead(copy, s, idx, port, false), now_ + 1});
     markInbox(copy, s - 1, prev_idx);
 }
 
 void
 Network::departToPe(Copy &copy, std::uint32_t idx, unsigned port)
 {
-    OutPort &out = copy.stage[0][idx].rev[port];
-    Message *msg = out.queue.head();
-    // Deliver to the PNI once the tail arrives.
+    Message *msg = departHead(copy, 0, idx, port, false);
     ULTRA_ASSERT(topo_.unshuffle(topo_.lineFrom(idx, port)) == msg->origin,
                  "reply reached PE ",
                  topo_.unshuffle(topo_.lineFrom(idx, port)),
                  " but belongs to PE ", msg->origin);
-    out.queue.dequeue();
-    out.linkFreeAt = now_ + msg->packets;
-    if (msg->lat)
-        lat_->noteRevDepart(msg->lat, 0, idx, now_, msg->packets, true);
-    if (trace_) {
-        trace_->complete(revTrack_[copy.index][0], traceLane(idx, port),
-                         mem::opName(msg->op), now_, msg->packets,
-                         msg->id);
-    }
+    // Deliver to the PNI once the tail arrives.
     deliveries_.push_back({msg, now_ + msg->packets});
 }
 
 void
 Network::arrivalPhase()
 {
-    const auto take_due = [this](std::vector<Arrival> &inbox, Copy &copy,
-                                 unsigned s, std::uint32_t idx,
-                                 bool forward) {
-        std::size_t keep = 0;
-        for (std::size_t i = 0; i < inbox.size(); ++i) {
-            if (inbox[i].at <= now_) {
-                if (forward)
-                    arriveForward(copy, s, idx, inbox[i].msg);
-                else
-                    arriveReverse(copy, s, idx, inbox[i].msg);
-            } else {
-                inbox[keep++] = inbox[i];
-            }
-        }
-        inbox.resize(keep);
-    };
-
     // Arrivals fill queues, never inboxes, so no inbox set grows
     // while it is walked.
     for (Copy &copy : copies_) {
@@ -536,8 +521,12 @@ Network::arrivalPhase()
             WorkSet &inbox = stageSets(copy, s).inbox;
             inbox.forEach([&](std::uint32_t idx) {
                 Node &node = copy.stage[s][idx];
-                take_due(node.fwdInbox, copy, s, idx, true);
-                take_due(node.revInbox, copy, s, idx, false);
+                takeDue(node.fwdInbox, now_, [&](const Arrival &arr) {
+                    arriveForward(copy, s, idx, arr.msg);
+                });
+                takeDue(node.revInbox, now_, [&](const Arrival &arr) {
+                    arriveReverse(copy, s, idx, arr.msg);
+                });
                 if (node.fwdInbox.empty() && node.revInbox.empty())
                     inbox.clear(idx);
             });
@@ -614,24 +603,17 @@ Network::processMnis(Copy &copy)
         const MMId mm = copy.activeMnis[i];
         MniState &mni = copy.mni[mm];
 
-        std::size_t keep = 0;
-        for (std::size_t j = 0; j < mni.inbox.size(); ++j) {
-            Arrival &arr = mni.inbox[j];
-            if (arr.at <= now_) {
-                arr.msg->mniArriveAt = arr.at;
-                if (arr.msg->lat)
-                    lat_->noteMniArrive(arr.msg->lat, arr.at);
-                stats_.oneWayTransit.add(static_cast<double>(
-                    arr.at - arr.msg->injectedAt));
-                if (cfg_.burroughsKill)
-                    mni.pending.enqueueUnreserved(arr.msg);
-                else
-                    mni.pending.enqueue(arr.msg);
-            } else {
-                mni.inbox[keep++] = arr;
-            }
-        }
-        mni.inbox.resize(keep);
+        takeDue(mni.inbox, now_, [&](const Arrival &arr) {
+            arr.msg->mniArriveAt = arr.at;
+            if (arr.msg->lat)
+                lat_->noteMniArrive(arr.msg->lat, arr.at);
+            stats_.oneWayTransit.add(
+                static_cast<double>(arr.at - arr.msg->injectedAt));
+            if (cfg_.burroughsKill)
+                mni.pending.enqueueUnreserved(arr.msg);
+            else
+                mni.pending.enqueue(arr.msg);
+        });
 
         if (mni.serviceFreeAt <= now_ && !mni.pending.empty()) {
             Message *msg = mni.pending.head();
@@ -643,16 +625,9 @@ Network::processMnis(Copy &copy)
             Node &entry_node = copy.stage[last][sw_idx];
             const unsigned rev_port =
                 topo_.routeDigit(msg->origin, last);
-            OutQueue &rev_queue = entry_node.rev[rev_port].queue;
-            bool have_space;
-            if (cfg_.burroughsKill) {
-                have_space = true;
-            } else {
-                have_space = acquireSpace(mni.claimId, mni.claimPkts,
-                                          mni.claimTarget, rev_queue,
-                                          reply_packets);
-            }
-            if (have_space) {
+            if (cfg_.burroughsKill ||
+                acquireSpace(mni.claim, entry_node.rev[rev_port].queue,
+                             reply_packets)) {
                 mni.pending.dequeue();
                 stats_.mmQueueWait.add(
                     static_cast<double>(now_ - msg->mniArriveAt));
@@ -677,12 +652,10 @@ Network::processMnis(Copy &copy)
                 ++stats_.mmServed;
             }
         }
-
-        mni.active = !mni.inbox.empty() || !mni.pending.empty();
     }
     std::erase_if(copy.activeMnis, [&](MMId mm) {
         MniState &mni = copy.mni[mm];
-        if (mni.active)
+        if (!mni.inbox.empty() || !mni.pending.empty())
             return false;
         mni.inList = false;
         return true;
@@ -702,51 +675,35 @@ Network::commitPhase()
 {
     // Ideal-paracomputer mode: execute and answer everything injected
     // last cycle, in injection order.
-    if (cfg_.idealParacomputer && !idealPending_.empty()) {
-        std::size_t keep_ideal = 0;
-        for (std::size_t i = 0; i < idealPending_.size(); ++i) {
-            Arrival &arr = idealPending_[i];
-            if (arr.at > now_) {
-                idealPending_[keep_ideal++] = arr;
-                continue;
-            }
-            Message *msg = arr.msg;
-            msg->data = memory_.execute(msg->op, msg->paddr, msg->data);
-            ++stats_.mmServed;
-            stats_.oneWayTransit.add(1.0);
-            makeReply(msg);
-            deliveries_.push_back({msg, now_});
-        }
-        idealPending_.resize(keep_ideal);
-    }
+    takeDue(idealPending_, now_, [&](const Arrival &arr) {
+        Message *msg = arr.msg;
+        msg->data = memory_.execute(msg->op, msg->paddr, msg->data);
+        ++stats_.mmServed;
+        stats_.oneWayTransit.add(1.0);
+        makeReply(msg);
+        deliveries_.push_back({msg, now_});
+    });
 
     // Deliveries due this cycle reach the PNIs first so reply-driven
-    // callbacks can inject in the same cycle.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < deliveries_.size(); ++i) {
-        Arrival &arr = deliveries_[i];
-        if (arr.at <= now_) {
-            Message *msg = arr.msg;
-            stats_.roundTrip.add(
-                static_cast<double>(arr.at - msg->injectedAt));
-            stats_.roundTripHist.add(arr.at - msg->injectedAt);
-            ++stats_.delivered;
-            if (msg->lat) {
-                lat_->closeDelivered(msg->lat, arr.at);
-                msg->lat = nullptr;
-            }
-            if (trace_) {
-                trace_->instant(peTrack_, msg->origin, "reply", now_,
-                                msg->requestId);
-            }
-            if (deliverFn_)
-                deliverFn_(msg->origin, msg->tag, msg->data);
-            pool_.free(msg);
-        } else {
-            deliveries_[keep++] = arr;
+    // callbacks can inject in the same cycle (ideal-mode injections
+    // land in idealPending_, never here).
+    takeDue(deliveries_, now_, [&](const Arrival &arr) {
+        Message *msg = arr.msg;
+        stats_.roundTrip.add(static_cast<double>(arr.at - msg->injectedAt));
+        stats_.roundTripHist.add(arr.at - msg->injectedAt);
+        ++stats_.delivered;
+        if (msg->lat) {
+            lat_->closeDelivered(msg->lat, arr.at);
+            msg->lat = nullptr;
         }
-    }
-    deliveries_.resize(keep);
+        if (trace_) {
+            trace_->instant(peTrack_, msg->origin, "reply", now_,
+                            msg->requestId);
+        }
+        if (deliverFn_)
+            deliverFn_(msg->origin, msg->tag, msg->data);
+        pool_.free(msg);
+    });
 }
 
 void

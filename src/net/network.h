@@ -23,7 +23,6 @@
 #ifndef ULTRA_NET_NETWORK_H
 #define ULTRA_NET_NETWORK_H
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -36,6 +35,7 @@
 #include "net/out_queue.h"
 #include "net/routing.h"
 #include "net/wait_buffer.h"
+#include "net/work_set.h"
 
 namespace ultra::obs
 {
@@ -273,16 +273,22 @@ class Network
     WorkSetAudit workSetAudit() const;
 
   private:
+    /** A sender's open space-claim for its head message on a
+     *  downstream queue (age-fair admission; see OutQueue); id 0 means
+     *  no claim is open. */
+    struct SpaceClaim
+    {
+        std::uint64_t id = 0;
+        std::uint32_t pkts = 0;
+        OutQueue *target = nullptr;
+    };
+
     struct OutPort
     {
         explicit OutPort(std::uint32_t capacity) : queue(capacity) {}
         OutQueue queue;
         Cycle linkFreeAt = 0;
-        /** Open space-claim of this port's head on its downstream
-         *  queue (age-fair admission; see OutQueue). */
-        std::uint64_t claimId = 0;
-        std::uint32_t claimPkts = 0;
-        OutQueue *claimTarget = nullptr;
+        SpaceClaim claim;
     };
 
     struct Arrival
@@ -307,11 +313,8 @@ class Network
         OutQueue pending;
         std::vector<Arrival> inbox;
         Cycle serviceFreeAt = 0;
-        bool active = false;
         bool inList = false;
-        std::uint64_t claimId = 0; //!< reply-space claim (see OutPort)
-        std::uint32_t claimPkts = 0;
-        OutQueue *claimTarget = nullptr;
+        SpaceClaim claim; //!< for the reply's reverse-path space
     };
 
     struct Copy
@@ -321,92 +324,6 @@ class Network
         std::vector<Cycle> peLinkFreeAt;      //!< injection links
         std::vector<MniState> mni;
         std::vector<MMId> activeMnis;
-    };
-
-    /**
-     * A set of small indices as a bitset: membership is O(1) and
-     * iteration visits members in ascending order, the canonical
-     * order of every sweep.
-     */
-    struct WorkSet
-    {
-        std::vector<std::uint64_t> words;
-        std::uint32_t size = 0; //!< indices run over [0, size)
-
-        explicit WorkSet(std::uint32_t n)
-            : words((n + 63) / 64, 0), size(n)
-        {}
-
-        void set(std::uint32_t idx) { words[idx >> 6] |= bit(idx); }
-        void clear(std::uint32_t idx) { words[idx >> 6] &= ~bit(idx); }
-        bool test(std::uint32_t idx) const
-        {
-            return (words[idx >> 6] & bit(idx)) != 0;
-        }
-        static std::uint64_t bit(std::uint32_t idx)
-        {
-            return std::uint64_t{1} << (idx & 63);
-        }
-
-        /** The least member in [from, to), or @p to if there is none. */
-        std::uint32_t
-        next(std::uint32_t from, std::uint32_t to) const
-        {
-            if (from >= to)
-                return to;
-            std::size_t w = from >> 6;
-            std::uint64_t bits =
-                words[w] & (~std::uint64_t{0} << (from & 63));
-            while (bits == 0) {
-                if (++w * 64 >= to)
-                    return to;
-                bits = words[w];
-            }
-            const auto idx = static_cast<std::uint32_t>(
-                w * 64 + static_cast<unsigned>(__builtin_ctzll(bits)));
-            return std::min(idx, to);
-        }
-
-        /** Call @p fn(idx) for every member, ascending; @p fn may
-         *  clear the member it is handed. */
-        template <typename Fn>
-        void
-        forEach(Fn &&fn) const
-        {
-            for (std::uint32_t i = next(0, size); i < size;
-                 i = next(i + 1, size)) {
-                fn(i);
-            }
-        }
-
-        /**
-         * Members read as (column, port) bits, column * k + port for a
-         * power of two k: call @p fn(column, port) for every member,
-         * columns ascending and each column's ports in the rotation
-         * that starts at @p start (start .. k - 1, then 0 .. start - 1).
-         * @p fn may clear the member it is handed.
-         */
-        template <typename Fn>
-        void
-        forEachPort(unsigned k, unsigned start, Fn &&fn) const
-        {
-            const auto shift = static_cast<unsigned>(__builtin_ctz(k));
-            for (std::uint32_t base = next(0, size); base < size;
-                 base = next(base + k, size)) {
-                base &= ~(k - 1);
-                const std::uint32_t column = base >> shift;
-                const std::uint32_t mid = base + start;
-                const std::uint32_t end = base + k;
-                for (std::uint32_t b = next(mid, end); b < end;
-                     b = next(b + 1, end)) {
-                    fn(column, b - base);
-                }
-                for (std::uint32_t b = next(base, mid); b < mid;
-                     b = next(b + 1, mid)) {
-                    fn(column, b - base);
-                }
-            }
-        }
     };
 
     /** The work sets of one (copy, stage).  Departures never make a
@@ -469,8 +386,17 @@ class Network
                        Message *msg);
     void arriveReverse(Copy &copy, unsigned s, std::uint32_t idx,
                        Message *msg);
+    /**
+     * The step every departure shares: dequeue the head of the ToMM
+     * (@p forward) or ToPE queue at (@p s, @p idx, @p port), hold the
+     * link for its packets, stamp its latency record and emit its
+     * trace span.  Returns the departed message.
+     */
+    Message *departHead(Copy &copy, unsigned s, std::uint32_t idx,
+                        unsigned port, bool forward);
     /* The departure functions below take a port whose link is idle
-     * and whose queue is non-empty. */
+     * and whose queue is non-empty.  Each applies its own target's
+     * backpressure rule, then hands on what departHead() dequeues. */
     /** Final forward stage: into the MNI. */
     void departToMni(Copy &copy, std::uint32_t idx, unsigned port);
     /** Non-final forward hop: stage s -> s + 1. */
@@ -488,13 +414,11 @@ class Network
 
     /**
      * Age-fair space acquisition on @p target for the head message of
-     * a sender with claim state (@p claim_id, @p claim_pkts,
-     * @p claim_target): immediate reservation when possible, else an
-     * open claim serviced in FIFO order as space frees.  Returns true
-     * once the space is reserved.
+     * a sender with @p claim: immediate reservation when possible,
+     * else an open claim serviced in FIFO order as space frees.
+     * Returns true once the space is reserved.
      */
-    bool acquireSpace(std::uint64_t &claim_id, std::uint32_t &claim_pkts,
-                      OutQueue *&claim_target, OutQueue &target,
+    bool acquireSpace(SpaceClaim &claim, OutQueue &target,
                       std::uint32_t pkts);
 
     /** Turn a serviced request into its reply (in place). */
@@ -506,10 +430,9 @@ class Network
     NetStats stats_;
     struct InjectState
     {
-        std::uint64_t claimId = 0;
-        std::uint32_t claimPkts = 0;
-        OutQueue *claimTarget = nullptr;
-        unsigned copy = 0;
+        SpaceClaim claim;
+        unsigned copy = 0;     //!< the copy an open claim pins
+        unsigned nextCopy = 0; //!< round-robin cursor over the copies
     };
 
     /** Trace lane for a stage's output queues: one tid per port. */
@@ -534,8 +457,7 @@ class Network
     /** This cycle's Burroughs arrival kills, in arrival order. */
     std::vector<Message *> kills_;
     std::vector<WaitEntry> matchScratch_;
-    std::vector<unsigned> nextCopy_; //!< per-PE round-robin cursor
-    std::vector<InjectState> injectStates_; //!< per-PE space claims
+    std::vector<InjectState> injectStates_; //!< per PE
     Cycle now_ = 0;
     DeliverFn deliverFn_;
     KillFn killFn_;

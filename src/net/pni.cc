@@ -11,7 +11,7 @@ namespace ultra::net
 PniArray::PniArray(const PniConfig &cfg, Network &network,
                    const mem::AddressHash &hash)
     : cfg_(cfg), network_(network), hash_(hash),
-      pes_(network.config().numPorts)
+      pes_(network.config().numPorts), queued_(network.config().numPorts)
 {
     network_.setDeliverCallback(
         [this](PEId pe, std::uint64_t ticket, Word value) {
@@ -20,16 +20,6 @@ PniArray::PniArray(const PniConfig &cfg, Network &network,
     network_.setKillCallback([this](PEId pe, std::uint64_t ticket) {
         onKill(pe, ticket);
     });
-}
-
-void
-PniArray::activate(PEId pe)
-{
-    PeState &state = pes_[pe];
-    if (!state.inActiveList) {
-        state.inActiveList = true;
-        pendingActive_.push_back(pe);
-    }
 }
 
 std::uint64_t
@@ -45,7 +35,7 @@ PniArray::request(PEId pe, Op op, Addr vaddr, Word data)
     req.queuedAt = network_.now();
     req.notBefore = 0;
     state.issueQueue.push_back(req);
-    activate(pe);
+    queued_.set(pe);
     ++state.requested;
     if (requestProbe_)
         requestProbe_(pe, op, vaddr, data);
@@ -55,27 +45,10 @@ PniArray::request(PEId pe, Op op, Addr vaddr, Word data)
 void
 PniArray::tick()
 {
-    // Merge new activations so the network sees injection attempts in
-    // PE-id order.  Delivery and kill-retry activations arrive in
-    // network order, so the new ones are sorted even though PEs step
-    // in id order; activePes_ stays sorted through the compaction
-    // below, and the inActiveList flag keeps the two lists disjoint.
-    if (!pendingActive_.empty()) {
-        std::sort(pendingActive_.begin(), pendingActive_.end());
-        const auto old_end =
-            static_cast<std::ptrdiff_t>(activePes_.size());
-        activePes_.insert(activePes_.end(), pendingActive_.begin(),
-                          pendingActive_.end());
-        pendingActive_.clear();
-        std::inplace_merge(activePes_.begin(),
-                           activePes_.begin() + old_end,
-                           activePes_.end());
-    }
-
+    // The network sees injection attempts in PE-id order.  Nothing
+    // the walk calls sets a bit: tryInject() fires no callback.
     const Cycle now = network_.now();
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < activePes_.size(); ++i) {
-        const PEId pe = activePes_[i];
+    queued_.forEach([&](PEId pe) {
         PeState &state = pes_[pe];
 
         // FIFO issue: push the head into the network while constraints
@@ -106,13 +79,9 @@ PniArray::tick()
             state.issueQueue.pop_front();
         }
 
-        if (state.issueQueue.empty()) {
-            state.inActiveList = false;
-        } else {
-            activePes_[keep++] = pe;
-        }
-    }
-    activePes_.resize(keep);
+        if (state.issueQueue.empty())
+            queued_.clear(pe);
+    });
 }
 
 void
@@ -213,7 +182,7 @@ PniArray::onDeliver(PEId pe, std::uint64_t ticket, Word value)
         static_cast<double>(network_.now() - req.queuedAt));
     // The issue queue may have been blocked on this completion.
     if (!state.issueQueue.empty())
-        activate(pe);
+        queued_.set(pe);
     if (completeFn_)
         completeFn_(pe, ticket, value);
 }
@@ -225,7 +194,7 @@ PniArray::onKill(PEId pe, std::uint64_t ticket)
     QueuedReq req = takeOutstanding(pe, ticket, "kill");
     req.notBefore = network_.now() + cfg_.killRetryDelay;
     state.issueQueue.push_front(req);
-    activate(pe);
+    queued_.set(pe);
     ++stats_.retries;
 }
 

@@ -26,6 +26,7 @@
 #include "common/types.h"
 #include "mem/address_hash.h"
 #include "net/network.h"
+#include "net/work_set.h"
 
 namespace ultra::net
 {
@@ -126,7 +127,6 @@ class PniArray
          *  (8 by default), so lookups by ticket or address are short
          *  linear scans. */
         std::vector<QueuedReq> outstanding;
-        bool inActiveList = false;
         /** Tickets are per-PE: the network routes replies by (pe,
          *  ticket), so uniqueness per PE suffices, and a per-PE counter
          *  keeps ticket values independent of cross-PE request order. */
@@ -134,7 +134,6 @@ class PniArray
         std::uint64_t requested = 0;
     };
 
-    void activate(PEId pe);
     /** Remove and return @p pe's outstanding request @p ticket. */
     QueuedReq takeOutstanding(PEId pe, std::uint64_t ticket,
                               const char *what);
@@ -145,11 +144,10 @@ class PniArray
     Network &network_;
     const mem::AddressHash &hash_;
     std::vector<PeState> pes_;
-    std::vector<PEId> activePes_;
-    /** PEs activated since the last tick(), which sorts them and
-     *  merges them into activePes_ (kept sorted).  Entries left by a
-     *  run's final network tick carry over to the next run. */
-    std::vector<PEId> pendingActive_;
+    /** PEs with a non-empty issue queue; tick() walks it in
+     *  ascending PE id and clears each PE it drains.  Bits left set
+     *  after a run's final tick carry over to the next run. */
+    WorkSet queued_;
     PniStats stats_;
     CompleteFn completeFn_;
     RequestProbe requestProbe_;

@@ -85,6 +85,11 @@ TEST(QueueingTest, SaturationIsInfinite)
     EXPECT_TRUE(std::isinf(switchQueueingDelay(2, 2, 0.7)));
 }
 
+TEST(QueueingDeathTest, BadInputNamesTheValue)
+{
+    EXPECT_DEATH(switchQueueingDelay(2, 2, -0.5), "load p = -0.5");
+}
+
 TEST(QueueingTest, MonotoneInLoad)
 {
     double prev = -1.0;

@@ -10,10 +10,12 @@
 
 #include <vector>
 
+#include "common/json_lite.h"
 #include "mem/address_hash.h"
 #include "mem/memory_system.h"
 #include "net/pni.h"
 #include "net/traffic.h"
+#include "obs/event_trace.h"
 
 namespace ultra::net
 {
@@ -92,6 +94,30 @@ TEST(PniTest, FifoIssuePerPe)
     ASSERT_EQ(rig.completions.size(), 6u);
     for (int i = 0; i < 6; ++i)
         EXPECT_EQ(std::get<2>(rig.completions[i]), i);
+}
+
+TEST(PniTest, IssuesInPeIdOrderWhateverTheRequestOrder)
+{
+    // PEs request in descending id order within one cycle; the PNIs
+    // still hand their requests to the network in ascending PE id,
+    // the canonical serial order the goldens pin.
+    Rig rig(smallNet());
+    obs::EventTrace trace;
+    rig.network.setEventTrace(&trace);
+    const std::vector<PEId> requesters = {14, 11, 7, 3, 0};
+    for (PEId pe : requesters)
+        rig.pni.request(pe, Op::Load, 100 + pe, 0);
+    rig.pni.tick();
+
+    std::vector<PEId> injected;
+    const auto doc = jsonlite::parse(trace.json());
+    for (const auto &e : doc["traceEvents"].array) {
+        if (e["name"].string == "inject")
+            injected.push_back(static_cast<PEId>(e["tid"].number));
+    }
+    EXPECT_EQ(injected, std::vector<PEId>(requesters.rbegin(),
+                                          requesters.rend()));
+    rig.network.setEventTrace(nullptr);
 }
 
 TEST(PniTest, UniqueLocationRuleSerializesSameAddress)

@@ -12,11 +12,15 @@ builds its own sources under its own CARGO_TARGET_DIR, so the two
 builds never share objects.
 
 For each workload and each gated metric (`wall_s`, `peak_rss_mb`) it
-prints the base and head medians, each side's min-max spread and each
-pair's head/base ratio, and fails (exit 1) when the head median is
-worse than the base median by more than the metric's bound.  The
-spread and the pair ratios show whether a verdict rests on host noise:
-on a busy host one run can move by more than the bound.
+prints the base and head medians, each side's interquartile spread (as
+a fraction of its median) and each pair's head/base ratio, and fails
+(exit 1) when the head median is worse than the base median by more
+than the metric's bound.  The spread and the pair ratios show whether
+a verdict rests on host noise: on a busy host one run can move by more
+than the bound.  A metric within its bound whose base spread is wider
+than the bound is labelled `unresolved` rather than `ok`: those runs
+cannot tell a change of that size from noise.  The label does not
+change the exit status.
 The direction ("better": "lower" or "higher") and the bound of each
 metric come from BENCHMARK.json, which it reads and never writes.  A
 run that fails its output check, or any other error, exits 2.
@@ -42,6 +46,12 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def iqr_frac(values):
+    """Interquartile range of @p values as a fraction of their median."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / median
 
 
 def run_side(tree, target_dir, workload):
@@ -105,8 +115,8 @@ def main():
     print(f"perf_ab: base {base_rev[:12]} vs head, {PAIRS} pairs of "
           f"{RUN_SECONDS} s; bounds {bounds}")
     print(f"{'workload':<14} {'metric':<12} {'base median':>12} "
-          f"{'head median':>12} {'head/base':>10} {'base min-max':>17} "
-          f"{'head min-max':>17}  verdict")
+          f"{'head median':>12} {'head/base':>10} {'base IQR':>9} "
+          f"{'head IQR':>9}  verdict")
     worse = []
     for w in workloads:
         for m in METRICS:
@@ -117,13 +127,17 @@ def main():
             head = statistics.median(head_runs)
             ok = head <= base * (1.0 + bound) if better == "lower" \
                 else head >= base * (1.0 - bound)
+            base_iqr = iqr_frac(base_runs)
             if not ok:
                 worse.append(f"{w} {m}")
-            spread = [f"{min(v):.4f}-{max(v):.4f}"
-                      for v in (base_runs, head_runs)]
+                verdict = "WORSE"
+            elif base_iqr > bound:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
             print(f"{w:<14} {m:<12} {base:>12.4f} {head:>12.4f} "
-                  f"{head / base:>10.3f} {spread[0]:>17} {spread[1]:>17}"
-                  f"  {'ok' if ok else 'WORSE'}")
+                  f"{head / base:>10.3f} {base_iqr:>9.1%} "
+                  f"{iqr_frac(head_runs):>9.1%}  {verdict}")
             ratios = ", ".join(f"{h / b:.3f}"
                                for b, h in zip(base_runs, head_runs))
             print(f"  pairs head/base: {ratios}")
