@@ -104,6 +104,8 @@ Machine::launch(PEId pe, ProgramFn program)
     ULTRA_ASSERT(pe < pes_.size(), "no such PE: ", pe);
     ULTRA_ASSERT(!pes_[pe]->hasTask() || pes_[pe]->finished(),
                  "PE ", pe, " is still running a program");
+    if (programs_[pe].empty())
+        launched_.push_back(pe); // its first launch
     // Pin the callable first: a coroutine lambda's frame references its
     // closure object, which must outlive the task.
     pes_[pe]->setTask(pe::Task{}); // drop the old frames first
@@ -111,10 +113,6 @@ Machine::launch(PEId pe, ProgramFn program)
     programs_[pe].push_back(
         std::make_unique<ProgramFn>(std::move(program)));
     pes_[pe]->setTask((*programs_[pe].front())(*pes_[pe]));
-    if (std::find(launched_.begin(), launched_.end(), pe) ==
-        launched_.end()) {
-        launched_.push_back(pe);
-    }
 }
 
 void
@@ -127,10 +125,6 @@ Machine::launchExtra(PEId pe, ProgramFn program)
     programs_[pe].push_back(
         std::make_unique<ProgramFn>(std::move(program)));
     pes_[pe]->addTask((*programs_[pe].back())(*pes_[pe]));
-    if (std::find(launched_.begin(), launched_.end(), pe) ==
-        launched_.end()) {
-        launched_.push_back(pe);
-    }
 }
 
 void

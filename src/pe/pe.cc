@@ -17,7 +17,6 @@ void
 Pe::setTask(Task task)
 {
     contexts_.clear();
-    ticketCtx_.clear();
     inFlight_.clear();
     running_ = 0;
     nextCtx_ = 0;
@@ -47,7 +46,7 @@ Pe::finished() const
     if (contexts_.empty())
         return false;
     for (const Context &ctx : contexts_) {
-        if (!ctx.task.done() || ctx.pendingAsync != 0)
+        if (!ctx.task.done() || ctx.pending != 0)
             return false;
     }
     return true;
@@ -124,22 +123,6 @@ Pe::chargeCompute(std::uint64_t instructions, std::uint64_t private_refs)
     ctx.state = State::Ready;
 }
 
-void
-Pe::issueBlocking(Op op, Addr vaddr, Word data)
-{
-    ++stats_.instructions;
-    ++stats_.sharedRefs;
-    stats_.sharedLoads += op == Op::Load ? 1 : 0;
-    stats_.busyCycles += kInstrTime;
-    peClock_ += kInstrTime;
-    peFreeAt_ = peClock_;
-    Context &ctx = runningCtx();
-    ctx.blockingTicket = pni_.request(id_, op, vaddr, data);
-    ticketCtx_.emplace(ctx.blockingTicket, running_);
-    ctx.blockStart = peClock_;
-    ctx.state = State::BlockedMem;
-}
-
 LoadHandle
 Pe::startOp(Op op, Addr vaddr, Word data)
 {
@@ -150,11 +133,11 @@ Pe::startOp(Op op, Addr vaddr, Word data)
     peClock_ += kInstrTime;
     peFreeAt_ = peClock_;
     auto slot = std::make_shared<LoadHandle::Slot>();
-    const std::uint64_t ticket = pni_.request(id_, op, vaddr, data);
-    ticketCtx_.emplace(ticket, running_);
-    inFlight_.emplace(ticket, slot);
-    ++runningCtx().pendingAsync;
-    return LoadHandle(this, slot);
+    slot->ticket = pni_.request(id_, op, vaddr, data);
+    slot->ctx = running_;
+    inFlight_.push_back(slot);
+    ++runningCtx().pending;
+    return LoadHandle(this, std::move(slot));
 }
 
 void
@@ -164,10 +147,10 @@ Pe::postStore(Addr vaddr, Word value)
 }
 
 void
-Pe::blockOnHandle(std::shared_ptr<LoadHandle::Slot> slot)
+Pe::blockOnHandle(const LoadHandle::Slot *slot)
 {
     Context &ctx = runningCtx();
-    ctx.awaitedSlot = std::move(slot);
+    ctx.awaitedSlot = slot;
     ctx.blockStart = peClock_;
     ctx.state = State::BlockedHandle;
     peFreeAt_ = peClock_;
@@ -183,51 +166,47 @@ Pe::blockOnFence()
 }
 
 void
+Pe::chargeWait(Cycle from, Cycle to)
+{
+    stats_.idleCycles += to - from;
+    if (waitHist_)
+        waitHist_->add(to - from);
+    if (trace_ && to > from)
+        trace_->complete(traceTrack_, id_, "wait", from, to - from);
+}
+
+void
 Pe::unblock(Context &ctx, Cycle earliest)
 {
     ctx.readyAt = std::max(earliest, ctx.blockStart);
-    stats_.idleCycles += ctx.readyAt - ctx.blockStart;
-    if (waitHist_)
-        waitHist_->add(ctx.readyAt - ctx.blockStart);
-    if (trace_ && ctx.readyAt > ctx.blockStart) {
-        trace_->complete(traceTrack_, id_, "wait", ctx.blockStart,
-                         ctx.readyAt - ctx.blockStart);
-    }
+    chargeWait(ctx.blockStart, ctx.readyAt);
     ctx.state = State::Ready;
 }
 
 void
 Pe::onComplete(std::uint64_t ticket, Word value)
 {
-    const Cycle now = network_.now();
-    auto owner = ticketCtx_.find(ticket);
-    ULTRA_ASSERT(owner != ticketCtx_.end(),
-                 "completion for unknown ticket ", ticket, " at PE ",
-                 id_);
-    Context &ctx = contexts_[owner->second];
-    ticketCtx_.erase(owner);
+    auto it = std::find_if(inFlight_.begin(), inFlight_.end(),
+                           [ticket](const auto &slot) {
+                               return slot->ticket == ticket;
+                           });
+    ULTRA_ASSERT(it != inFlight_.end(), "completion for unknown ticket ",
+                 ticket, " at PE ", id_);
+    std::swap(*it, inFlight_.back());
+    const std::shared_ptr<LoadHandle::Slot> slot =
+        std::move(inFlight_.back());
+    inFlight_.pop_back();
+    slot->done = true;
+    slot->value = value;
 
-    if (ctx.state == State::BlockedMem && ticket == ctx.blockingTicket) {
-        ctx.blockingValue = value;
-        unblock(ctx, now);
-        return;
-    }
-    auto it = inFlight_.find(ticket);
-    ULTRA_ASSERT(it != inFlight_.end(),
-                 "completion for unknown async ticket ", ticket,
-                 " at PE ", id_);
-    it->second->done = true;
-    it->second->value = value;
-    const bool was_awaited = ctx.state == State::BlockedHandle &&
-                             ctx.awaitedSlot == it->second;
-    inFlight_.erase(it);
-    ULTRA_ASSERT(ctx.pendingAsync > 0);
-    --ctx.pendingAsync;
-    if (was_awaited) {
-        ctx.awaitedSlot.reset();
-        unblock(ctx, now);
-    } else if (ctx.state == State::BlockedFence && ctx.pendingAsync == 0) {
-        unblock(ctx, now);
+    Context &ctx = contexts_[slot->ctx];
+    ULTRA_ASSERT(ctx.pending > 0);
+    --ctx.pending;
+    if (ctx.state == State::BlockedHandle && ctx.awaitedSlot == slot.get()) {
+        ctx.awaitedSlot = nullptr;
+        unblock(ctx, network_.now());
+    } else if (ctx.state == State::BlockedFence && ctx.pending == 0) {
+        unblock(ctx, network_.now());
     }
 }
 
@@ -237,13 +216,7 @@ Pe::flushWaits(Cycle now)
     for (Context &ctx : contexts_) {
         if (ctx.state == State::Ready || ctx.blockStart >= now)
             continue;
-        stats_.idleCycles += now - ctx.blockStart;
-        if (waitHist_)
-            waitHist_->add(now - ctx.blockStart);
-        if (trace_) {
-            trace_->complete(traceTrack_, id_, "wait", ctx.blockStart,
-                             now - ctx.blockStart);
-        }
+        chargeWait(ctx.blockStart, now);
         ctx.blockStart = now;
     }
 }
@@ -285,8 +258,7 @@ Pe::fillCacheBlock(Addr vaddr)
 Task
 Pe::cachedLoad(Addr vaddr, Word *out)
 {
-    ULTRA_ASSERT(cache_ != nullptr, "PE ", id_, " has no cache");
-    auto probe = cache_->read(vaddr);
+    auto probe = cache().read(vaddr);
     if (probe.hit) {
         // A cache hit costs one instruction, like a register reference.
         co_await privateRefs(1);
@@ -307,8 +279,7 @@ Pe::cachedLoad(Addr vaddr, Word *out)
 Task
 Pe::cachedStore(Addr vaddr, Word value)
 {
-    ULTRA_ASSERT(cache_ != nullptr, "PE ", id_, " has no cache");
-    auto probe = cache_->write(vaddr, value);
+    auto probe = cache().write(vaddr, value);
     if (probe.hit) {
         co_await privateRefs(1);
         co_return;
@@ -325,8 +296,7 @@ Pe::cachedStore(Addr vaddr, Word value)
 Task
 Pe::cacheFlush(Addr lo, Addr hi)
 {
-    ULTRA_ASSERT(cache_ != nullptr, "PE ", id_, " has no cache");
-    const auto dirty = cache_->flush(lo, hi);
+    const auto dirty = cache().flush(lo, hi);
     for (const auto &wb : dirty)
         postStore(wb.vaddr, wb.value);
     co_await fence();
@@ -335,7 +305,7 @@ Pe::cacheFlush(Addr lo, Addr hi)
 void
 Pe::cacheRelease(Addr lo, Addr hi)
 {
-    cache_->release(lo, hi);
+    cache().release(lo, hi);
 }
 
 } // namespace ultra::pe

@@ -14,6 +14,9 @@
  * LoadHandle: Pe::startOp() issues the request and returns a handle the
  * program co_awaits later; awaiting an unfilled handle blocks the
  * context (and accrues idle cycles), awaiting a filled one is free.
+ * Every shared-memory operation takes this one path: a blocking load is
+ * a started load whose handle is awaited at once, and the PE keeps one
+ * list of its incomplete requests, matched to replies by ticket.
  *
  * Hardware multiprogramming (section 3.5): "if the latency remains an
  * impediment to performance, we would hardware-multiprogram the PEs
@@ -32,8 +35,9 @@
  *   compute(n)       -- n register instructions: n * kInstrTime cycles.
  *   privateRefs(n)   -- n cache-hit data references: same cost, also
  *                       counted as memory references for Table 1.
- *   load/store/...   -- one instruction to issue, then the context
- *                       blocks until the reply; blocked time is idle.
+ *   load/store/...   -- startOp awaited at once: one instruction to
+ *                       issue, then the context blocks until the
+ *                       reply; blocked time is idle.
  *   startOp + handle -- one instruction to issue, overlap until await.
  */
 
@@ -43,7 +47,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.h"
@@ -92,6 +95,8 @@ class LoadHandle
     friend class Pe;
     struct Slot
     {
+        std::uint64_t ticket = 0; //!< the PNI request it completes
+        std::size_t ctx = 0;      //!< the issuing context
         bool done = false;
         Word value = 0;
     };
@@ -116,42 +121,45 @@ class Pe
 
     // --- awaitable factories (used inside Task coroutines) -----------
 
-    /** Blocking fetch of a shared word. */
-    auto load(Addr vaddr) { return MemAwait{*this, Op::Load, vaddr, 0}; }
+    // Blocking operations: each issues its request through startOp(),
+    // so `co_await pe.load(a)` is a started load awaited at once.
 
-    /** Blocking store (waits for the acknowledgement). */
-    auto
+    /** Fetch of a shared word. */
+    LoadHandle load(Addr vaddr) { return startOp(Op::Load, vaddr); }
+
+    /** Store; awaiting it waits for the acknowledgement. */
+    LoadHandle
     store(Addr vaddr, Word value)
     {
-        return MemAwait{*this, Op::Store, vaddr, value};
+        return startOp(Op::Store, vaddr, value);
     }
 
-    /** Blocking fetch-and-add. */
-    auto
+    /** Fetch-and-add. */
+    LoadHandle
     fetchAdd(Addr vaddr, Word delta)
     {
-        return MemAwait{*this, Op::FetchAdd, vaddr, delta};
+        return startOp(Op::FetchAdd, vaddr, delta);
     }
 
-    /** Blocking swap (fetch-and-pi2). */
-    auto
+    /** Swap (fetch-and-pi2). */
+    LoadHandle
     swap(Addr vaddr, Word value)
     {
-        return MemAwait{*this, Op::Swap, vaddr, value};
+        return startOp(Op::Swap, vaddr, value);
     }
 
-    /** Blocking test-and-set. */
-    auto
+    /** Test-and-set. */
+    LoadHandle
     testAndSet(Addr vaddr)
     {
-        return MemAwait{*this, Op::TestAndSet, vaddr, 0};
+        return startOp(Op::TestAndSet, vaddr);
     }
 
-    /** Blocking generic fetch-and-phi. */
-    auto
+    /** Generic fetch-and-phi. */
+    LoadHandle
     fetchPhi(Op op, Addr vaddr, Word operand)
     {
-        return MemAwait{*this, op, vaddr, operand};
+        return startOp(op, vaddr, operand);
     }
 
     /** n register-to-register instructions. */
@@ -169,8 +177,8 @@ class Pe
     LoadHandle startLoad(Addr vaddr) { return startOp(Op::Load, vaddr); }
     void postStore(Addr vaddr, Word value);
 
-    /** Await completion of every outstanding startOp/postStore issued
-     *  by the calling context. */
+    /** Await completion of every outstanding request issued by the
+     *  calling context. */
     auto fence() { return FenceAwait{*this}; }
 
     // --- cached local memory (sections 3.2, 3.4) ----------------------
@@ -258,7 +266,7 @@ class Pe
     }
 
   private:
-    enum class State { Ready, BlockedMem, BlockedHandle, BlockedFence };
+    enum class State { Ready, BlockedHandle, BlockedFence };
 
     friend class LoadHandle;
 
@@ -271,30 +279,8 @@ class Pe
         State state = State::Ready;
         Cycle readyAt = 0;
         Cycle blockStart = 0;
-        std::uint64_t blockingTicket = 0;
-        Word blockingValue = 0;
-        std::shared_ptr<LoadHandle::Slot> awaitedSlot;
-        std::uint64_t pendingAsync = 0;
-    };
-
-    struct MemAwait
-    {
-        Pe &pe;
-        Op op;
-        Addr vaddr;
-        Word data;
-        bool await_ready() const { return false; }
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            pe.runningCtx().current = h;
-            pe.issueBlocking(op, vaddr, data);
-        }
-        Word
-        await_resume() const
-        {
-            return pe.runningCtx().blockingValue;
-        }
+        const LoadHandle::Slot *awaitedSlot = nullptr;
+        std::uint64_t pending = 0; //!< its incomplete requests
     };
 
     struct ComputeAwait
@@ -312,10 +298,12 @@ class Pe
         void await_resume() const {}
     };
 
+    /** Borrows the slot: a named handle lives in the coroutine frame,
+     *  a temporary one to the end of its co_await expression. */
     struct HandleAwait
     {
         Pe &pe;
-        std::shared_ptr<LoadHandle::Slot> slot;
+        const LoadHandle::Slot *slot;
         bool await_ready() const { return slot->done; }
         void
         await_suspend(std::coroutine_handle<> h)
@@ -332,7 +320,7 @@ class Pe
         bool
         await_ready() const
         {
-            return pe.runningCtx().pendingAsync == 0;
+            return pe.runningCtx().pending == 0;
         }
         void
         await_suspend(std::coroutine_handle<> h)
@@ -346,12 +334,12 @@ class Pe
     Context &runningCtx() { return contexts_[running_]; }
     const Context &runningCtx() const { return contexts_[running_]; }
 
-    void issueBlocking(Op op, Addr vaddr, Word data);
     void chargeCompute(std::uint64_t instructions,
                        std::uint64_t private_refs);
-    void blockOnHandle(std::shared_ptr<LoadHandle::Slot> slot);
+    void blockOnHandle(const LoadHandle::Slot *slot);
     void blockOnFence();
     void unblock(Context &ctx, Cycle earliest);
+    void chargeWait(Cycle from, Cycle to);
     bool contextRunnable(const Context &ctx, Cycle now) const;
 
     /** Fetch and install the block containing @p vaddr; pipelines the
@@ -368,11 +356,8 @@ class Pe
     Cycle peClock_ = 0;        //!< pipeline clock within a resumption
     Cycle peFreeAt_ = 0;       //!< when the pipeline frees up
 
-    /** ticket -> issuing context (for completion routing). */
-    std::unordered_map<std::uint64_t, std::size_t> ticketCtx_;
-    /** ticket -> handle slot for startOp results. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<LoadHandle::Slot>>
-        inFlight_;
+    /** The slots of every incomplete request, in no order. */
+    std::vector<std::shared_ptr<LoadHandle::Slot>> inFlight_;
 
     std::unique_ptr<cache::Cache> cache_;
 
@@ -395,7 +380,7 @@ LoadHandle::operator co_await()
     // The handle's Pe is implicit: handles are created by startOp on the
     // same PE whose coroutine awaits them (checked by the machine tests).
     ULTRA_ASSERT(slot_ != nullptr, "awaiting an empty LoadHandle");
-    return Pe::HandleAwait{*owner_, slot_};
+    return Pe::HandleAwait{*owner_, slot_.get()};
 }
 
 } // namespace ultra::pe

@@ -171,6 +171,10 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
         {"app --app multigrid --n 1", "--n"},
         {"app --app sssp --n 1", "--n"},
         {"app --app tred2 --pes 16 --contexts 3", "--contexts"},
+        // Only tred2 multiprograms its workers; another app exits 2
+        // rather than ignore the flag.
+        {"app --app weather --contexts 4", "--contexts"},
+        {"trace --record /dev/null --app sssp --contexts 5", "--contexts"},
         {"model --best --rate 1.5", "--rate"},
         {"model --best --ports 5 --rate 0.1", "--ports"},
         {"model --best --ports 1", "--ports"},
@@ -249,6 +253,7 @@ TEST(CliTest, MalformedNumbersExitTwoNamingTheFlag)
     EXPECT_EQ(runTool("net --ports 16 --rate 0 --hot 1 --cycles 50"), 0);
     EXPECT_EQ(runTool("net --ports 16 --k 2 --cycles 1"), 0);
     EXPECT_EQ(runTool("app --app tred2 --pes 1 --n 2"), 0);
+    EXPECT_EQ(runTool("app --app tred2 --pes 4 --n 4 --contexts 2"), 0);
     EXPECT_EQ(runTool("app --app weather --pes 20 --n 4"), 0);
     EXPECT_EQ(runTool("trace --record /dev/null --pes 100 --n 4"), 0);
     EXPECT_EQ(runTool("pack --ports 4"), 0);

@@ -155,7 +155,7 @@ TEST(MultiprogramTest, RelaunchClearsContexts)
 TEST(MultiprogramTest, FencesAreIsolatedPerContext)
 {
     // Context A posts async stores and fences; context B's fence must
-    // not wait for A's stores (per-context pendingAsync accounting).
+    // not wait for A's stores (per-context pending-request accounting).
     Machine machine(testConfig());
     const Addr a = machine.allocShared(64);
     bool b_fenced_early = false;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/machine.h"
 #include "pe/pe.h"
 
@@ -162,6 +164,61 @@ TEST(PeTest, TaskEndWaitsForOutstandingAsyncOps)
     });
     ASSERT_TRUE(machine.run());
     EXPECT_EQ(machine.peek(a), 42);
+}
+
+TEST(PeTest, HandlesAwaitedOutOfIssueOrder)
+{
+    // Replies are matched to requests by ticket, whatever order the
+    // handles are awaited in and whichever context issued them.
+    Machine machine(testConfig());
+    const Addr a = machine.allocShared(3);
+    const Addr ctr = machine.allocShared(1);
+    const Addr out = machine.allocShared(8);
+    machine.poke(a, 11);
+    machine.poke(a + 1, 22);
+    machine.poke(a + 2, 33);
+
+    Word v0 = -1, v1 = -1, v2 = -1;
+    machine.launch(0, [&](Pe &pe) -> Task {
+        auto h0 = pe.startLoad(a);
+        auto h1 = pe.startLoad(a + 1);
+        auto h2 = pe.startLoad(a + 2);
+        v2 = co_await h2;
+        v1 = co_await h1;
+        v0 = co_await h0;
+    });
+    std::vector<Word> olds;
+    Word after_fence = -1;
+    machine.launchExtra(0, [&](Pe &pe) -> Task {
+        for (int i = 0; i < 4; ++i) {
+            const Word old = co_await pe.fetchAdd(ctr, 1);
+            olds.push_back(old);
+        }
+        for (Addr i = 0; i < 8; ++i)
+            pe.postStore(out + i, static_cast<Word>(100 + i));
+        co_await pe.fence();
+        after_fence = co_await pe.load(out + 7);
+    });
+    ASSERT_TRUE(machine.run());
+    EXPECT_TRUE(machine.peAt(0).finished());
+    EXPECT_EQ(v0, 11);
+    EXPECT_EQ(v1, 22);
+    EXPECT_EQ(v2, 33);
+    EXPECT_EQ(olds, (std::vector<Word>{0, 1, 2, 3}));
+    EXPECT_EQ(machine.peek(ctr), 4);
+    EXPECT_EQ(after_fence, 107);
+    for (Addr i = 0; i < 8; ++i)
+        EXPECT_EQ(machine.peek(out + i), static_cast<Word>(100 + i));
+}
+
+TEST(PeDeathTest, CacheReleaseWithoutCacheNamesThePe)
+{
+    EXPECT_DEATH(
+        {
+            Machine machine(testConfig());
+            machine.peAt(3).cacheRelease(0, 15);
+        },
+        "PE 3 has no cache");
 }
 
 TEST(PeTest, NestedTasksCompose)

@@ -88,7 +88,7 @@
  *                  level / particles / vertices / accounts; default
  *                  and range depend on app)
  *   --contexts K   hardware multiprogramming fold, dividing P (tred2
- *                  only)
+ *                  only; any other app exits 2)
  *
  * `model` options (each form takes only its own flags):
  *   --ports --k --m --d as above; sweeps p and prints the curve
@@ -465,9 +465,10 @@ appRunFrom(const Flags &args)
     if (size == nullptr)
         args.fail("unknown app '" + run.app + "'");
     run.pes = static_cast<std::uint32_t>(args.getInt("pes", 16, 1, 4096));
+    if (run.app != "tred2" && args.has("contexts"))
+        args.fail("--contexts is tred2 only, got --app " + run.app);
     run.contexts = static_cast<std::uint32_t>(args.getInt("contexts", 1));
-    if (run.app == "tred2" &&
-        (run.contexts < 1 || run.pes % run.contexts != 0)) {
+    if (run.contexts < 1 || run.pes % run.contexts != 0) {
         args.fail("--contexts must divide --pes, got " +
                   std::to_string(run.contexts));
     }
